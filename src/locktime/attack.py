@@ -17,7 +17,7 @@ natural target but machine-dependent.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class AttackResult:
     wall_seconds: float
     total_stats: SolverStats
     status: str
-    per_solve: list[SolverStats] = field(default_factory=list)
 
     def verified(self) -> bool:
         return self.status == AttackStatus.SOLVED
@@ -75,15 +74,14 @@ def keys_equivalent(base: Circuit, obf: Circuit, key, seed: int = 0) -> bool:
                                simulate_many(obf, vecs, key)))
 
 
-def sat_attack(inst: ObfuscationInstance, timeout_seconds: float | None = None,
-               solver_config: SolverConfig | None = None) -> AttackResult:
+def sat_attack(inst: ObfuscationInstance,
+               timeout_seconds: float | None = None) -> AttackResult:
     """Run the DIP loop on one instance; see module docstring.
 
     ``timeout_seconds`` bounds the whole loop; a partial result with
     status TIMEOUT is returned when exceeded.  The wall clock covers
     miter construction through key extraction.
     """
-    base_cfg = solver_config or SolverConfig()
     t0 = time.perf_counter()
     deadline = None if timeout_seconds is None else t0 + timeout_seconds
 
@@ -93,22 +91,19 @@ def sat_attack(inst: ObfuscationInstance, timeout_seconds: float | None = None,
         return max(deadline - time.perf_counter(), 1e-9)
 
     def cfg():
-        return SolverConfig(base_cfg.learning, base_cfg.restarts, base_cfg.seed,
-                            remaining(), base_cfg.decay, base_cfg.restart_interval)
+        return SolverConfig(timeout_seconds=remaining())
 
     total = SolverStats()
-    per_solve: list[SolverStats] = []
     dips: list[tuple[int, ...]] = []
 
     def done(key, status):
         return AttackResult(key, dips, len(dips), time.perf_counter() - t0,
-                            total, status, per_solve)
+                            total, status)
 
     miter = build_miter(inst.obfuscated)
     while True:
         res = solve(miter.formula, cfg())
         total = total.merged(res.stats)
-        per_solve.append(res.stats)
         if res.status is SolveStatus.TIMEOUT:
             return done(None, AttackStatus.TIMEOUT)
         if res.status is SolveStatus.UNSAT:
@@ -120,10 +115,10 @@ def sat_attack(inst: ObfuscationInstance, timeout_seconds: float | None = None,
 
     res = solve(miter.key_constraint_formula(), cfg())
     total = total.merged(res.stats)
-    per_solve.append(res.stats)
     if res.status is SolveStatus.TIMEOUT:
         return done(None, AttackStatus.TIMEOUT)
-    assert res.status is SolveStatus.SAT, "key constraints must stay satisfiable"
+    if res.status is not SolveStatus.SAT:
+        raise RuntimeError("internal error: key constraints must stay satisfiable")
     key = tuple(int(res.model[v]) for v in miter.key1_vars)
 
     if not keys_equivalent(inst.base, inst.obfuscated, key):

@@ -58,11 +58,7 @@ def _load_bench(spec: str):
 
 
 def _emit(doc, out=None) -> None:
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", out)
 
 
 def _write_text(text: str, out=None) -> None:

@@ -137,16 +137,14 @@ def _encode_copy(c: Circuit, alloc: _Alloc, input_vars: list[int],
     return net, [net[g] for g in c.primary_outputs]
 
 
-def tseitin(c: Circuit, start_var: int = 0) -> CnfFormula:
+def tseitin(c: Circuit) -> CnfFormula:
     """Tseitin-encode a circuit (one copy, one key).
 
     Variables: primary inputs, key bits in layout order, gate outputs in
-    topological order, auxiliaries.  ``start_var`` shifts the numbering
-    (variables begin at start_var + 1).  var_map carries net names; LUT
-    table bits appear as ``<gate>$k<j>``.
+    topological order, auxiliaries, numbered from 1.  var_map carries net
+    names; LUT table bits appear as ``<gate>$k<j>``.
     """
     alloc = _Alloc()
-    alloc.n = start_var
     var_map = {}
     input_vars = []
     for gid in c.primary_inputs:

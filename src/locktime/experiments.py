@@ -29,7 +29,6 @@ from .attack import (
     sat_attack,
 )
 from .icnet import (
-    GraphSample,
     Model,
     ModelConfig,
     fit_linear,
@@ -37,7 +36,7 @@ from .icnet import (
     sample_from_instance,
     target_value,
 )
-from .netlist import Circuit, GateType, emit_bench, parse_bench
+from .netlist import ONE_HOT_ORDER, Circuit, emit_bench, parse_bench
 from .obfuscate import (
     ObfuscationInstance,
     ObfuscationKind,
@@ -322,12 +321,6 @@ class AttentionReport:
                 "gate_entropy": self.gate_entropy}
 
 
-def _one_hot_type_names():
-    from .netlist import ONE_HOT_INDEX
-    pairs = sorted(ONE_HOT_INDEX.items(), key=lambda kv: kv[1])
-    return [gt.name for gt, _ in pairs]
-
-
 def attention_report(model: Model, samples) -> AttentionReport:
     """How much each input feature drives the prediction.
 
@@ -361,12 +354,10 @@ def attention_report(model: Model, samples) -> AttentionReport:
     total = attribution.sum()
     shares = attribution / total if total > 0 else np.full_like(attribution,
                                                                 1.0 / attribution.size)
-    if cfg.feature_set == "location_only":
-        input_shares = {"mask": float(shares[0])}
-    else:
-        input_shares = {"mask": float(shares[0])}
-        for i, name in enumerate(_one_hot_type_names()):
-            input_shares[f"type:{name}"] = float(shares[1 + i])
+    input_shares = {"mask": float(shares[0])}
+    if cfg.feature_set == "all_features":
+        for i, t in enumerate(ONE_HOT_ORDER):
+            input_shares[f"type:{t.name}"] = float(shares[1 + i])
     gate_entropy = float(np.mean(entropies)) if entropies else None
     return AttentionReport(input_shares, feat_attention, gate_entropy)
 

@@ -14,8 +14,8 @@ is built so the whole network is invariant to gate reordering:
 * gate attention scores gate i by the shared scalar theta_gate * s_i,
   softmaxes into a_gate, and returns z = a_gate . s.
 
-The exp head is trained in the log domain (latent z regresses the
-transformed label); the linear head regresses raw labels.  Gradients are
+The exp head is trained in the log domain (latent z regresses
+log1p(label)); the linear head regresses raw labels.  Gradients are
 closed-form backpropagation, checked against finite differences in the
 test suite.
 """
@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .netlist import ONE_HOT_INDEX, GateType, GraphMatrix, graph_matrix
+from .netlist import ONE_HOT_INDEX, GraphMatrix, graph_matrix
 from .numerics import (
-    AdamState,
     NonFiniteError,
     ParamStore,
     adam_step,
@@ -49,10 +48,9 @@ GRAPH_REPRS = ("adjacency", "laplacian")
 AGG_MODES = ("attention", "sum", "mean")
 OUTPUT_HEADS = ("exp", "linear")
 FEATURE_SETS = ("location_only", "all_features")
-TARGET_TRANSFORMS = ("log1p", "log")
 
 CHECKPOINT_FORMAT = "icnet-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,6 @@ class ModelConfig:
     gate_agg: str = "attention"
     output_head: str = "exp"
     feature_set: str = "all_features"
-    init_scheme: str = "uniform_glorot"
-    target_transform: str = "log1p"  # exp-head label transform
     learning_rate: float = 1e-3
     batch_size: int = 32
     max_epochs: int = 500
@@ -85,7 +81,6 @@ class ModelConfig:
             ("gate_agg", self.gate_agg, AGG_MODES),
             ("output_head", self.output_head, OUTPUT_HEADS),
             ("feature_set", self.feature_set, FEATURE_SETS),
-            ("target_transform", self.target_transform, TARGET_TRANSFORMS),
         ]:
             if value not in options:
                 raise ValueError(f"{name} must be one of {options}, got {value!r}")
@@ -100,8 +95,7 @@ class ModelConfig:
             "directed": self.directed, "conv_layers": self.conv_layers,
             "hidden_dims": list(self.hidden_dims), "feat_agg": self.feat_agg,
             "gate_agg": self.gate_agg, "output_head": self.output_head,
-            "feature_set": self.feature_set, "init_scheme": self.init_scheme,
-            "target_transform": self.target_transform,
+            "feature_set": self.feature_set,
             "learning_rate": self.learning_rate, "batch_size": self.batch_size,
             "max_epochs": self.max_epochs, "convergence_tol": self.convergence_tol,
             "seed": self.seed,
@@ -155,8 +149,7 @@ class GraphSample:
 
 
 def new_model(config: ModelConfig) -> Model:
-    params = init_params(config.feature_dim, config.hidden_dims,
-                         config.init_scheme, config.seed)
+    params = init_params(config.feature_dim, config.hidden_dims, config.seed)
     return Model(config, params)
 
 
@@ -181,32 +174,6 @@ def sample_from_instance(inst: ObfuscationInstance, config: ModelConfig,
                          censored: bool = False) -> GraphSample:
     gm, fm = build_graph_input(inst, config)
     return GraphSample(gm.data, fm.data, float(label), instance_id, censored)
-
-
-# --- aggregation primitives ---
-
-def attention_aggregate(mat: np.ndarray, theta: np.ndarray, axis: int):
-    """Collapse one axis of ``mat`` by softmax attention; returns (out, att).
-
-    axis=0 treats rows as slices: logits_i = theta . mat[i, :], output is
-    the attention-weighted row sum (length ncols).  axis=1 treats columns
-    as slices: logits_f = theta[f] * mean(mat[:, f]) — per-column weight
-    times the column's gate-mean, which keeps the scoring independent of
-    the gate count — output is mat @ att (length nrows).
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    if mat.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {mat.shape}")
-    if theta.shape[0] != mat.shape[1]:
-        raise ValueError(f"theta length {theta.shape[0]} != slice width {mat.shape[1]}")
-    if axis == 0:
-        att = softmax(mat @ theta)
-        return att @ mat, att
-    if axis == 1:
-        att = softmax(theta * mat.mean(axis=0))
-        return mat @ att, att
-    raise ValueError(f"axis must be 0 or 1, got {axis}")
 
 
 @dataclass
@@ -291,21 +258,7 @@ def target_value(config: ModelConfig, label: float) -> float:
     """The quantity the latent z regresses for a raw label."""
     if config.output_head == "linear":
         return float(label)
-    if config.target_transform == "log1p":
-        return float(np.log1p(label))
-    if label <= 0:
-        raise ValueError("target_transform='log' requires positive labels; "
-                         "use 'log1p' for labels that can be zero")
-    return float(np.log(label))
-
-
-def predicted_label(model: Model, pred: Prediction) -> float:
-    """Inverse-transform the latent back to the raw label scale."""
-    if model.config.output_head == "linear":
-        return pred.z
-    if model.config.target_transform == "log1p":
-        return float(np.expm1(pred.z))
-    return float(np.exp(pred.z))
+    return float(np.log1p(label))
 
 
 def _backward(model: Model, a: np.ndarray, cache: _Cache, dz: float) -> ParamStore:
@@ -352,7 +305,7 @@ def _backward(model: Model, a: np.ndarray, cache: _Cache, dz: float) -> ParamSto
 def loss_and_grads(model: Model, samples: list) -> tuple[float, ParamStore]:
     """Batch MSE on the head's training scale plus exact parameter grads.
 
-    exp head: residual z - target_transform(label); linear head:
+    exp head: residual z - log1p(label); linear head:
     residual z - label.  MSE is the mean of squared residuals.
     """
     if not samples:

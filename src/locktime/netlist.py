@@ -94,9 +94,6 @@ class Circuit:
     def n(self):
         return len(self.gates)
 
-    def gate(self, gid: int) -> Gate:
-        return self.gates[gid]
-
     def _validate(self):
         n = len(self.gates)
         names = set()

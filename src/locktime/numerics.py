@@ -1,7 +1,7 @@
-"""Dense numeric kernels for the regressor: matmul/activations with shape
+"""Dense numeric kernels for the regressor: activations with shape
 contracts, parameter containers, seeded initialization, and ADAM.
 
-Matrices are plain 2-D float64 numpy arrays; the operations here add the
+Arrays are plain float64 numpy arrays; the operations here add the
 shape/finiteness checking and the deterministic-behaviour contract the
 training stack relies on.  Everything is value-semantics: functions
 return fresh arrays and never mutate their inputs.
@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-Matrix = np.ndarray
-
 
 class NonFiniteError(FloatingPointError):
     def __init__(self, where: str):
@@ -27,25 +25,6 @@ def check_finite(name: str, a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(name)
     return a
-
-
-def as_matrix(a, name: str = "matrix") -> Matrix:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    return m
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
 def relu_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -63,9 +42,6 @@ def softmax(v: np.ndarray) -> np.ndarray:
     check_finite("softmax input", v)
     e = np.exp(v - v.max())
     return e / e.sum()
-
-
-INIT_SCHEMES = ("uniform_glorot", "gaussian")
 
 
 @dataclass
@@ -95,19 +71,13 @@ class ParamStore:
                                  f"{self.arrays[k].shape} vs {other.arrays[k].shape}")
 
 
-def _draw(rng, scheme: str, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    if scheme == "uniform_glorot":
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape)
-    if scheme == "gaussian":
-        std = np.sqrt(2.0 / (fan_in + fan_out))
-        return rng.normal(0.0, std, size=shape)
-    raise ValueError(f"unknown init scheme {scheme!r} (choose from {INIT_SCHEMES})")
+def _draw(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
+    bound = np.sqrt(6.0 / (fan_in + fan_out))  # uniform Glorot
+    return rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(feature_dim: int, hidden_dims, scheme: str = "uniform_glorot",
-                seed: int = 0) -> ParamStore:
-    """Parameters for the 2-stage conv + attention readout architecture.
+def init_params(feature_dim: int, hidden_dims, seed: int = 0) -> ParamStore:
+    """Uniform-Glorot parameters for the conv + attention readout architecture.
 
     conv<l>: (dims[l], dims[l+1]); feat: (h_last,); gate: (1,).
     """
@@ -115,11 +85,10 @@ def init_params(feature_dim: int, hidden_dims, scheme: str = "uniform_glorot",
     dims = [feature_dim] + list(hidden_dims)
     arrays = {}
     for l in range(len(hidden_dims)):
-        arrays[f"conv{l}"] = _draw(rng, scheme, (dims[l], dims[l + 1]),
-                                   dims[l], dims[l + 1])
+        arrays[f"conv{l}"] = _draw(rng, (dims[l], dims[l + 1]), dims[l], dims[l + 1])
     h_last = dims[-1]
-    arrays["feat"] = _draw(rng, scheme, (h_last,), h_last, 1)
-    arrays["gate"] = _draw(rng, scheme, (1,), 1, 1)
+    arrays["feat"] = _draw(rng, (h_last,), h_last, 1)
+    arrays["gate"] = _draw(rng, (1,), 1, 1)
     return ParamStore(arrays)
 
 

@@ -19,20 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netlist import KEY_INPUT_PREFIX, Circuit, Gate, GateType
+from .netlist import (KEY_INPUT_PREFIX, Circuit, Gate, GateType,
+                      all_input_vectors, simulate_many)
 
 LUT_MAX_ARITY = 4
-
-_GATE_EVAL = {
-    GateType.AND: lambda bits: int(all(bits)),
-    GateType.NAND: lambda bits: int(not all(bits)),
-    GateType.OR: lambda bits: int(any(bits)),
-    GateType.NOR: lambda bits: int(not any(bits)),
-    GateType.XOR: lambda bits: sum(bits) & 1,
-    GateType.XNOR: lambda bits: (sum(bits) & 1) ^ 1,
-    GateType.NOT: lambda bits: 1 - bits[0],
-    GateType.BUFF: lambda bits: bits[0],
-}
 
 
 @dataclass(frozen=True)
@@ -161,12 +151,13 @@ def replace_with_lut(c: Circuit, gate_id: int, arity_k: int) -> tuple[Circuit, t
 
     pads = _padding_nets(c, gate_id, set(target.fanin) | {gate_id}, arity_k - m)
     fanin = target.fanin + tuple(pads)
-    func = _GATE_EVAL[target.type]
-    table = []
-    for idx in range(2 ** arity_k):
-        own = [(idx >> (arity_k - 1 - i)) & 1 for i in range(m)]
-        table.append(func(own))
-    table = tuple(table)
+    # truth table of the gate alone over its own fanins (MSB-first), each
+    # row repeated across the padding bits, which are the low index bits
+    ins = [Gate(i, f"{target.name}$f{i}", GateType.INPUT) for i in range(m)]
+    alone = Circuit(tuple(ins) + (Gate(m, target.name, target.type, tuple(range(m))),),
+                    tuple(range(m)), (m,))
+    own = simulate_many(alone, all_input_vectors(m))[:, 0]
+    table = tuple(int(b) for b in np.repeat(own, 2 ** (arity_k - m)))
 
     gates = list(c.gates)
     gates[gate_id] = Gate(gate_id, target.name, GateType.LUT, fanin, table)
@@ -242,7 +233,9 @@ def random_obfuscate(base: Circuit, n_locations: int, kind: ObfuscationKind,
 
 def instance_to_json(inst: ObfuscationInstance, base_file: str) -> dict:
     widths = [kw for _, kw in inst.obfuscated.key_layout()]
-    assert sum(widths) == len(inst.key_truth)
+    if sum(widths) != len(inst.key_truth):
+        raise ValueError(f"key layout has {sum(widths)} bits but key_truth has "
+                         f"{len(inst.key_truth)}")
     return {
         "base_file": base_file,
         "seed": inst.seed,

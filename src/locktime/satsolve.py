@@ -1,32 +1,30 @@
 """A small, deterministic CDCL SAT solver.
 
 Features: two-watched-literal unit propagation, VSIDS-style decaying
-activity with lowest-index tie-break, optional first-UIP clause learning
-with non-chronological backjumping, optional Luby restarts, and a wall
-clock timeout reported as a distinct status.
+activity with lowest-index tie-break, first-UIP clause learning with
+non-chronological backjumping, optional Luby restarts, and a wall clock
+timeout reported as a distinct status.
 
 Determinism contract: for identical (formula, config) the status, model
 and all effort counters are identical across runs and machines; the seed
 only chooses initial decision phases.  ``wall_seconds`` is the single
 nondeterministic field.
 
-Counter semantics: ``decisions`` counts branch assignments (including
-polarity flips when learning is off), ``propagations`` counts literals
-enqueued with a reason (unit propagation, initial units, asserting
-literals), ``conflicts`` counts conflicting clauses encountered.
+Counter semantics: ``decisions`` counts branch assignments,
+``propagations`` counts literals enqueued with a reason (unit
+propagation, initial units, asserting literals), ``conflicts`` counts
+conflicting clauses encountered.
 """
 
 from __future__ import annotations
 
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .cnf import CnfFormula, to_dimacs
+from .cnf import CnfFormula
 
 
 class SolveStatus(Enum):
@@ -37,7 +35,6 @@ class SolveStatus(Enum):
 
 @dataclass
 class SolverConfig:
-    learning: bool = True
     restarts: bool = False
     seed: int = 0
     timeout_seconds: float | None = None
@@ -45,9 +42,6 @@ class SolverConfig:
     restart_interval: int = 64  # conflicts per Luby unit
 
     def __post_init__(self):
-        if self.restarts and not self.learning:
-            raise ValueError("restarts without clause learning can loop forever; "
-                             "enable learning or disable restarts")
         if not 0 < self.decay <= 1:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
 
@@ -118,7 +112,6 @@ class _Solver:
         self.stats = SolverStats()
         rng = np.random.default_rng(cfg.seed)
         self.phase = rng.integers(0, 2, size=n1, dtype=np.int64).tolist()
-        self.flipped: list[bool] = []  # per decision level, learning-off mode
         self.ok = True
 
         for cl in f.clauses:
@@ -204,20 +197,16 @@ class _Solver:
                 conflicts_here += 1
                 if not self.trail_lim:
                     return SolveStatus.UNSAT, None
-                if self.cfg.learning:
-                    learnt, back_level = self._analyze(confl)
-                    self._backtrack(back_level)
-                    if not self._learn(learnt):
-                        return SolveStatus.UNSAT, None
-                    self._decay_activity()
-                    if self.cfg.restarts and conflicts_here >= budget:
-                        restart_round += 1
-                        conflicts_here = 0
-                        budget = self.cfg.restart_interval * luby(restart_round)
-                        self._backtrack(0)
-                else:
-                    if not self._flip_last_untried():
-                        return SolveStatus.UNSAT, None
+                learnt, back_level = self._analyze(confl)
+                self._backtrack(back_level)
+                if not self._learn(learnt):
+                    return SolveStatus.UNSAT, None
+                self._decay_activity()
+                if self.cfg.restarts and conflicts_here >= budget:
+                    restart_round += 1
+                    conflicts_here = 0
+                    budget = self.cfg.restart_interval * luby(restart_round)
+                    self._backtrack(0)
                 continue
 
             v = self._pick_branch()
@@ -226,7 +215,6 @@ class _Solver:
                 return SolveStatus.SAT, model
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self.flipped.append(False)
             lit = v if self.phase[v] else -v
             self._enqueue(lit, reason=-1)
 
@@ -348,7 +336,6 @@ class _Solver:
     def _backtrack(self, back_level: int):
         while len(self.trail_lim) > back_level:
             lim = self.trail_lim.pop()
-            self.flipped.pop()
             while len(self.trail) > lim:
                 lit = self.trail.pop()
                 v = lit if lit > 0 else -lit
@@ -358,70 +345,11 @@ class _Solver:
                 self.reason[v] = -1
         self.qhead = min(self.qhead, len(self.trail))
 
-    def _flip_last_untried(self) -> bool:
-        """Chronological DPLL backtracking for learning-off mode."""
-        while self.trail_lim:
-            lim = self.trail_lim[-1]
-            decision = self.trail[lim]
-            was_flipped = self.flipped[-1]
-            # undo this level
-            self.trail_lim.pop()
-            self.flipped.pop()
-            while len(self.trail) > lim:
-                lit = self.trail.pop()
-                v = lit if lit > 0 else -lit
-                self.assigns[v] = self.UNASSIGNED
-                self.unassigned[v] = True
-                self.reason[v] = -1
-            self.qhead = len(self.trail)
-            if not was_flipped:
-                self.trail_lim.append(len(self.trail))
-                self.flipped.append(True)
-                self.stats.decisions += 1
-                self._enqueue(-decision, reason=-1)
-                return True
-        return False
-
 
 def solve(f: CnfFormula, config: SolverConfig | None = None) -> SolveResult:
     """Decide a formula; see module docstring for the determinism contract."""
     cfg = config or SolverConfig()
     result = _Solver(f, cfg).solve()
-    if result.status is SolveStatus.SAT:
-        assert verify_model(f, result.model), "internal error: model check failed"
+    if result.status is SolveStatus.SAT and not verify_model(f, result.model):
+        raise RuntimeError("internal error: model check failed")
     return result
-
-
-def solve_external(f: CnfFormula, command: list[str],
-                   timeout_seconds: float | None = None) -> SolveResult:
-    """Escape hatch: run an external DIMACS solver command.
-
-    The command receives the DIMACS path as its last argument and must
-    print ``s SATISFIABLE``/``s UNSATISFIABLE`` and ``v`` lines.
-    """
-    t0 = time.perf_counter()
-    with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as fh:
-        fh.write(to_dimacs(f))
-        path = fh.name
-    try:
-        proc = subprocess.run(list(command) + [path], capture_output=True,
-                              text=True, timeout=timeout_seconds)
-    except subprocess.TimeoutExpired:
-        return SolveResult(SolveStatus.TIMEOUT, None,
-                           SolverStats(wall_seconds=time.perf_counter() - t0))
-    status = None
-    lits: list[int] = []
-    for line in proc.stdout.splitlines():
-        if line.startswith("s "):
-            status = line.split()[1]
-        elif line.startswith("v "):
-            lits.extend(int(t) for t in line.split()[1:] if t != "0")
-    wall = time.perf_counter() - t0
-    if status == "UNSATISFIABLE":
-        return SolveResult(SolveStatus.UNSAT, None, SolverStats(wall_seconds=wall))
-    if status == "SATISFIABLE":
-        model = {abs(l): l > 0 for l in lits}
-        for v in range(1, f.n_vars + 1):
-            model.setdefault(v, False)
-        return SolveResult(SolveStatus.SAT, model, SolverStats(wall_seconds=wall))
-    raise RuntimeError(f"external solver produced no status line: {proc.stdout[:200]!r}")

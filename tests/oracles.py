@@ -2,8 +2,8 @@
 
 Everything here is deliberately written in a different style from the
 library code: event-driven scalar simulation instead of vectorized
-topological sweeps, exhaustive enumeration instead of search, triple-loop
-matmul instead of numpy.  Slow and obviously correct.
+topological sweeps, exhaustive enumeration instead of search.  Slow and
+obviously correct.
 """
 
 from __future__ import annotations
@@ -126,21 +126,6 @@ def enumerate_models_np(clauses, n_vars):
     cols = [((models >> np.uint64(v)) & np.uint64(1)).astype(np.uint8)
             for v in range(n_vars)]
     return np.stack(cols, axis=1)
-
-
-def naive_matmul(a, b):
-    """Triple-loop matrix product over plain lists."""
-    n, k = len(a), len(a[0])
-    k2, m = len(b), len(b[0])
-    assert k == k2
-    out = [[0.0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(k):
-                s += a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
 
 
 _RAND_TYPES = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,

@@ -109,8 +109,8 @@ def test_c02_cnf_model_projection(capsys):
 def test_c03_solver_vs_enumeration(capsys):
     rng = random.Random(30)
     t0 = time.perf_counter()
-    configs = [SolverConfig(), SolverConfig(learning=False),
-               SolverConfig(learning=True, restarts=True, seed=3)]
+    configs = [SolverConfig(), SolverConfig(restarts=True, restart_interval=4, seed=7),
+               SolverConfig(restarts=True, seed=3)]
     agree = 0
     for i in range(500):
         n_vars = rng.randint(3, 8)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import locktime.attack
 from locktime.attack import (
     AttackResult,
     AttackStatus,
@@ -17,10 +18,9 @@ from locktime.netlist import parse_bench
 from locktime.obfuscate import (
     ObfuscationInstance,
     ObfuscationKind,
-    insert_keygate,
     random_obfuscate,
 )
-from locktime.satsolve import SolverStats
+from locktime.satsolve import SolveResult, SolverStats, SolveStatus
 
 XOR = ObfuscationKind("xor")
 LUT2 = ObfuscationKind("lut", 2)
@@ -34,6 +34,14 @@ def test_single_keygate_attack(c17):
     assert r.recovered_key == (0,)  # only the transparent key survives
     assert r.iterations == len(r.dips)
     assert keys_equivalent(c17, inst.obfuscated, r.recovered_key)
+
+
+def test_unsatisfiable_key_constraints_raise(monkeypatch, c17):
+    inst = random_obfuscate(c17, 1, XOR, seed=4)
+    monkeypatch.setattr(locktime.attack, "solve",
+                        lambda f, cfg: SolveResult(SolveStatus.UNSAT, None))
+    with pytest.raises(RuntimeError, match="key constraints must stay satisfiable"):
+        sat_attack(inst)
 
 
 def test_redundant_keygate_attack_zero_iterations():

@@ -192,6 +192,17 @@ def test_train_rejects_unknown_config_keys(pipeline, capsys, tmp_path):
     assert "dropout" in json.loads(err)["message"]
 
 
+def test_train_rejects_removed_config_keys(pipeline, capsys, tmp_path):
+    ds, *_ = pipeline
+    old = tmp_path / "old.json"
+    old.write_text('{"hidden_dims": [4, 2], "init_scheme": "uniform_glorot"}')
+    code, _, err = run_cli(capsys, "train", "--dataset", str(ds),
+                           "--config", str(old),
+                           "--out", str(tmp_path / "m.json"))
+    assert code == 1
+    assert json.loads(err)["message"] == "unknown model config keys: ['init_scheme']"
+
+
 def test_gen_data_requires_out(capsys):
     code, _, err = run_cli(capsys, "gen-data", "builtin:c17", "--count", "1",
                            "--kind", "xor", "--locations", "1")

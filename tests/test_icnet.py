@@ -1,6 +1,7 @@
 """Graph regressor: forward semantics, exact gradients, training, baselines."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from locktime.icnet import (
     GraphSample,
     Model,
     ModelConfig,
-    attention_aggregate,
     baseline_aggregate_features,
     baseline_gcn_config,
     batch_mse,
@@ -79,43 +79,46 @@ def test_baseline_gcn_config_swaps_only_structure_fields():
     assert ref.hidden_dims == (8, 4)
 
 
-# --- attention primitive ---
+# --- attention readouts of the forward pass ---
 
 def test_attention_identical_slices_uniform():
-    mat = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    out, att = attention_aggregate(mat, np.array([0.4, -1.0, 2.0]), axis=0)
-    assert np.allclose(att, [0.5, 0.5])
-    assert np.allclose(out, [1.0, 2.0, 3.0])
+    # a complete graph over identical gates gives every gate the same row
+    model = new_model(SMALL)
+    pred = forward(model, np.ones((4, 4)), np.ones((4, 1)))
+    assert np.allclose(pred.a_gate, 0.25)
 
 
 def test_attention_zero_theta_is_mean():
     rng = np.random.default_rng(0)
-    mat = rng.normal(size=(5, 3))
-    out0, att0 = attention_aggregate(mat, np.zeros(3), axis=0)
-    assert np.allclose(att0, 1 / 5)
-    assert np.allclose(out0, mat.mean(axis=0))
-    out1, att1 = attention_aggregate(mat, np.zeros(3), axis=1)
-    assert np.allclose(att1, 1 / 3)
-    assert np.allclose(out1, mat.mean(axis=1))
+    (smp,) = make_samples(rng, 1, n=5)
+    model = new_model(SMALL)
+    model.params.arrays["feat"][:] = 0.0
+    model.params.arrays["gate"][:] = 0.0
+    pred = forward(model, smp.a, smp.x)
+    assert np.allclose(pred.a_feat, 1 / SMALL.hidden_dims[-1])
+    assert np.allclose(pred.a_gate, 1 / 5)
 
 
 def test_attention_hand_computed():
-    mat = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    theta = np.array([1.0, 2.0])
-    out, att = attention_aggregate(mat, theta, axis=0)
-    logits = np.array([1.0, 2.0, 3.0])
-    expect_att = np.exp(logits - 3.0) / np.exp(logits - 3.0).sum()
-    assert np.allclose(att, expect_att)
-    assert np.allclose(out, expect_att @ mat)
+    rng = np.random.default_rng(1)
+    (smp,) = make_samples(rng, 1, n=6)
+    model = new_model(SMALL)
+    h = smp.x
+    for l in range(SMALL.conv_layers):
+        h = np.maximum(smp.a @ h @ model.params[f"conv{l}"], 0.0)
+    assert h.any()
 
+    def softmax(v):
+        e = np.exp(v - v.max())
+        return e / e.sum()
 
-def test_attention_errors():
-    with pytest.raises(ValueError, match="theta length"):
-        attention_aggregate(np.ones((2, 3)), np.ones(2), axis=0)
-    with pytest.raises(ValueError, match="axis"):
-        attention_aggregate(np.ones((2, 3)), np.ones(3), axis=2)
-    with pytest.raises(ValueError, match="matrix"):
-        attention_aggregate(np.ones(3), np.ones(3), axis=0)
+    a_feat = softmax(model.params["feat"] * h.mean(axis=0))
+    s = h @ a_feat
+    a_gate = softmax(model.params["gate"][0] * s)
+    pred = forward(model, smp.a, smp.x)
+    assert np.allclose(pred.a_feat, a_feat)
+    assert np.allclose(pred.a_gate, a_gate)
+    assert np.isclose(pred.z, a_gate @ s)
 
 
 # --- forward semantics ---
@@ -471,6 +474,17 @@ def test_checkpoint_rejects_foreign_documents(tmp_path):
     bad.write_text('{"format": "%s", "version": 99}' % CHECKPOINT_FORMAT)
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    # version 1 configs carry two fields ModelConfig no longer has
+    path = tmp_path / "v1.json"
+    save_checkpoint(new_model(SMALL), path)
+    doc = json.loads(path.read_text())
+    doc["version"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
 def test_feature_matrix_wrapper_accepted(c17):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,13 @@ def test_serialization_roundtrip(c17):
         assert back.key_truth == inst.key_truth
         assert back.mask == inst.mask
         assert instance_to_json(back, "c17.bench") == doc
+
+
+def test_serialization_rejects_key_width_mismatch(c17):
+    inst = random_obfuscate(c17, 2, XOR, seed=5)
+    short = dataclasses.replace(inst, key_truth=inst.key_truth[:-1])
+    with pytest.raises(ValueError, match="key layout has 2 bits but key_truth has 1"):
+        instance_to_json(short, "c17.bench")
 
 
 def test_apply_at_locations_rejects_duplicates(c17):

@@ -1,20 +1,17 @@
 import random
-import stat
-import sys
-from pathlib import Path
 
 import pytest
+
+import locktime.satsolve
 
 from locktime.cnf import CnfFormula, tseitin
 from locktime.netlist import all_input_vectors, simulate
 from locktime.satsolve import (
-    SolveResult,
     SolverConfig,
     SolverStats,
     SolveStatus,
     luby,
     solve,
-    solve_external,
     verify_model,
 )
 from oracles import cnf_is_satisfiable, enumerate_cnf, random_3sat, random_circuit
@@ -59,7 +56,7 @@ def test_empty_formula_and_free_vars():
 
 @pytest.mark.parametrize("cfg", [
     SolverConfig(),
-    SolverConfig(learning=False),
+    SolverConfig(restarts=True, restart_interval=4, seed=7),
     SolverConfig(restarts=True, restart_interval=4),
     SolverConfig(seed=99),
 ])
@@ -139,9 +136,10 @@ def test_timeout_is_distinct_status():
     assert r.stats.wall_seconds >= 0.0
 
 
-def test_restarts_require_learning():
-    with pytest.raises(ValueError):
-        SolverConfig(learning=False, restarts=True)
+def test_failed_model_check_raises(monkeypatch):
+    monkeypatch.setattr(locktime.satsolve, "verify_model", lambda f, model: False)
+    with pytest.raises(RuntimeError, match="model check failed"):
+        solve(F([[1, 2]], 2))
 
 
 def test_luby_sequence():
@@ -179,14 +177,3 @@ def test_tautology_and_duplicate_literals():
     assert r.status is SolveStatus.SAT
     assert r.model[2] is True
 
-
-def test_external_solver_stub(tmp_path):
-    script = tmp_path / "fakesolver"
-    script.write_text("#!/bin/sh\necho 's SATISFIABLE'\necho 'v 1 -2 0'\n")
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    f = F([[1, -2]], 2)
-    r = solve_external(f, [str(script)])
-    assert r.status is SolveStatus.SAT
-    assert r.model == {1: True, 2: False}
-    script.write_text("#!/bin/sh\necho 's UNSATISFIABLE'\n")
-    assert solve_external(f, [str(script)]).status is SolveStatus.UNSAT
