@@ -9,7 +9,6 @@ from .netlist import (
     CircuitError,
     Gate,
     GateType,
-    GraphMatrix,
     emit_bench,
     graph_matrix,
     parse_bench,

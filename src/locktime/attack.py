@@ -111,7 +111,7 @@ def sat_attack(inst: ObfuscationInstance,
         dip = tuple(int(res.model[v]) for v in miter.input_vars)
         oracle_out = simulate(inst.base, dip)
         dips.append(dip)
-        miter = add_dip_constraint(miter, dip, oracle_out)
+        add_dip_constraint(miter, dip, oracle_out)
 
     res = solve(miter.key_constraint_formula(), cfg())
     total = total.merged(res.stats)

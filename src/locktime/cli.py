@@ -41,6 +41,7 @@ from .icnet import (
     train as train_model,
 )
 from .netlist import CircuitError, GateType, emit_bench, parse_bench
+from .numerics import NonFiniteError
 from .obfuscate import (
     ObfuscationKind,
     instance_from_json,
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except (CircuitError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (CircuitError, NonFiniteError, ValueError, KeyError, TypeError, OSError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)},
             sort_keys=True) + "\n")

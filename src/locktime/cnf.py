@@ -1,18 +1,22 @@
 """CNF machinery for the oracle-guided attack: Tseitin encoding of
-circuits, the two-key miter, per-DIP constraint copies, and DIMACS i/o.
+circuits, the append-only two-key miter with its per-DIP constraint
+copies, and DIMACS i/o.
 
 Literals follow the DIMACS convention: a nonzero int whose absolute value
 is the variable index (>= 1) and whose sign is the polarity.  Variable
 numbering is deterministic — inputs first, then key bits (copy 1 before
 copy 2 in the miter), then gate outputs in topological order, then
 auxiliary variables — so emitted DIMACS is reproducible byte for byte.
+Every variable comes from one allocator.  The miter only ever appends
+clauses and variables, and carries no net names: only :func:`tseitin`
+returns a ``var_map``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .netlist import Circuit, GateType
+from .netlist import Circuit, GateType, key_slices
 
 Clause = tuple[int, ...]
 
@@ -33,19 +37,18 @@ class CnfFormula:
 
 
 class _Alloc:
-    def __init__(self):
-        self.n = 0
+    def __init__(self, n: int = 0):
+        self.n = n
 
-    def new(self, count=1):
+    def new(self, count: int = 1) -> list[int]:
         first = self.n + 1
         self.n += count
-        return first if count == 1 else list(range(first, self.n + 1))
+        return list(range(first, self.n + 1))
 
 
-def _gate_clauses(gtype: GateType, out: int, fanin: list[int], alloc: _Alloc,
+def _gate_clauses(gtype: GateType, y: int, xs: list[int], alloc: _Alloc,
                   clauses: list, lut_keys: list[int] | None = None):
-    """Append the Tseitin clauses for one gate; allocates aux vars as needed."""
-    y, xs = out, fanin
+    """Append the Tseitin clauses for gate ``y = gtype(xs)``; allocates aux vars."""
     if gtype is GateType.AND:
         for x in xs:
             clauses.append((-y, x))
@@ -66,7 +69,7 @@ def _gate_clauses(gtype: GateType, out: int, fanin: list[int], alloc: _Alloc,
         # fold arity-m into a chain of 2-input xors
         acc = xs[0]
         for x in xs[1:-1]:
-            t = alloc.new()
+            [t] = alloc.new()
             _xor2(acc, x, t, clauses)
             acc = t
         if gtype is GateType.XOR:
@@ -82,7 +85,7 @@ def _gate_clauses(gtype: GateType, out: int, fanin: list[int], alloc: _Alloc,
     elif gtype is GateType.LUT:
         k = len(xs)
         for j in range(2 ** k):
-            sel = alloc.new()  # sel <=> (inputs == minterm j)
+            [sel] = alloc.new()  # sel <=> (inputs == minterm j)
             minterm = [xs[i] if (j >> (k - 1 - i)) & 1 else -xs[i] for i in range(k)]
             for lit in minterm:
                 clauses.append((-sel, lit))
@@ -102,39 +105,30 @@ def _xnor2(a: int, b: int, y: int, clauses: list):
 
 
 def _encode_copy(c: Circuit, alloc: _Alloc, input_vars: list[int],
-                 key_vars: list[int], clauses: list, var_map: dict, tag: str = ""):
+                 key_vars: list[int], clauses: list) -> dict[int, int]:
     """Encode one circuit copy over pre-allocated input/key variables.
 
-    Returns (net_vars, output_vars): net_vars[g] is the variable of gate
-    g's output.  Gate output variables are allocated in topological order
-    before any gate clauses are emitted, so nets occupy a contiguous block.
+    Returns net_vars: net_vars[g] is the variable of net g (inputs, key
+    inputs and gate outputs).  Gate output variables are allocated in
+    topological order before any gate clauses are emitted, so nets occupy
+    a contiguous block.
     """
     if len(input_vars) != len(c.primary_inputs):
         raise ValueError("input variable count mismatch")
-    if len(key_vars) != c.key_bits:
+    slices, total = key_slices(c)
+    if len(key_vars) != total:
         raise ValueError("key variable count mismatch")
-    key_slice = {}
-    pos = 0
-    for gid, width in c.key_layout():
-        key_slice[gid] = key_vars[pos:pos + width]
-        pos += width
-
-    net = {}
-    for idx, gid in enumerate(c.primary_inputs):
-        net[gid] = input_vars[idx]
+    net = dict(zip(c.primary_inputs, input_vars))
     for gid in c.key_inputs:
-        net[gid] = key_slice[gid][0]
-    for gid in c.topo_order:
-        if c.gates[gid].type is not GateType.INPUT:
-            net[gid] = alloc.new()
-            var_map[c.gates[gid].name + tag] = net[gid]
-    for gid in c.topo_order:
+        net[gid] = key_vars[slices[gid]][0]
+    gates = [gid for gid in c.topo_order if c.gates[gid].type is not GateType.INPUT]
+    net.update(zip(gates, alloc.new(len(gates))))
+    for gid in gates:
         g = c.gates[gid]
-        if g.type is GateType.INPUT:
-            continue
+        lut_keys = key_vars[slices[gid]] if g.type is GateType.LUT else None
         _gate_clauses(g.type, net[gid], [net[f] for f in g.fanin], alloc,
-                      clauses, key_slice.get(gid))
-    return net, [net[g] for g in c.primary_outputs]
+                      clauses, lut_keys)
+    return net
 
 
 def tseitin(c: Circuit) -> CnfFormula:
@@ -145,30 +139,21 @@ def tseitin(c: Circuit) -> CnfFormula:
     names; LUT table bits appear as ``<gate>$k<j>``.
     """
     alloc = _Alloc()
-    var_map = {}
-    input_vars = []
-    for gid in c.primary_inputs:
-        v = alloc.new()
-        input_vars.append(v)
-        var_map[c.gates[gid].name] = v
-    key_vars = []
-    for gid, width in c.key_layout():
-        vs = alloc.new(width)
-        vs = [vs] if width == 1 else vs
-        key_vars.extend(vs)
-        if c.gates[gid].type is GateType.INPUT:
-            var_map[c.gates[gid].name] = vs[0]
-        else:
-            for j, v in enumerate(vs):
-                var_map[f"{c.gates[gid].name}$k{j}"] = v
+    input_vars = alloc.new(len(c.primary_inputs))
+    key_vars = alloc.new(c.key_bits)
     clauses: list[Clause] = []
-    _encode_copy(c, alloc, input_vars, key_vars, clauses, var_map)
+    net = _encode_copy(c, alloc, input_vars, key_vars, clauses)
+    var_map = {c.gates[gid].name: v for gid, v in net.items()}
+    slices, _ = key_slices(c)
+    luts = [g for g in c.gates if g.type is GateType.LUT]
+    var_map.update((f"{g.name}$k{j}", v) for g in luts
+                   for j, v in enumerate(key_vars[slices[g.id]]))
     return CnfFormula(clauses, alloc.n, var_map)
 
 
 @dataclass
 class MiterContext:
-    """Two-key miter plus accumulated DIP constraints.
+    """Two-key miter; :func:`add_dip_constraint` appends to it in place.
 
     ``clauses`` holds gate semantics for both key copies and all DIP
     copies; ``diff_clauses`` holds the difference assertion (per-output
@@ -186,66 +171,46 @@ class MiterContext:
     key2_vars: list[int]
     out1_vars: list[int]
     out2_vars: list[int]
-    var_map: dict
-    n_dips: int = 0
 
     @property
     def formula(self) -> CnfFormula:
-        return CnfFormula(self.clauses + self.diff_clauses, self.n_vars, self.var_map)
+        return CnfFormula(self.clauses + self.diff_clauses, self.n_vars)
 
     def key_constraint_formula(self) -> CnfFormula:
         """Accumulated constraints without the difference assertion."""
-        return CnfFormula(list(self.clauses), self.n_vars, self.var_map)
+        return CnfFormula(list(self.clauses), self.n_vars)
 
 
 def build_miter(obf: Circuit) -> MiterContext:
-    """Build the two-key difference miter for an obfuscated circuit."""
+    """Build the two-key difference miter for an obfuscated circuit.
+
+    Variables: inputs ``1..|PI|``, key copy 1, key copy 2, the nets and
+    auxiliaries of copy 1, then of copy 2, then one difference per output.
+    """
     if obf.key_bits == 0:
         raise ValueError("circuit has no key bits; nothing to attack")
     alloc = _Alloc()
-    var_map = {}
-    input_vars = []
-    for gid in obf.primary_inputs:
-        v = alloc.new()
-        input_vars.append(v)
-        var_map[obf.gates[gid].name] = v
-
-    def alloc_keys(tag):
-        vars_ = []
-        for gid, width in obf.key_layout():
-            vs = alloc.new(width)
-            vs = [vs] if width == 1 else vs
-            vars_.extend(vs)
-            name = obf.gates[gid].name
-            if obf.gates[gid].type is GateType.INPUT:
-                var_map[f"{name}{tag}"] = vs[0]
-            else:
-                for j, v in enumerate(vs):
-                    var_map[f"{name}$k{j}{tag}"] = v
-        return vars_
-
-    k1 = alloc_keys("@1")
-    k2 = alloc_keys("@2")
+    input_vars = alloc.new(len(obf.primary_inputs))
+    k1 = alloc.new(obf.key_bits)
+    k2 = alloc.new(obf.key_bits)
     clauses: list[Clause] = []
-    _, y1 = _encode_copy(obf, alloc, input_vars, k1, clauses, var_map, "@1")
-    _, y2 = _encode_copy(obf, alloc, input_vars, k2, clauses, var_map, "@2")
+    nets = [_encode_copy(obf, alloc, input_vars, k, clauses) for k in (k1, k2)]
+    y1, y2 = ([net[g] for g in obf.primary_outputs] for net in nets)
 
     diff: list[Clause] = []
-    dvars = []
-    for a, b in zip(y1, y2):
-        d = alloc.new()
+    dvars = alloc.new(len(y1))
+    for a, b, d in zip(y1, y2, dvars):
         _xor2(a, b, d, diff)
-        dvars.append(d)
     diff.append(tuple(dvars))  # at least one output differs
-    return MiterContext(obf, alloc.n, clauses, diff, input_vars, k1, k2, y1, y2, var_map)
+    return MiterContext(obf, alloc.n, clauses, diff, input_vars, k1, k2, y1, y2)
 
 
-def add_dip_constraint(m: MiterContext, dip, oracle_out) -> MiterContext:
+def add_dip_constraint(m: MiterContext, dip, oracle_out) -> None:
     """Bind both key copies to agree with the oracle on one input pattern.
 
-    Instantiates two fresh constrained circuit copies: internals fresh,
-    keys bound to K1/K2, inputs unit-fixed to ``dip``, outputs unit-fixed
-    to ``oracle_out``.
+    Appends two fresh constrained circuit copies to ``m.clauses``:
+    internals fresh, keys bound to K1/K2, inputs unit-fixed to ``dip``,
+    outputs unit-fixed to ``oracle_out``.
     """
     dip = [int(b) for b in dip]
     oracle_out = [int(b) for b in oracle_out]
@@ -255,26 +220,14 @@ def add_dip_constraint(m: MiterContext, dip, oracle_out) -> MiterContext:
         raise ValueError(f"oracle output has {len(oracle_out)} bits, "
                          f"circuit has {len(m.out1_vars)} outputs")
 
-    alloc = _Alloc()
-    alloc.n = m.n_vars
-    clauses = list(m.clauses)
-    var_map = dict(m.var_map)
-    idx = m.n_dips
-    for copy_no, kvars in ((1, m.key1_vars), (2, m.key2_vars)):
-        tag = f"@d{idx}.{copy_no}"
-        in_vars = []
-        for gid in m.obf.primary_inputs:
-            v = alloc.new()
-            in_vars.append(v)
-            var_map[m.obf.gates[gid].name + tag] = v
-        for v, bit in zip(in_vars, dip):
-            clauses.append((v,) if bit else (-v,))
-        _, outs = _encode_copy(m.obf, alloc, in_vars, kvars, clauses, var_map, tag)
-        for v, bit in zip(outs, oracle_out):
-            clauses.append((v,) if bit else (-v,))
-    return MiterContext(m.obf, alloc.n, clauses, list(m.diff_clauses), m.input_vars,
-                        m.key1_vars, m.key2_vars, m.out1_vars, m.out2_vars,
-                        var_map, idx + 1)
+    alloc = _Alloc(m.n_vars)
+    for kvars in (m.key1_vars, m.key2_vars):
+        in_vars = alloc.new(len(dip))
+        m.clauses.extend((v,) if bit else (-v,) for v, bit in zip(in_vars, dip))
+        net = _encode_copy(m.obf, alloc, in_vars, kvars, m.clauses)
+        outs = [net[g] for g in m.obf.primary_outputs]
+        m.clauses.extend((v,) if bit else (-v,) for v, bit in zip(outs, oracle_out))
+    m.n_vars = alloc.n
 
 
 def to_dimacs(f: CnfFormula) -> str:

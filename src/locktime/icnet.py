@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .netlist import ONE_HOT_INDEX, GraphMatrix, graph_matrix
+from .netlist import ONE_HOT_INDEX, graph_matrix
 from .numerics import (
     NonFiniteError,
     ParamStore,
@@ -113,11 +113,6 @@ def baseline_gcn_config(cfg: ModelConfig) -> ModelConfig:
     return replace(cfg, graph_repr="laplacian", feat_agg="mean", gate_agg="mean")
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    data: np.ndarray  # n x F; column 0 = mask, 1..10 = one-hot type
-
-
 @dataclass
 class Prediction:
     yhat: float
@@ -154,9 +149,10 @@ def new_model(config: ModelConfig) -> Model:
 
 
 def build_graph_input(inst: ObfuscationInstance,
-                      config: ModelConfig) -> tuple[GraphMatrix, FeatureMatrix]:
-    gm = graph_matrix(inst.obfuscated, kind=config.graph_repr,
-                      directed=config.directed, self_loops=config.self_loops)
+                      config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Structure matrix A and features X (column 0 = mask, 1..10 = one-hot type)."""
+    a = graph_matrix(inst.obfuscated, kind=config.graph_repr,
+                     directed=config.directed, self_loops=config.self_loops)
     n = inst.obfuscated.n
     mask = inst.mask_array()
     if config.feature_set == "location_only":
@@ -166,14 +162,14 @@ def build_graph_input(inst: ObfuscationInstance,
         x[:, 0] = mask
         for g in inst.obfuscated.gates:
             x[g.id, 1 + ONE_HOT_INDEX[g.type]] = 1.0
-    return gm, FeatureMatrix(x)
+    return a, x
 
 
 def sample_from_instance(inst: ObfuscationInstance, config: ModelConfig,
                          label: float, instance_id: str = "",
                          censored: bool = False) -> GraphSample:
-    gm, fm = build_graph_input(inst, config)
-    return GraphSample(gm.data, fm.data, float(label), instance_id, censored)
+    a, x = build_graph_input(inst, config)
+    return GraphSample(a, x, float(label), instance_id, censored)
 
 
 @dataclass
@@ -235,8 +231,8 @@ def _forward(model: Model, a: np.ndarray, x: np.ndarray) -> _Cache:
 
 
 def forward(model: Model, a, x) -> Prediction:
-    a = np.asarray(a.data if isinstance(a, GraphMatrix) else a, dtype=np.float64)
-    x = np.asarray(x.data if isinstance(x, FeatureMatrix) else x, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     t0 = time.perf_counter()
     cache = _forward(model, a, x)
     if model.config.output_head == "exp":
@@ -250,8 +246,7 @@ def forward(model: Model, a, x) -> Prediction:
 
 
 def predict(model: Model, inst: ObfuscationInstance) -> Prediction:
-    gm, fm = build_graph_input(inst, model.config)
-    return forward(model, gm, fm)
+    return forward(model, *build_graph_input(inst, model.config))
 
 
 def target_value(config: ModelConfig, label: float) -> float:
@@ -416,8 +411,8 @@ def train(dataset: list, config: ModelConfig, include_censored: bool = False,
 
 def baseline_aggregate_features(a, x, mode: str = "sum") -> np.ndarray:
     """Collapse the gate axis of (A, X) into one flat vector."""
-    a = np.asarray(a.data if isinstance(a, GraphMatrix) else a, dtype=np.float64)
-    x = np.asarray(x.data if isinstance(x, FeatureMatrix) else x, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if mode == "sum":
         return np.concatenate([a.sum(axis=0), x.sum(axis=0)])
     if mode == "mean":

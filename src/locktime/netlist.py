@@ -185,14 +185,6 @@ class Circuit:
         return sum(w for _, w in self.key_layout())
 
 
-@dataclass(frozen=True)
-class GraphMatrix:
-    """Dense n-by-n structure matrix with its construction tag."""
-
-    kind: str  # "adjacency" | "laplacian"
-    data: np.ndarray
-
-
 _LINE_RE = re.compile(r"^(?P<name>[^\s=()]+)\s*=\s*(?P<rhs>.+)$")
 _GATE_RE = re.compile(r"^(?P<type>[A-Za-z]+)\s*\((?P<args>[^)]*)\)\s*$")
 _LUT_RE = re.compile(r"^(?P<type>LUT)\s*\[(?P<bits>[01]+)\]\s*\((?P<args>[^)]*)\)\s*$", re.IGNORECASE)
@@ -327,7 +319,7 @@ def emit_bench(c: Circuit) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def graph_matrix(c: Circuit, kind="adjacency", directed=False, self_loops=True) -> GraphMatrix:
+def graph_matrix(c: Circuit, kind="adjacency", directed=False, self_loops=True) -> np.ndarray:
     """Dense structure matrix of the fanin relation.
 
     ``w[i, j] = 1`` iff gate j is a fanin of gate i; undirected mode also
@@ -346,12 +338,11 @@ def graph_matrix(c: Circuit, kind="adjacency", directed=False, self_loops=True) 
     if self_loops:
         np.fill_diagonal(w, 1.0)
     if kind == "adjacency":
-        return GraphMatrix("adjacency", w)
-    lap = np.diag(w.sum(axis=1)) - w
-    return GraphMatrix("laplacian", lap)
+        return w
+    return np.diag(w.sum(axis=1)) - w
 
 
-def _key_slices(c: Circuit):
+def key_slices(c: Circuit):
     """Map each key slot to its slice of the flat key vector."""
     slices = {}
     pos = 0
@@ -371,7 +362,7 @@ def simulate_many(c: Circuit, inputs: np.ndarray, key=()) -> np.ndarray:
     if inputs.ndim != 2 or inputs.shape[1] != len(c.primary_inputs):
         raise ValueError(f"expected inputs of shape (batch, {len(c.primary_inputs)}), got {inputs.shape}")
     key = np.asarray(key, dtype=np.uint8).ravel()
-    slices, total = _key_slices(c)
+    slices, total = key_slices(c)
     if key.size != total:
         raise ValueError(f"expected {total} key bits, got {key.size}")
 

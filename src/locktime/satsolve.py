@@ -146,12 +146,6 @@ class _Solver:
     def _lidx(lit: int) -> int:
         return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
 
-    def _value(self, lit: int) -> int:
-        a = self.assigns[lit if lit > 0 else -lit]
-        if a < 0:
-            return -1
-        return a if lit > 0 else 1 - a
-
     def _enqueue(self, lit: int, reason: int) -> bool:
         v = lit if lit > 0 else -lit
         a = self.assigns[v]

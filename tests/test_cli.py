@@ -116,6 +116,14 @@ def test_export_dimacs_circuit_and_miter(locked_dir, capsys, tmp_path):
     assert code == 0 and target.read_text() == out
 
 
+def test_export_dimacs_readme_miter_example(locked_dir, capsys):
+    outdir, _ = locked_dir
+    code, out, _ = run_cli(capsys, "export-dimacs",
+                           str(outdir / "instance.json"), "--what", "miter")
+    assert code == 0
+    assert out.splitlines()[:2] == ["p cnf 27 61", "10 1 0"]
+
+
 # --- dataset / train / eval / report pipeline ---
 
 @pytest.fixture(scope="module")
@@ -201,6 +209,18 @@ def test_train_rejects_removed_config_keys(pipeline, capsys, tmp_path):
                            "--out", str(tmp_path / "m.json"))
     assert code == 1
     assert json.loads(err)["message"] == "unknown model config keys: ['init_scheme']"
+
+
+def test_train_divergence_is_json_error(pipeline, capsys, tmp_path):
+    ds, *_ = pipeline
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text('{"hidden_dims": [6, 3], "max_epochs": 15, '
+                   '"learning_rate": 1e200, "batch_size": 4}')
+    code, out, err = run_cli(capsys, "train", "--dataset", str(ds),
+                             "--config", str(cfg),
+                             "--out", str(tmp_path / "m.json"))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "NonFiniteError"
 
 
 def test_gen_data_requires_out(capsys):

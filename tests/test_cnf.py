@@ -11,7 +11,7 @@ from locktime.cnf import (
     to_dimacs,
     tseitin,
 )
-from locktime.netlist import GateType, all_input_vectors, parse_bench, simulate, simulate_many
+from locktime.netlist import GateType, parse_bench, simulate
 from locktime.obfuscate import ObfuscationKind, insert_keygate, random_obfuscate
 from oracles import enumerate_cnf, enumerate_models_np, random_circuit
 
@@ -157,14 +157,14 @@ def test_dip_constraint_prunes_and_extracts_key():
     base, obf = _tiny_locked()
     m = build_miter(obf)
     oracle_out = simulate(base, [0])
-    m2 = add_dip_constraint(m, [0], oracle_out)
-    f = m2.formula
+    assert add_dip_constraint(m, [0], oracle_out) is None  # grows m in place
+    f = m.formula
     assert enumerate_models_np([list(cl) for cl in f.clauses], f.n_vars).shape[0] == 0
-    g = m2.key_constraint_formula()
+    g = m.key_constraint_formula()
     models = enumerate_models_np([list(cl) for cl in g.clauses], g.n_vars)
     assert models.shape[0] > 0
-    assert np.all(models[:, m2.key1_vars[0] - 1] == 0)  # only the correct key remains
-    assert np.all(models[:, m2.key2_vars[0] - 1] == 0)
+    assert np.all(models[:, m.key1_vars[0] - 1] == 0)  # only the correct key remains
+    assert np.all(models[:, m.key2_vars[0] - 1] == 0)
 
 
 def test_dip_constraint_dimension_errors(c17):
@@ -183,6 +183,45 @@ def test_miter_shares_inputs_between_copies(c17):
     assert len(m.key1_vars) == len(m.key2_vars) == 8
     assert len(m.out1_vars) == len(m.out2_vars) == 2
     assert set(m.key1_vars).isdisjoint(m.key2_vars)
+
+
+def test_miter_variable_layout(c17):
+    obf = random_obfuscate(c17, 2, ObfuscationKind("lut", 2), seed=3).obfuscated
+    m = build_miter(obf)
+    n_pi, k = len(obf.primary_inputs), obf.key_bits
+    assert m.input_vars == list(range(1, n_pi + 1))
+    assert m.key1_vars == list(range(n_pi + 1, n_pi + k + 1))
+    assert m.key2_vars == list(range(n_pi + k + 1, n_pi + 2 * k + 1))
+    # copy 1's nets follow as one block, in topological order
+    gates = [g for g in obf.topo_order if obf.gates[g].type is not GateType.INPUT]
+    block = dict(zip(gates, range(n_pi + 2 * k + 1, n_pi + 2 * k + len(gates) + 1)))
+    assert m.out1_vars == [block[g] for g in obf.primary_outputs]
+    # copy 1 is the single-key encoding with key 2 spliced in before its nets
+    t = tseitin(obf)
+
+    def shift(lit):
+        v = abs(lit) + k if abs(lit) > n_pi + k else abs(lit)
+        return v if lit > 0 else -v
+    assert m.clauses[:len(t.clauses)] == [tuple(map(shift, cl)) for cl in t.clauses]
+    assert min(m.out2_vars) > t.n_vars + k
+    # one difference variable per output, numbered last
+    n_po = len(obf.primary_outputs)
+    assert m.diff_clauses[-1] == tuple(range(m.n_vars - n_po + 1, m.n_vars + 1))
+
+
+def test_add_dip_constraint_is_append_only(c17):
+    inst = random_obfuscate(c17, 2, ObfuscationKind("xor"), seed=1)
+    m = build_miter(inst.obfuscated)
+    keys = set(m.key1_vars) | set(m.key2_vars)
+    diff = list(m.diff_clauses)
+    for dip in ([0, 1, 1, 0, 1], [1, 1, 0, 0, 0]):
+        before, n_before = list(m.clauses), m.n_vars
+        add_dip_constraint(m, dip, simulate(inst.base, dip))
+        assert m.clauses[:len(before)] == before
+        new_vars = {abs(lit) for cl in m.clauses[len(before):] for lit in cl}
+        assert new_vars and all(v in keys or n_before < v <= m.n_vars for v in new_vars)
+        assert m.diff_clauses == diff
+    assert m.formula.n_vars == m.n_vars
 
 
 # --- dimacs ---

@@ -1,6 +1,5 @@
 """Dataset pipeline, ranking metrics, and report generation."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -9,8 +8,6 @@ import scipy.stats
 
 from locktime.attack import LABEL_KINDS
 from locktime.experiments import (
-    AttentionReport,
-    DatasetRecord,
     attention_report,
     average_ranks,
     chain_circuit,
@@ -29,7 +26,6 @@ from locktime.experiments import (
 )
 from locktime.icnet import Model, ModelConfig, new_model, train
 from locktime.netlist import GateType, simulate
-from locktime.numerics import ParamStore
 from locktime.obfuscate import ObfuscationKind
 
 

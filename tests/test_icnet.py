@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from locktime.icnet import (
-    FeatureMatrix,
     GraphSample,
     Model,
     ModelConfig,
@@ -194,18 +193,18 @@ def test_structure_matrix_choice_changes_output(c17):
 def test_build_graph_input_features(c17):
     inst = random_obfuscate(c17, 3, ObfuscationKind.parse("xor"), seed=9)
     cfg = ModelConfig()
-    gm, fm = build_graph_input(inst, cfg)
+    a, x = build_graph_input(inst, cfg)
     n = inst.obfuscated.n
-    assert gm.data.shape == (n, n)
-    assert fm.data.shape == (n, 11)
-    assert np.array_equal(fm.data[:, 0], inst.mask_array())
+    assert a.shape == (n, n)
+    assert x.shape == (n, 11)
+    assert np.array_equal(x[:, 0], inst.mask_array())
     # exactly one type indicator set per gate
-    assert np.array_equal(fm.data[:, 1:].sum(axis=1), np.ones(n))
+    assert np.array_equal(x[:, 1:].sum(axis=1), np.ones(n))
     for g in inst.obfuscated.gates:
-        assert fm.data[g.id, 1 + ONE_HOT_INDEX[g.type]] == 1.0
+        assert x[g.id, 1 + ONE_HOT_INDEX[g.type]] == 1.0
     loc_cfg = ModelConfig(feature_set="location_only")
-    _, fm1 = build_graph_input(inst, loc_cfg)
-    assert fm1.data.shape == (n, 1)
+    _, x1 = build_graph_input(inst, loc_cfg)
+    assert x1.shape == (n, 1)
     smp = sample_from_instance(inst, cfg, label=12.5, instance_id="i0")
     assert smp.mask_total == 3.0
     assert smp.label == 12.5 and smp.instance_id == "i0"
@@ -486,11 +485,3 @@ def test_checkpoint_rejects_version_1(tmp_path):
     with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
         load_checkpoint(path)
 
-
-def test_feature_matrix_wrapper_accepted(c17):
-    inst = random_obfuscate(c17, 1, ObfuscationKind.parse("xor"), seed=0)
-    cfg = ModelConfig(hidden_dims=(4, 2))
-    gm, fm = build_graph_input(inst, cfg)
-    assert isinstance(fm, FeatureMatrix)
-    model = new_model(cfg)
-    assert forward(model, gm, fm).z == forward(model, gm.data, fm.data).z

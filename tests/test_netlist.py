@@ -166,9 +166,7 @@ def test_roundtrip_isomorphic(c17, mid12):
 # --- graph matrices ---
 
 def test_adjacency_undirected_self_loops(c17):
-    gm = graph_matrix(c17)
-    w = gm.data
-    assert gm.kind == "adjacency"
+    w = graph_matrix(c17)
     assert w.shape == (c17.n, c17.n)
     np.testing.assert_array_equal(w, w.T)
     np.testing.assert_array_equal(np.diag(w), np.ones(c17.n))
@@ -179,13 +177,13 @@ def test_adjacency_undirected_self_loops(c17):
 
 def test_adjacency_directed():
     c = parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
-    w = graph_matrix(c, directed=True, self_loops=False).data
+    w = graph_matrix(c, directed=True, self_loops=False)
     a, z = c.name_to_id["a"], c.name_to_id["z"]
     assert w[z, a] == 1.0 and w[a, z] == 0.0
 
 
 def test_laplacian_rows_sum_zero(mid12):
-    lap = graph_matrix(mid12, kind="laplacian").data
+    lap = graph_matrix(mid12, kind="laplacian")
     np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12)
     offdiag = lap[~np.eye(mid12.n, dtype=bool)]
     assert set(np.unique(offdiag)) <= {0.0, -1.0}
