@@ -24,7 +24,7 @@ from .obfuscate import (
 )
 from .cnf import CnfFormula, build_miter, parse_dimacs, to_dimacs, tseitin
 from .satsolve import SolveResult, SolverConfig, SolveStatus, solve
-from .attack import AttackResult, AttackStatus, RuntimeLabel, make_label, sat_attack
+from .attack import AttackResult, AttackStatus, runtime_labels, sat_attack
 from .icnet import (
     Model,
     ModelConfig,

@@ -44,19 +44,8 @@ class AttackResult:
     total_stats: SolverStats
     status: str
 
-    def verified(self) -> bool:
-        return self.status == AttackStatus.SOLVED
-
 
 LABEL_KINDS = ("wall_seconds", "log1p_seconds", "conflicts", "log1p_conflicts")
-
-
-@dataclass(frozen=True)
-class RuntimeLabel:
-    instance_id: str
-    label_value: float
-    label_kind: str
-    censored: bool = False
 
 
 def verification_vectors(c: Circuit, seed: int = 0) -> np.ndarray:
@@ -127,19 +116,14 @@ def sat_attack(inst: ObfuscationInstance,
     return done(key, AttackStatus.SOLVED)
 
 
-def make_label(r: AttackResult, kind: str, instance_id: str = "") -> RuntimeLabel:
-    if kind not in LABEL_KINDS:
-        raise ValueError(f"label kind must be one of {LABEL_KINDS}, got {kind!r}")
-    censored = r.status == AttackStatus.TIMEOUT
-    if kind == "wall_seconds":
-        value = r.wall_seconds
-    elif kind == "log1p_seconds":
-        value = float(np.log1p(r.wall_seconds))
-    elif kind == "conflicts":
-        value = float(r.total_stats.conflicts)
-    else:
-        value = float(np.log1p(r.total_stats.conflicts))
-    return RuntimeLabel(instance_id, value, kind, censored)
+def runtime_labels(r: AttackResult) -> dict:
+    """Label kind -> value, one entry per kind in ``LABEL_KINDS``."""
+    return {
+        "wall_seconds": r.wall_seconds,
+        "log1p_seconds": float(np.log1p(r.wall_seconds)),
+        "conflicts": float(r.total_stats.conflicts),
+        "log1p_conflicts": float(np.log1p(r.total_stats.conflicts)),
+    }
 
 
 def attack_log_record(instance_id: str, inst: ObfuscationInstance,

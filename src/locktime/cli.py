@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import load_bundled
-from .attack import LABEL_KINDS, make_label, sat_attack
+from .attack import LABEL_KINDS, runtime_labels, sat_attack
 from .cnf import build_miter, to_dimacs, tseitin
 from .experiments import (
     attention_report,
@@ -147,7 +147,7 @@ def _cmd_attack(args) -> None:
         "conflicts": r.total_stats.conflicts,
         "recovered_key": key,
         "ground_truth_key": "".join(str(b) for b in inst.key_truth),
-        "labels": {k: make_label(r, k).label_value for k in LABEL_KINDS},
+        "labels": runtime_labels(r),
     }, args.out)
 
 
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("parse", _cmd_parse, "validate a bench netlist")
     p.add_argument("bench", help="bench file path or builtin:<name>")
     p.add_argument("--emit", action="store_true",
-                   help="print the canonical netlist instead of a summary")
+                   help="print the netlist, gates in id order, instead of a summary")
 
     p = add("obfuscate", _cmd_obfuscate, "lock a circuit")
     p.add_argument("bench")

@@ -8,14 +8,15 @@ A dataset directory is self-contained:
     attacks.log.jsonl     one solver-effort record per attack
 
 Instances are stored as replayable descriptions (kind, location names,
-seed); loading re-applies the locking and cross-checks key/mask, so a
-dataset can never drift from its ground truth.
+seed).  Generation keeps the instance each attack ran on; loading
+re-applies the locking to ``base.bench`` and cross-checks key/mask, so a
+dataset read back can never drift from its ground truth.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -25,15 +26,16 @@ from .attack import (
     LABEL_KINDS,
     AttackStatus,
     attack_log_record,
-    make_label,
+    runtime_labels,
     sat_attack,
 )
 from .icnet import (
+    GraphSample,
     Model,
     ModelConfig,
+    build_graph_input,
     fit_linear,
     forward,
-    sample_from_instance,
     target_value,
 )
 from .netlist import ONE_HOT_ORDER, Circuit, emit_bench, parse_bench
@@ -116,28 +118,21 @@ def records_to_samples(records, config: ModelConfig,
     its target transform applies the log itself; the pre-logged
     "log1p_*" kinds suit the linear head.
     """
-    out = []
-    for rec in records:
-        out.append(sample_from_instance(rec.instance, config,
-                                        rec.labels[label_kind],
-                                        rec.instance_id, rec.censored))
-    return out
+    return [GraphSample(*build_graph_input(rec.instance, config),
+                        float(rec.labels[label_kind]), rec.instance_id,
+                        rec.censored)
+            for rec in records]
 
 
 # --- generation ---
 
-def _generate_one(task):
-    (bench_text, kind_text, n_locations, obf_seed, timeout, index,
-     id_prefix) = task
-    base = parse_bench(bench_text)
-    kind = ObfuscationKind.parse(kind_text)
+def _generate_one(base: Circuit, kind: ObfuscationKind, n_locations: int,
+                  obf_seed: int, timeout, rec_id: str):
     inst = random_obfuscate(base, n_locations, kind, obf_seed)
     r = sat_attack(inst, timeout_seconds=timeout)
-    rec_id = f"{id_prefix}{index:05d}"
-    labels = {k: make_label(r, k, rec_id).label_value for k in LABEL_KINDS}
-    return (index, instance_to_json(inst, "base.bench"), labels,
-            r.status == AttackStatus.TIMEOUT, r.iterations, r.status,
-            attack_log_record(rec_id, inst, r))
+    rec = DatasetRecord(rec_id, inst, runtime_labels(r),
+                        r.status == AttackStatus.TIMEOUT, r.iterations, r.status)
+    return rec, attack_log_record(rec_id, inst, r)
 
 
 def generate_records(base: Circuit, count: int, kind: ObfuscationKind,
@@ -159,27 +154,19 @@ def generate_records(base: Circuit, count: int, kind: ObfuscationKind,
                          f"{n_eligible} eligible gates for {kind}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    bench_text = emit_bench(base)
     tasks = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
         rng = np.random.default_rng(child)
         n_loc = int(rng.integers(lo, hi + 1))
         obf_seed = int(rng.integers(0, 2**31 - 1))
-        tasks.append((bench_text, str(kind), n_loc, obf_seed,
-                      timeout_seconds, i, id_prefix))
+        tasks.append((base, kind, n_loc, obf_seed, timeout_seconds,
+                      f"{id_prefix}{i:05d}"))
     if workers > 1:
         with get_context("spawn").Pool(workers) as pool:
-            raw = pool.map(_generate_one, tasks)
+            done = pool.starmap(_generate_one, tasks)
     else:
-        raw = [_generate_one(t) for t in tasks]
-    raw.sort(key=lambda item: item[0])
-    records, logs = [], []
-    for index, doc, labels, censored, iterations, status, log in raw:
-        inst = instance_from_json(doc, base)
-        records.append(DatasetRecord(f"{id_prefix}{index:05d}", inst, labels,
-                                     censored, iterations, status))
-        logs.append(log)
-    return records, logs
+        done = [_generate_one(*t) for t in tasks]
+    return [rec for rec, _ in done], [log for _, log in done]
 
 
 def write_dataset(out_dir, base: Circuit, records, logs,
@@ -265,9 +252,7 @@ class MetricsReport:
     intercept: float
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "mse": self.mse, "pearson": self.pearson,
-                "spearman": self.spearman, "slope": self.slope,
-                "intercept": self.intercept}
+        return asdict(self)
 
 
 def evaluate(model: Model, samples) -> MetricsReport:

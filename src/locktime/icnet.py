@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,16 +90,7 @@ class ModelConfig:
         return 1 if self.feature_set == "location_only" else 1 + len(ONE_HOT_INDEX)
 
     def to_dict(self) -> dict:
-        return {
-            "graph_repr": self.graph_repr, "self_loops": self.self_loops,
-            "directed": self.directed, "conv_layers": self.conv_layers,
-            "hidden_dims": list(self.hidden_dims), "feat_agg": self.feat_agg,
-            "gate_agg": self.gate_agg, "output_head": self.output_head,
-            "feature_set": self.feature_set,
-            "learning_rate": self.learning_rate, "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs, "convergence_tol": self.convergence_tol,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "hidden_dims": list(self.hidden_dims)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
@@ -138,10 +129,6 @@ class GraphSample:
     instance_id: str = ""
     censored: bool = False
 
-    @property
-    def mask_total(self) -> float:
-        return float(self.x[:, 0].sum())
-
 
 def new_model(config: ModelConfig) -> Model:
     params = init_params(config.feature_dim, config.hidden_dims, config.seed)
@@ -163,13 +150,6 @@ def build_graph_input(inst: ObfuscationInstance,
         for g in inst.obfuscated.gates:
             x[g.id, 1 + ONE_HOT_INDEX[g.type]] = 1.0
     return a, x
-
-
-def sample_from_instance(inst: ObfuscationInstance, config: ModelConfig,
-                         label: float, instance_id: str = "",
-                         censored: bool = False) -> GraphSample:
-    a, x = build_graph_input(inst, config)
-    return GraphSample(a, x, float(label), instance_id, censored)
 
 
 @dataclass

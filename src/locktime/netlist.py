@@ -296,16 +296,22 @@ def parse_bench(text: str) -> Circuit:
 
 
 def emit_bench(c: Circuit) -> str:
-    """Serialize a circuit back to bench text; re-parsing is isomorphic."""
-    lines = []
-    for gid in list(c.primary_inputs) + list(c.key_inputs):
-        lines.append(f"INPUT({c.gates[gid].name})")
-    for gid in c.primary_outputs:
-        lines.append(f"OUTPUT({c.gates[gid].name})")
+    """Serialize a circuit to bench text with gates in id order.
+
+    INPUT lines come first, then OUTPUT lines, then one definition per
+    logic gate.  :func:`parse_bench` numbers inputs and then definitions
+    in read order, so re-parsing keeps every gate id of a circuit it
+    returned.  A circuit with an input after a logic gate in id order
+    (a locked circuit's appended key inputs) is renumbered inputs-first.
+    The input order survives when ``primary_inputs`` and ``key_inputs``
+    ascend by id, as they do in every circuit the parser and the lockers
+    build.
+    """
+    lines = [f"INPUT({g.name})" for g in c.gates if g.type is GateType.INPUT]
+    lines += [f"OUTPUT({c.gates[gid].name})" for gid in c.primary_outputs]
     if lines:
         lines.append("")
-    for gid in c.topo_order:
-        g = c.gates[gid]
+    for g in c.gates:
         if g.type is GateType.INPUT:
             continue
         args = ", ".join(c.gates[f].name for f in g.fanin)

@@ -55,9 +55,6 @@ class ObfuscationKind:
         raise ValueError(f"cannot parse obfuscation kind {text!r} "
                          f"(expected xor, xnor, or lutK with K in [1,{LUT_MAX_ARITY}])")
 
-    def bits_per_location(self) -> int:
-        return 2 ** self.lut_k if self.scheme == "lut" else 1
-
 
 @dataclass(frozen=True)
 class ObfuscationInstance:

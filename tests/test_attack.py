@@ -6,11 +6,12 @@ from scipy import stats as scipy_stats
 
 import locktime.attack
 from locktime.attack import (
+    LABEL_KINDS,
     AttackResult,
     AttackStatus,
     attack_log_record,
     keys_equivalent,
-    make_label,
+    runtime_labels,
     sat_attack,
     verification_vectors,
 )
@@ -106,26 +107,24 @@ def test_attack_timeout(mid12):
     r = sat_attack(inst, timeout_seconds=1e-4)
     assert r.status == AttackStatus.TIMEOUT
     assert r.recovered_key is None
-    label = make_label(r, "conflicts", "x")
-    assert label.censored
+    assert runtime_labels(r)["conflicts"] == r.total_stats.conflicts
 
 
-def test_make_label_arithmetic():
+def test_runtime_labels_arithmetic():
     r = AttackResult((0,), [], 0, 0.0, SolverStats(conflicts=999), AttackStatus.SOLVED)
-    assert make_label(r, "log1p_seconds").label_value == 0.0
-    assert make_label(r, "wall_seconds").label_value == 0.0
-    assert make_label(r, "conflicts").label_value == 999.0
-    assert math.isclose(make_label(r, "log1p_conflicts").label_value, math.log(1000.0))
-    with pytest.raises(ValueError):
-        make_label(r, "cpu_cycles")
+    labels = runtime_labels(r)
+    assert tuple(labels) == LABEL_KINDS
+    assert labels["log1p_seconds"] == 0.0
+    assert labels["wall_seconds"] == 0.0
+    assert labels["conflicts"] == 999.0
+    assert math.isclose(labels["log1p_conflicts"], math.log(1000.0))
 
 
 def test_conflicts_label_reproducible_wall_not_required(c17):
     inst = random_obfuscate(c17, 2, XOR, seed=3)
-    l1 = make_label(sat_attack(inst), "conflicts", "a")
-    l2 = make_label(sat_attack(inst), "conflicts", "a")
-    assert l1.label_value == l2.label_value
-    assert not l1.censored
+    r1, r2 = sat_attack(inst), sat_attack(inst)
+    assert runtime_labels(r1)["conflicts"] == runtime_labels(r2)["conflicts"]
+    assert r1.status == AttackStatus.SOLVED
 
 
 def test_verification_vectors_bounds(c17):

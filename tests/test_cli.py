@@ -116,6 +116,20 @@ def test_export_dimacs_circuit_and_miter(locked_dir, capsys, tmp_path):
     assert code == 0 and target.read_text() == out
 
 
+def test_mid12_instance_attack_and_miter(capsys, tmp_path):
+    # mid12's bench lines are not in topological order, so this checks
+    # that the emitted base.bench keeps the ids the instance was locked on
+    outdir = tmp_path / "o"
+    run_json(capsys, "obfuscate", "builtin:mid12", "--kind", "xor",
+             "--locations", "2", "--seed", "0", "--out", str(outdir))
+    res = run_json(capsys, "attack", str(outdir / "instance.json"))
+    assert res["status"] == "SOLVED"
+    code, out, err = run_cli(capsys, "export-dimacs",
+                             str(outdir / "instance.json"), "--what", "miter")
+    assert code == 0, err
+    assert out.startswith("p cnf ")
+
+
 def test_export_dimacs_readme_miter_example(locked_dir, capsys):
     outdir, _ = locked_dir
     code, out, _ = run_cli(capsys, "export-dimacs",

@@ -120,14 +120,21 @@ def test_generate_records_deterministic_modulo_timing(c17):
                for a, b in zip(r1, r3))
 
 
-def test_generate_records_parallel_matches_serial(c17):
-    kind = ObfuscationKind.parse("lut2")
-    serial, _ = generate_records(c17, 4, kind, (1, 2), seed=3, workers=1)
-    parallel, _ = generate_records(c17, 4, kind, (1, 2), seed=3, workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.instance_id == b.instance_id
-        assert a.instance.locations == b.instance.locations
-        assert a.labels["conflicts"] == b.labels["conflicts"]
+@pytest.mark.parametrize("circuit", ["c17", "mid12"])
+def test_generate_records_parallel_matches_serial(request, tmp_path, circuit):
+    base = request.getfixturevalue(circuit)
+    kind = ObfuscationKind.parse("xor")
+    serial, logs = generate_records(base, 4, kind, (1, 2), seed=3, workers=1)
+    parallel, _ = generate_records(base, 4, kind, (1, 2), seed=3, workers=2)
+    write_dataset(tmp_path, base, serial, logs)
+    _, loaded, _ = load_dataset(tmp_path)
+    assert len(serial) == len(parallel) == len(loaded) == 4
+    for a, b, back in zip(serial, parallel, loaded):
+        assert a.instance_id == b.instance_id == back.instance_id
+        assert a.instance.locations == b.instance.locations == back.instance.locations
+        assert a.instance.mask == b.instance.mask == back.instance.mask
+        assert a.instance.key_truth == b.instance.key_truth == back.instance.key_truth
+        assert a.labels["conflicts"] == b.labels["conflicts"] == back.labels["conflicts"]
 
 
 def test_generate_records_validation(c17):
@@ -202,7 +209,7 @@ def test_records_to_samples(small_records, c17):
     assert len(samples) == 6
     for rec, smp in zip(records, samples):
         assert smp.label == rec.labels["conflicts"]
-        assert smp.mask_total == rec.n_locations
+        assert smp.x[:, 0].sum() == rec.n_locations
         assert smp.instance_id == rec.instance_id
         assert smp.x.shape[1] == 11
         assert smp.a.shape[0] == rec.instance.obfuscated.n

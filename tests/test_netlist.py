@@ -142,12 +142,23 @@ def test_cycle_detection():
             (0,), (2,))
 
 
+def _parse_shuffled(rng, c):
+    """Re-parse ``c`` with its gate definitions in random line order."""
+    lines = emit_bench(c).splitlines()
+    head = lines.index("") + 1
+    body = lines[head:]
+    rng.shuffle(body)
+    return parse_bench("\n".join(lines[:head] + body) + "\n")
+
+
 def test_roundtrip_isomorphic(c17, mid12):
     rng = random.Random(11)
-    circuits = [c17, mid12] + [random_circuit(rng) for _ in range(10)]
+    circuits = [c17, mid12] + [_parse_shuffled(rng, random_circuit(rng))
+                               for _ in range(10)]
     for c in circuits:
         c2 = parse_bench(emit_bench(c))
         assert len(c2.gates) == len(c.gates)
+        assert [g.name for g in c2.gates] == [g.name for g in c.gates]
         assert [c.gates[i].name for i in c.primary_inputs] == \
                [c2.gates[i].name for i in c2.primary_inputs]
         assert [c.gates[i].name for i in c.primary_outputs] == \
