@@ -16,7 +16,7 @@ dataset read back can never drift from its ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -164,6 +164,9 @@ def generate_records(base: Circuit, count: int, kind: ObfuscationKind,
     if workers > 1:
         with get_context("spawn").Pool(workers) as pool:
             done = pool.starmap(_generate_one, tasks)
+        # each result arrives with its own unpickled base; share the caller's
+        for rec, _ in done:
+            rec.instance = replace(rec.instance, base=base)
     else:
         done = [_generate_one(*t) for t in tasks]
     return [rec for rec, _ in done], [log for _, log in done]

@@ -5,6 +5,13 @@ per-gate feature matrix, a feature-level aggregation collapsing hidden
 features to one scalar per gate, a gate-level aggregation collapsing
 gates to one scalar z, and an exp or identity output head.
 
+The structure A is an edge list ``(rows, cols, vals)`` (see
+``netlist.graph_matrix``), so each product with A costs O(edges · width)
+instead of O(n² · width).  A and X never change, so the first layer's
+A·X is computed once per sample (``GraphSample.ax``) and the first
+convolution is (A·X)·Θ_0; later ones are A·(P·Θ_l), propagating the
+narrower product.
+
 Aggregations come in attention / sum / mean variants.  Attention scoring
 is built so the whole network is invariant to gate reordering:
 
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,13 +128,47 @@ class Model:
 
 @dataclass
 class GraphSample:
-    """One training example: structure matrix, features, raw label."""
+    """One training example: structure edge list, features, raw label.
 
-    a: np.ndarray
+    ``ax`` is the propagated input A·X, computed once here because
+    neither A nor X changes during training.
+    """
+
+    a: tuple  # (rows, cols, vals) of the n x n structure matrix
     x: np.ndarray
     label: float
     instance_id: str = ""
     censored: bool = False
+    ax: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=np.float64)
+        self.a = _as_structure(self.a, self.x.shape[0])
+        self.ax = _propagate(self.a, self.x)
+
+
+def _as_structure(a, n: int) -> tuple:
+    """(rows, cols, vals) as index and float64 arrays, indices checked against n."""
+    rows, cols, vals = (np.asarray(a[0], dtype=np.intp), np.asarray(a[1], dtype=np.intp),
+                        np.asarray(a[2], dtype=np.float64))
+    if not rows.shape == cols.shape == vals.shape or rows.ndim != 1:
+        raise ValueError(f"structure rows, cols and vals must be equal-length "
+                         f"vectors, got {rows.shape}, {cols.shape}, {vals.shape}")
+    if rows.size and (min(rows.min(), cols.min()) < 0
+                      or max(rows.max(), cols.max()) >= n):
+        raise ValueError(f"structure index out of range for {n} gates")
+    return rows, cols, vals
+
+
+def _propagate(a: tuple, h: np.ndarray) -> np.ndarray:
+    """A @ h for the edge list A, one bincount per column of h.
+
+    Rows of A with no entries give zero rows.
+    """
+    rows, cols, vals = a
+    n = h.shape[0]
+    return np.stack([np.bincount(rows, vals * hj[cols], minlength=n)
+                     for hj in np.ascontiguousarray(h.T)], axis=1)
 
 
 def new_model(config: ModelConfig) -> Model:
@@ -136,8 +177,8 @@ def new_model(config: ModelConfig) -> Model:
 
 
 def build_graph_input(inst: ObfuscationInstance,
-                      config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Structure matrix A and features X (column 0 = mask, 1..10 = one-hot type)."""
+                      config: ModelConfig) -> tuple[tuple, np.ndarray]:
+    """Structure edge list A and features X (column 0 = mask, 1..10 = one-hot type)."""
     a = graph_matrix(inst.obfuscated, kind=config.graph_repr,
                      directed=config.directed, self_loops=config.self_loops)
     n = inst.obfuscated.n
@@ -156,9 +197,8 @@ def build_graph_input(inst: ObfuscationInstance,
 class _Cache:
     """Intermediates of one forward pass, consumed by backprop."""
 
-    ms: list  # M_l = A @ P_{l-1}
-    zs: list  # Z_l = M_l @ theta_l
-    ps: list  # P_0 = X, P_l = relu(Z_l)
+    zs: list  # Z_0 = (A X) theta_0, Z_l = A (P_{l-1} theta_l)
+    ps: list  # P_l = relu(Z_l)
     mu: np.ndarray | None
     a_feat: np.ndarray | None
     s: np.ndarray
@@ -166,23 +206,20 @@ class _Cache:
     z: float
 
 
-def _forward(model: Model, a: np.ndarray, x: np.ndarray) -> _Cache:
+def _forward(model: Model, a: tuple, ax: np.ndarray) -> _Cache:
     cfg = model.config
     p = model.params
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"structure matrix must be square, got {a.shape}")
-    if x.shape != (n, cfg.feature_dim):
+    n = ax.shape[0]
+    if ax.shape != (n, cfg.feature_dim):
         raise ValueError(f"feature matrix must be {(n, cfg.feature_dim)} "
-                         f"for feature_set={cfg.feature_set!r}, got {x.shape}")
-    ms, zs, ps = [], [], [np.asarray(x, dtype=np.float64)]
+                         f"for feature_set={cfg.feature_set!r}, got {ax.shape}")
+    zs, ps = [], []
     # non-finite values are reported via NonFiniteError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(cfg.conv_layers):
-            m = a @ ps[-1]
-            z = m @ p[f"conv{l}"]
+            theta = p[f"conv{l}"]
+            z = ax @ theta if l == 0 else _propagate(a, ps[-1] @ theta)
             check_finite(f"conv{l} pre-activation", z)
-            ms.append(m)
             zs.append(z)
             ps.append(np.maximum(z, 0.0))
     h = ps[-1]
@@ -207,14 +244,15 @@ def _forward(model: Model, a: np.ndarray, x: np.ndarray) -> _Cache:
     else:
         z_out = float(s.mean())
     check_finite("gate aggregation", np.asarray([z_out]))
-    return _Cache(ms, zs, ps, mu, a_feat, s, a_gate, z_out)
+    return _Cache(zs, ps, mu, a_feat, s, a_gate, z_out)
 
 
 def forward(model: Model, a, x) -> Prediction:
-    a = np.asarray(a, dtype=np.float64)
+    """Predict from a structure edge list ``a`` and features ``x``."""
     x = np.asarray(x, dtype=np.float64)
+    a = _as_structure(a, x.shape[0])
     t0 = time.perf_counter()
-    cache = _forward(model, a, x)
+    cache = _forward(model, a, _propagate(a, x))
     if model.config.output_head == "exp":
         with np.errstate(over="ignore"):
             yhat = float(np.exp(cache.z))
@@ -236,11 +274,17 @@ def target_value(config: ModelConfig, label: float) -> float:
     return float(np.log1p(label))
 
 
-def _backward(model: Model, a: np.ndarray, cache: _Cache, dz: float) -> ParamStore:
-    """Closed-form gradients of dz * z w.r.t. every parameter."""
+def _backward(model: Model, a: tuple, ax: np.ndarray, cache: _Cache,
+              dz: float) -> ParamStore:
+    """Closed-form gradients of dz * z w.r.t. every parameter.
+
+    For l >= 1, U = A^T dZ_l gives dTheta_l = P_{l-1}^T U and
+    dP_{l-1} = U Theta_l^T; dTheta_0 = (A X)^T dZ_0.  The gradient with
+    respect to X is never formed.
+    """
     cfg = model.config
     p = model.params
-    n = a.shape[0]
+    n = ax.shape[0]
     h = cache.ps[-1]
     s, z = cache.s, cache.z
     grads = {k: np.zeros_like(v) for k, v in p.arrays.items()}
@@ -269,11 +313,13 @@ def _backward(model: Model, a: np.ndarray, cache: _Cache, dz: float) -> ParamSto
         dh = np.repeat(ds[:, None], hw, axis=1) / hw
 
     dp = dh
-    for l in range(cfg.conv_layers - 1, -1, -1):
-        dzl = relu_grad(cache.zs[l], dp)
-        grads[f"conv{l}"][:] = cache.ms[l].T @ dzl
-        dm = dzl @ p[f"conv{l}"].T
-        dp = a.T @ dm
+    rows, cols, vals = a
+    at = (cols, rows, vals)
+    for l in range(cfg.conv_layers - 1, 0, -1):
+        u = _propagate(at, relu_grad(cache.zs[l], dp))
+        grads[f"conv{l}"][:] = cache.ps[l - 1].T @ u
+        dp = u @ p[f"conv{l}"].T
+    grads["conv0"][:] = ax.T @ relu_grad(cache.zs[0], dp)
     return ParamStore(grads)
 
 
@@ -289,12 +335,10 @@ def loss_and_grads(model: Model, samples: list) -> tuple[float, ParamStore]:
     sq = 0.0
     inv_b = 1.0 / len(samples)
     for smp in samples:
-        cache = _forward(model, np.asarray(smp.a, dtype=np.float64),
-                         np.asarray(smp.x, dtype=np.float64))
+        cache = _forward(model, smp.a, smp.ax)
         r = cache.z - target_value(model.config, smp.label)
         sq += r * r
-        g = _backward(model, np.asarray(smp.a, dtype=np.float64), cache,
-                      2.0 * r * inv_b)
+        g = _backward(model, smp.a, smp.ax, cache, 2.0 * r * inv_b)
         for k in total.arrays:
             total.arrays[k] += g.arrays[k]
     mse = sq * inv_b
@@ -306,8 +350,7 @@ def loss_and_grads(model: Model, samples: list) -> tuple[float, ParamStore]:
 def batch_mse(model: Model, samples: list) -> float:
     sq = 0.0
     for smp in samples:
-        cache = _forward(model, np.asarray(smp.a, dtype=np.float64),
-                         np.asarray(smp.x, dtype=np.float64))
+        cache = _forward(model, smp.a, smp.ax)
         r = cache.z - target_value(model.config, smp.label)
         sq += r * r
     return sq / len(samples)
@@ -390,13 +433,18 @@ def train(dataset: list, config: ModelConfig, include_censored: bool = False,
 # --- flat baselines ---
 
 def baseline_aggregate_features(a, x, mode: str = "sum") -> np.ndarray:
-    """Collapse the gate axis of (A, X) into one flat vector."""
-    a = np.asarray(a, dtype=np.float64)
+    """Collapse the gate axis of (A, X) into one flat vector.
+
+    The A part is the column sums (or means) of the structure matrix.
+    """
     x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    _, cols, vals = _as_structure(a, n)
+    col_sums = np.bincount(cols, vals, minlength=n)
     if mode == "sum":
-        return np.concatenate([a.sum(axis=0), x.sum(axis=0)])
+        return np.concatenate([col_sums, x.sum(axis=0)])
     if mode == "mean":
-        return np.concatenate([a.mean(axis=0), x.mean(axis=0)])
+        return np.concatenate([col_sums / n, x.mean(axis=0)])
     raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
 
 

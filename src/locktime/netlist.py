@@ -325,27 +325,39 @@ def emit_bench(c: Circuit) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def graph_matrix(c: Circuit, kind="adjacency", directed=False, self_loops=True) -> np.ndarray:
-    """Dense structure matrix of the fanin relation.
+def graph_matrix(c: Circuit, kind="adjacency", directed=False, self_loops=True):
+    """Structure matrix of the fanin relation as an edge list.
 
-    ``w[i, j] = 1`` iff gate j is a fanin of gate i; undirected mode also
-    sets the transpose, self_loops sets the diagonal.  The laplacian is
-    ``D - W`` over the same connectivity.
+    Returns the nonzeros of the n x n matrix as ``(rows, cols, vals)``,
+    unique and sorted by (row, col); n is ``c.n`` and is not stored.
+    ``w[i, j] = 1`` iff gate j is a fanin of gate i (a repeated fanin
+    still gives 1); undirected mode also sets the transpose, self_loops
+    sets the diagonal.  The laplacian is ``D - W`` over the same
+    connectivity, its zero diagonal entries left out.  The transpose is
+    the same triple with rows and cols swapped.
     """
     if kind not in ("adjacency", "laplacian"):
         raise ValueError(f"unknown graph matrix kind {kind!r}")
     n = c.n
-    w = np.zeros((n, n), dtype=np.float64)
-    for g in c.gates:
-        for f in g.fanin:
-            w[g.id, f] = 1.0
-            if not directed:
-                w[f, g.id] = 1.0
-    if self_loops:
-        np.fill_diagonal(w, 1.0)
+    heads = np.fromiter((g.id for g in c.gates for _ in g.fanin), dtype=np.intp)
+    tails = np.fromiter((f for g in c.gates for f in g.fanin), dtype=np.intp)
+    if not directed:
+        heads, tails = np.concatenate([heads, tails]), np.concatenate([tails, heads])
+    if self_loops or kind == "laplacian":
+        loops = np.arange(n, dtype=np.intp)
+        heads, tails = np.concatenate([heads, loops]), np.concatenate([tails, loops])
+    # sort + neighbour mask: np.unique is an order of magnitude slower here
+    keys = np.sort(heads * n + tails)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    rows, cols = np.divmod(keys[keep], n)
     if kind == "adjacency":
-        return w
-    return np.diag(w.sum(axis=1)) - w
+        return rows, cols, np.ones(rows.size)
+    # every row holds its diagonal slot, where D - W is the count of the
+    # row's other entries whether or not W has the self-loop
+    vals = np.where(rows == cols, np.bincount(rows, minlength=n)[rows] - 1.0, -1.0)
+    nonzero = vals != 0.0
+    return rows[nonzero], cols[nonzero], vals[nonzero]
 
 
 def key_slices(c: Circuit):

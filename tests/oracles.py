@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from locktime.netlist import Circuit, Gate, GateType
 
 _BOOL_FUNCS = {
@@ -156,3 +158,53 @@ def random_3sat(rng: random.Random, n_vars, n_clauses):
         vs = rng.sample(range(1, n_vars + 1), min(3, n_vars))
         clauses.append([v if rng.random() < 0.5 else -v for v in vs])
     return clauses
+
+
+# --- structure matrices ---
+
+def dense_graph_matrix(c: Circuit, kind="adjacency", directed=False, self_loops=True):
+    """Dense n x n structure matrix: the definition ``graph_matrix`` lists the nonzeros of.
+
+    ``w[i, j] = 1`` iff gate j is a fanin of gate i; undirected mode also
+    sets the transpose, self_loops sets the diagonal.  The laplacian is
+    ``D - W`` over the same connectivity.
+    """
+    n = c.n
+    w = np.zeros((n, n), dtype=np.float64)
+    for g in c.gates:
+        for f in g.fanin:
+            w[g.id, f] = 1.0
+            if not directed:
+                w[f, g.id] = 1.0
+    if self_loops:
+        np.fill_diagonal(w, 1.0)
+    if kind == "adjacency":
+        return w
+    return np.diag(w.sum(axis=1)) - w
+
+
+def densify(a, n: int) -> np.ndarray:
+    """The n x n matrix whose entries the ``(rows, cols, vals)`` triple lists."""
+    rows, cols, vals = a
+    w = np.zeros((n, n), dtype=np.float64)
+    w[rows, cols] = vals
+    return w
+
+
+def edge_list(w) -> tuple:
+    """The ``(rows, cols, vals)`` triple of a small dense matrix's nonzeros."""
+    w = np.asarray(w, dtype=np.float64)
+    rows, cols = np.nonzero(w)
+    return rows, cols, w[rows, cols]
+
+
+def random_structure(rng: np.random.Generator, n: int, p: float) -> tuple:
+    """Symmetric random structure with self-loops, as an edge list.
+
+    Each pair is linked with probability about p; the draw consumes one
+    n x n block of ``rng.random``.
+    """
+    w = (rng.random((n, n)) < p).astype(float)
+    w = np.maximum(w, w.T)
+    np.fill_diagonal(w, 1.0)
+    return edge_list(w)

@@ -48,6 +48,7 @@ from oracles import (
     event_driven_simulate,
     random_3sat,
     random_circuit,
+    random_structure,
 )
 
 
@@ -198,9 +199,7 @@ def _numeric_grads(model, samples, h):
 def test_c05_gradient_fidelity(capsys):
     rng = np.random.default_rng(12)
     n = 6
-    a = (rng.random((n, n)) < 0.35).astype(float)
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, 1.0)
+    a = random_structure(rng, n, 0.35)
     x = rng.random((n, 1))
     x[:, 0] = (rng.random(n) < 0.5).astype(float)
     x[0, 0] = 1.0
@@ -240,16 +239,16 @@ def test_c06_architectural_invariants(capsys):
                       feature_set="location_only", seed=1)
     model = new_model(cfg)
     n = 9
-    a = (rng.random((n, n)) < 0.4).astype(float)
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, 1.0)
+    a = random_structure(rng, n, 0.4)
+    rows, cols, vals = a
     x = (rng.random((n, 1)) < 0.5).astype(float)
     x[0, 0] = 1.0
     base = forward(model, a, x)
     perm_dev = 0.0
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(n)
-        got = forward(model, a[perm][:, perm], x[perm])
+        inv = np.argsort(perm)  # gate perm[i] becomes gate i
+        got = forward(model, (inv[rows], inv[cols], vals), x[perm])
         perm_dev = max(perm_dev, abs(got.z - base.z),
                        float(np.max(np.abs(got.a_gate - base.a_gate[perm]))))
     simplex_ok = (np.all(base.a_feat >= 0) and np.all(base.a_gate >= 0)

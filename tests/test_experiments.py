@@ -135,6 +135,7 @@ def test_generate_records_parallel_matches_serial(request, tmp_path, circuit):
         assert a.instance.mask == b.instance.mask == back.instance.mask
         assert a.instance.key_truth == b.instance.key_truth == back.instance.key_truth
         assert a.labels["conflicts"] == b.labels["conflicts"] == back.labels["conflicts"]
+        assert a.instance.base is b.instance.base is base
 
 
 def test_generate_records_validation(c17):
@@ -212,7 +213,7 @@ def test_records_to_samples(small_records, c17):
         assert smp.x[:, 0].sum() == rec.n_locations
         assert smp.instance_id == rec.instance_id
         assert smp.x.shape[1] == 11
-        assert smp.a.shape[0] == rec.instance.obfuscated.n
+        assert smp.ax.shape == (rec.instance.obfuscated.n, 11)
 
 
 # --- evaluation and reports ---

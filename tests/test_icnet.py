@@ -25,18 +25,17 @@ from locktime.icnet import (
     split_indices,
     train,
 )
-from locktime.netlist import ONE_HOT_INDEX
+from locktime.netlist import ONE_HOT_INDEX, parse_bench
 from locktime.numerics import NonFiniteError, ParamStore
 from locktime.obfuscate import ObfuscationKind, random_obfuscate
+from oracles import densify, edge_list, random_structure
 
 
 def make_samples(rng, n_samples, n=6, f=1, label_fn=None):
     """Random small graphs with {0,1} mask column and positive labels."""
     out = []
     for _ in range(n_samples):
-        a = (rng.random((n, n)) < 0.35).astype(float)
-        a = np.maximum(a, a.T)
-        np.fill_diagonal(a, 1.0)
+        a = random_structure(rng, n, 0.35)
         x = rng.random((n, f))
         x[:, 0] = (rng.random(n) < 0.4).astype(float)
         if x[:, 0].sum() == 0:  # locked instances always mark >= 1 gate
@@ -82,7 +81,7 @@ def test_baseline_gcn_config_swaps_only_structure_fields():
 def test_attention_identical_slices_uniform():
     # a complete graph over identical gates gives every gate the same row
     model = new_model(SMALL)
-    pred = forward(model, np.ones((4, 4)), np.ones((4, 1)))
+    pred = forward(model, edge_list(np.ones((4, 4))), np.ones((4, 1)))
     assert np.allclose(pred.a_gate, 0.25)
 
 
@@ -102,8 +101,9 @@ def test_attention_hand_computed():
     (smp,) = make_samples(rng, 1, n=6)
     model = new_model(SMALL)
     h = smp.x
+    a = densify(smp.a, 6)
     for l in range(SMALL.conv_layers):
-        h = np.maximum(smp.a @ h @ model.params[f"conv{l}"], 0.0)
+        h = np.maximum(a @ h @ model.params[f"conv{l}"], 0.0)
     assert h.any()
 
     def softmax(v):
@@ -139,9 +139,11 @@ def test_permutation_invariance():
     (smp,) = make_samples(rng, 1, n=9)
     model = new_model(SMALL)
     base = forward(model, smp.a, smp.x)
+    rows, cols, vals = smp.a
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(9)
-        a_p = smp.a[perm][:, perm]
+        inv = np.argsort(perm)  # gate perm[i] becomes gate i
+        a_p = (inv[rows], inv[cols], vals)
         x_p = smp.x[perm]
         got = forward(model, a_p, x_p)
         assert abs(got.z - base.z) <= 1e-10
@@ -192,9 +194,10 @@ def test_structure_matrix_choice_changes_output(c17):
 def test_build_graph_input_features(c17):
     inst = random_obfuscate(c17, 3, ObfuscationKind.parse("xor"), seed=9)
     cfg = ModelConfig()
-    a, x = build_graph_input(inst, cfg)
+    (rows, cols, vals), x = build_graph_input(inst, cfg)
     n = inst.obfuscated.n
-    assert a.shape == (n, n)
+    assert rows.shape == cols.shape == vals.shape
+    assert 0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < n
     assert x.shape == (n, 11)
     assert np.array_equal(x[:, 0], inst.mask_array())
     # exactly one type indicator set per gate
@@ -207,12 +210,34 @@ def test_build_graph_input_features(c17):
     assert x[:, 0].sum() == 3.0
 
 
+def test_large_circuit_structure_stays_small():
+    # a balanced NAND tree over 3000 inputs: 5999 gates; a dense n x n
+    # float64 structure alone would take 288 MB
+    leaves = [f"in{i}" for i in range(3000)]
+    lines = [f"INPUT({name})" for name in leaves]
+    body, level, k = [], leaves, 0
+    while len(level) > 1:
+        nxt = []
+        for i in range(0, len(level) - 1, 2):
+            body.append(f"t{k} = NAND({level[i]}, {level[i + 1]})")
+            nxt.append(f"t{k}")
+            k += 1
+        level = nxt + level[len(level) - len(level) % 2:]
+    c = parse_bench("\n".join(lines + [f"OUTPUT({level[0]})", ""] + body) + "\n")
+    assert c.n == 5999
+    inst = random_obfuscate(c, 3, ObfuscationKind.parse("xor"), seed=0)
+    cfg = ModelConfig(hidden_dims=(8, 4), feature_set="location_only")
+    smp = GraphSample(*build_graph_input(inst, cfg), label=1.0)
+    assert sum(arr.nbytes for arr in (*smp.a, smp.x, smp.ax)) < 1 << 20
+    assert np.isfinite(forward(new_model(cfg), smp.a, smp.x).yhat)
+
+
 def test_forward_rejects_wrong_feature_width():
     model = new_model(ModelConfig(hidden_dims=(4, 3)))  # expects 11 features
     with pytest.raises(ValueError, match="feature_set"):
-        forward(model, np.eye(4), np.ones((4, 1)))
-    with pytest.raises(ValueError, match="square"):
-        forward(model, np.ones((4, 3)), np.ones((4, 11)))
+        forward(model, edge_list(np.eye(4)), np.ones((4, 1)))
+    with pytest.raises(ValueError, match="out of range"):
+        forward(model, ([0, 4], [0, 0], [1.0, 1.0]), np.ones((4, 11)))
 
 
 def test_nonfinite_intermediates_reported_by_stage():
@@ -220,14 +245,14 @@ def test_nonfinite_intermediates_reported_by_stage():
     x = np.ones((3, 1))
     x[0, 0] = np.inf
     with pytest.raises(NonFiniteError, match="conv0"):
-        forward(model, np.eye(3), x)
+        forward(model, edge_list(np.eye(3)), x)
     # exp-head overflow is caught at the output head
     big = Model(
         dataclasses.replace(SMALL, feat_agg="sum", gate_agg="sum"),
         ParamStore({"conv0": np.ones((1, 5)) * 50, "conv1": np.ones((5, 4)) * 50,
                     "feat": np.zeros(4), "gate": np.zeros(1)}))
     with pytest.raises(NonFiniteError, match="output head"):
-        forward(big, np.eye(4), np.full((4, 1), 100.0))
+        forward(big, edge_list(np.eye(4)), np.full((4, 1), 100.0))
 
 
 # --- gradients ---
@@ -265,10 +290,26 @@ def test_gradient_fidelity(feat_agg, gate_agg, head):
         assert np.max(rel) < 1e-4, f"{name}: max rel err {np.max(rel):.2e}"
 
 
-def test_gradient_fidelity_all_features_config():
-    cfg = ModelConfig(hidden_dims=(4, 3), feature_set="all_features", seed=3)
+@pytest.mark.parametrize("overrides", [
+    {},  # narrowing: 11 -> 4 -> 3
+    {"hidden_dims": (3, 6)},  # widening second layer
+    {"conv_layers": 1, "hidden_dims": (4,)},
+    {"conv_layers": 3, "hidden_dims": (4, 6, 3)},
+    {"graph_repr": "laplacian"},
+    {"directed": True},
+    {"directed": True, "self_loops": False},  # input gates' rows are empty
+], ids=["narrowing", "widening", "one-layer", "three-layer", "laplacian",
+        "directed", "empty-rows"])
+def test_gradient_fidelity_all_features_config(c17, overrides):
+    cfg = dataclasses.replace(
+        ModelConfig(hidden_dims=(4, 3), feature_set="all_features", seed=3),
+        **overrides)
     model = new_model(cfg)
     samples = make_samples(np.random.default_rng(8), 2, n=5, f=11)
+    # real structures built under the config's graph options
+    for seed, label in ((1, 3.0), (2, 11.0)):
+        inst = random_obfuscate(c17, 2, ObfuscationKind.parse("xor"), seed=seed)
+        samples.append(GraphSample(*build_graph_input(inst, cfg), label))
     _, analytic = loss_and_grads(model, samples)
     numeric = numeric_grads(model, samples, h=1e-5)
     for name in analytic.names():
@@ -281,7 +322,7 @@ def test_gradient_fidelity_all_features_config():
 def test_loss_with_zero_parameters():
     zero = ParamStore({"conv0": np.zeros((1, 5)), "conv1": np.zeros((5, 4)),
                        "feat": np.zeros(4), "gate": np.zeros(1)})
-    smp = GraphSample(np.eye(3), np.ones((3, 1)), label=4.0)
+    smp = GraphSample(edge_list(np.eye(3)), np.ones((3, 1)), label=4.0)
     lin = Model(dataclasses.replace(SMALL, output_head="linear"), zero)
     mse, _ = loss_and_grads(lin, [smp])
     assert np.isclose(mse, 16.0)  # z = 0, raw residual = -label
@@ -397,7 +438,7 @@ def test_exp_head_beats_linear_head_on_exponential_labels():
         x[rng.permutation(n)[: min(m, n)], 0] = 1.0
         # exponential growth in the mask count, mild noise
         label = float(np.exp(0.8 * m + rng.normal(0.0, 0.05)))
-        samples.append(GraphSample(a, x, label))
+        samples.append(GraphSample(edge_list(a), x, label))
     results = {}
     for head in ("exp", "linear"):
         cfg = ModelConfig(hidden_dims=(8, 4), feature_set="location_only",
@@ -418,7 +459,7 @@ def test_exp_head_beats_linear_head_on_exponential_labels():
 # --- baselines ---
 
 def test_baseline_aggregate_features_hand_example():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = edge_list([[0.0, 1.0], [1.0, 0.0]])
     x = np.array([[1.0], [2.0]])
     assert baseline_aggregate_features(a, x, "sum").tolist() == [1.0, 1.0, 3.0]
     assert baseline_aggregate_features(a, x, "mean").tolist() == [0.5, 0.5, 1.5]

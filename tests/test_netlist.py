@@ -16,7 +16,7 @@ from locktime.netlist import (
     simulate,
     simulate_many,
 )
-from oracles import event_driven_simulate, random_circuit
+from oracles import dense_graph_matrix, densify, event_driven_simulate, random_circuit
 
 
 def test_c17_structure(c17):
@@ -176,9 +176,39 @@ def test_roundtrip_isomorphic(c17, mid12):
 
 # --- graph matrices ---
 
+GRAPH_OPTIONS = [(kind, directed, self_loops) for kind in ("adjacency", "laplacian")
+                 for directed in (False, True) for self_loops in (False, True)]
+
+# "u" has no edges, and AND(a, a) repeats a fanin
+AND_AA = "INPUT(a)\nINPUT(u)\nOUTPUT(y)\ny = AND(a, a)\n"
+
+
+@pytest.mark.parametrize("kind,directed,self_loops", GRAPH_OPTIONS)
+def test_graph_matrix_equals_dense_definition(c17, mid12, kind, directed, self_loops):
+    circuits = [c17, mid12, random_circuit(random.Random(5), n_inputs=6, n_gates=40),
+                parse_bench(AND_AA)]
+    for c in circuits:
+        rows, cols, vals = graph_matrix(c, kind, directed, self_loops)
+        assert rows.shape == cols.shape == vals.shape
+        key = rows * c.n + cols
+        assert np.all(np.diff(key) > 0)  # unique, sorted by (row, col)
+        assert np.all(vals != 0)
+        np.testing.assert_array_equal(densify((rows, cols, vals), c.n),
+                                      dense_graph_matrix(c, kind, directed, self_loops))
+
+
+def test_repeated_fanin_is_one_entry():
+    c = parse_bench(AND_AA)
+    a, u, y = (c.name_to_id[k] for k in "auy")
+    w = densify(graph_matrix(c, self_loops=False), c.n)
+    assert w[y, a] == w[a, y] == 1.0
+    assert not w[u].any() and not w[:, u].any()
+    lap = densify(graph_matrix(c, kind="laplacian", self_loops=False), c.n)
+    assert lap[y, y] == 1.0 and lap[y, a] == -1.0
+
+
 def test_adjacency_undirected_self_loops(c17):
-    w = graph_matrix(c17)
-    assert w.shape == (c17.n, c17.n)
+    w = densify(graph_matrix(c17), c17.n)
     np.testing.assert_array_equal(w, w.T)
     np.testing.assert_array_equal(np.diag(w), np.ones(c17.n))
     g10 = c17.name_to_id["10"]
@@ -188,13 +218,13 @@ def test_adjacency_undirected_self_loops(c17):
 
 def test_adjacency_directed():
     c = parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
-    w = graph_matrix(c, directed=True, self_loops=False)
+    rows, cols, vals = graph_matrix(c, directed=True, self_loops=False)
     a, z = c.name_to_id["a"], c.name_to_id["z"]
-    assert w[z, a] == 1.0 and w[a, z] == 0.0
+    assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([z], [a], [1.0])
 
 
 def test_laplacian_rows_sum_zero(mid12):
-    lap = graph_matrix(mid12, kind="laplacian")
+    lap = densify(graph_matrix(mid12, kind="laplacian"), mid12.n)
     np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12)
     offdiag = lap[~np.eye(mid12.n, dtype=bool)]
     assert set(np.unique(offdiag)) <= {0.0, -1.0}
