@@ -1,13 +1,15 @@
 """Oracle-guided SAT attack (DIP loop) against locked circuits.
 
-The attack owns a miter with two independent key copies.  While the miter
-is satisfiable, the model yields a distinguishing input pattern (DIP): an
-input on which the two keys disagree.  The oracle — simulation of the
-unlocked base circuit — labels the DIP, and both key copies are
-constrained to reproduce that label.  When the miter goes unsatisfiable,
-every key consistent with the accumulated constraints is functionally
-correct; one is extracted by solving the constraints without the
-difference assertion.
+The attack owns a miter with two independent key copies, and one solver
+that lives for the whole attack: it loads the miter once, then only each
+DIP's two new constrained copies, and keeps its learnt clauses from call
+to call.  While the miter is satisfiable, the model yields a
+distinguishing input pattern (DIP): an input on which the two keys
+disagree.  The oracle — simulation of the unlocked base circuit — labels
+the DIP, and both key copies are constrained to reproduce that label.
+When the miter goes unsatisfiable, every key consistent with the
+accumulated constraints is functionally correct; one is extracted by a
+fresh solve of the constraints without the difference assertion.
 
 Effort counters from all solver calls are summed and exposed as runtime
 labels; ``conflicts`` is reproducible across machines, wall time is the
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import add_dip_constraint, build_miter
+from .cnf import CnfFormula, add_dip_constraint, build_miter
 from .netlist import Circuit, all_input_vectors, simulate, simulate_many
 from .obfuscate import ObfuscationInstance
-from .satsolve import SolverConfig, SolverStats, SolveStatus, solve
+from .satsolve import Solver, SolverConfig, SolverStats, SolveStatus, solve
 
 EXHAUSTIVE_PI_LIMIT = 16
 RANDOM_VERIFY_VECTORS = 1000
@@ -90,8 +92,10 @@ def sat_attack(inst: ObfuscationInstance,
                             total, status)
 
     miter = build_miter(inst.obfuscated)
+    solver = Solver()
+    batch = CnfFormula(miter.clauses + miter.diff_clauses, miter.n_vars)
     while True:
-        res = solve(miter.formula, cfg())
+        res = solve(batch, cfg(), solver)
         total = total.merged(res.stats)
         if res.status is SolveStatus.TIMEOUT:
             return done(None, AttackStatus.TIMEOUT)
@@ -100,7 +104,9 @@ def sat_attack(inst: ObfuscationInstance,
         dip = tuple(int(res.model[v]) for v in miter.input_vars)
         oracle_out = simulate(inst.base, dip)
         dips.append(dip)
+        loaded = len(miter.clauses)
         add_dip_constraint(miter, dip, oracle_out)
+        batch = CnfFormula(miter.clauses[loaded:], miter.n_vars)
 
     res = solve(miter.key_constraint_formula(), cfg())
     total = total.merged(res.stats)

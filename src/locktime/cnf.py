@@ -158,8 +158,9 @@ class MiterContext:
     ``clauses`` holds gate semantics for both key copies and all DIP
     copies; ``diff_clauses`` holds the difference assertion (per-output
     xor-difference definitions plus the at-least-one-difference clause).
-    The attack solves clauses + diff_clauses while hunting DIPs and
-    ``clauses`` alone to extract a key.
+    While hunting DIPs the attack's solver holds clauses + diff_clauses,
+    loaded once and then grown by what each :func:`add_dip_constraint`
+    appends; a key is extracted by a fresh solve of ``clauses`` alone.
     """
 
     obf: Circuit

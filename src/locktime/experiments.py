@@ -33,9 +33,9 @@ from .icnet import (
     GraphSample,
     Model,
     ModelConfig,
+    _forward,
     build_graph_input,
     fit_linear,
-    forward,
     target_value,
 )
 from .netlist import ONE_HOT_ORDER, Circuit, emit_bench, parse_bench
@@ -49,7 +49,7 @@ from .obfuscate import (
 )
 
 DATASET_FORMAT = "locktime-dataset"
-DATASET_VERSION = 1
+DATASET_VERSION = 2  # 2: conflict labels from one living solver per attack
 
 
 # --- ranking metrics ---
@@ -268,7 +268,7 @@ def evaluate(model: Model, samples) -> MetricsReport:
         raise ValueError("no samples to evaluate")
     zs, ts = [], []
     for smp in samples:
-        zs.append(forward(model, smp.a, smp.x).z)
+        zs.append(_forward(model, smp.a, smp.ax).z)
         ts.append(target_value(model.config, smp.label))
     z = np.asarray(zs)
     t = np.asarray(ts)
@@ -323,11 +323,11 @@ def attention_report(model: Model, samples) -> AttentionReport:
     cfg = model.config
     a_feats, entropies = [], []
     for smp in samples:
-        pred = forward(model, smp.a, smp.x)
-        if pred.a_feat is not None:
-            a_feats.append(pred.a_feat)
-        if pred.a_gate is not None and pred.a_gate.size > 1:
-            b = np.clip(pred.a_gate, 1e-300, None)
+        cache = _forward(model, smp.a, smp.ax)
+        if cache.a_feat is not None:
+            a_feats.append(cache.a_feat)
+        if cache.a_gate is not None and cache.a_gate.size > 1:
+            b = np.clip(cache.a_gate, 1e-300, None)
             entropies.append(float(-(b * np.log(b)).sum() / np.log(b.size)))
     if a_feats:
         hidden_w = np.mean(a_feats, axis=0)

@@ -188,8 +188,8 @@ def build_graph_input(inst: ObfuscationInstance,
     else:
         x = np.zeros((n, config.feature_dim), dtype=np.float64)
         x[:, 0] = mask
-        for g in inst.obfuscated.gates:
-            x[g.id, 1 + ONE_HOT_INDEX[g.type]] = 1.0
+        codes = [ONE_HOT_INDEX[g.type] for g in inst.obfuscated.gates]  # gates[i].id == i
+        x[np.arange(n), 1 + np.array(codes, dtype=np.intp)] = 1.0
     return a, x
 
 

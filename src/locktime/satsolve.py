@@ -1,14 +1,21 @@
-"""A small, deterministic CDCL SAT solver.
+"""A small, deterministic, incremental CDCL SAT solver.
 
 Features: two-watched-literal unit propagation, VSIDS-style decaying
 activity with lowest-index tie-break, first-UIP clause learning with
 non-chronological backjumping, optional Luby restarts, and a wall clock
 timeout reported as a distinct status.
 
-Determinism contract: for identical (formula, config) the status, model
-and all effort counters are identical across runs and machines; the seed
-only chooses initial decision phases.  ``wall_seconds`` is the single
-nondeterministic field.
+A :class:`Solver` can live across calls (MiniSat style, Eén & Sörensson,
+SAT 2003): each ``solve(f, cfg, solver)`` loads only the clauses of ``f``
+at decision level 0 and searches again.  Variables grow with the formulas
+loaded; activities, saved phases and learnt clauses carry over.  A plain
+``solve(f, cfg)`` is the same code on a fresh, empty solver.
+
+Determinism contract: identical call sequences of (clauses added, config)
+give identical statuses, models and effort counters across runs and
+machines; the seed only chooses initial decision phases.
+``wall_seconds`` is the single nondeterministic field.  Stats are per
+call.
 
 Counter semantics: ``decisions`` counts branch assignments,
 ``propagations`` counts literals enqueued with a reason (unit
@@ -21,6 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import neg
 
 import numpy as np
 
@@ -80,64 +88,110 @@ def luby(i: int) -> int:
 
 def verify_model(f: CnfFormula, model: dict) -> bool:
     """True iff ``model`` (a full var -> bool map) satisfies every clause."""
-    for v in range(1, f.n_vars + 1):
-        if v not in model:
-            raise ValueError(f"partial model: variable {v} unassigned")
-    for cl in f.clauses:
-        if not any(model[abs(l)] == (l > 0) for l in cl):
-            return False
-    return True
+    if not all(map(model.__contains__, range(1, f.n_vars + 1))):
+        v = next(v for v in range(1, f.n_vars + 1) if v not in model)
+        raise ValueError(f"partial model: variable {v} unassigned")
+    true_lits = {v if b else -v for v, b in model.items()}
+    return not any(map(true_lits.isdisjoint, f.clauses))
 
 
-class _Solver:
+class Solver:
+    """CDCL search state that lives across :func:`solve` calls.
+
+    Create one per growing formula and pass it to :func:`solve`; its
+    methods are internal.  Every clause loaded stays loaded, so the
+    formula only ever grows.  ``loaded`` holds every input clause as
+    given, against which each SAT model is checked.
+    """
+
     UNASSIGNED = -1
 
-    def __init__(self, f: CnfFormula, cfg: SolverConfig):
-        self.cfg = cfg
-        self.n = f.n_vars
-        n1 = self.n + 1
-        self.assigns = [self.UNASSIGNED] * n1
-        self.level = [0] * n1
-        self.reason = [-1] * n1  # clause index, -1 for decisions
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+        self.cfg = SolverConfig(seed=seed)
+        self.rng = np.random.default_rng(seed)
+        self.n = 0
+        self.loaded = CnfFormula([], 0)
+        self.assigns: list[int] = []
+        self.level: list[int] = []
+        self.reason: list[int] = []  # clause index, -1 for decisions
+        self.phase: list[int] = []
         self.trail: list[int] = []  # literals in assignment order (true literals)
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * n1)]
-        self.activity = np.zeros(n1, dtype=np.float64)
-        self.activity[0] = -np.inf  # index 0 is not a variable
-        self.unassigned = np.ones(n1, dtype=bool)
-        self.unassigned[0] = False
+        self.clauses: list[list[int]] = []  # watched: input, then learnt
+        self.watches: list[list[int]] = []
+        self.activity = np.zeros(0, dtype=np.float64)
+        self.unassigned = np.zeros(0, dtype=bool)
         self.var_inc = 1.0
         self.stats = SolverStats()
-        rng = np.random.default_rng(cfg.seed)
-        self.phase = rng.integers(0, 2, size=n1, dtype=np.int64).tolist()
         self.ok = True
-
-        for cl in f.clauses:
-            if not self._add_clause(cl):
-                self.ok = False
-                break
 
     # --- clause plumbing ---
 
-    def _add_clause(self, lits) -> bool:
-        """Preprocess + register an input clause; False on immediate conflict."""
-        seen = {}
-        out = []
-        for l in lits:
-            if -l in seen:
-                return True  # tautology, drop
-            if l not in seen:
-                seen[l] = True
-                out.append(l)
-        if len(out) == 1:
-            return self._enqueue(out[0], reason=-2)  # -2: input unit
-        ci = len(self.clauses)
-        self.clauses.append(out)
-        self._watch(out[0], ci)
-        self._watch(out[1], ci)
-        return True
+    def _grow(self, n: int):
+        """Extend every per-variable array to variables ``1..n``.
+
+        A fresh solver draws n + 1 phases (index 0 included) at once, so
+        its phases equal a one-shot solver's; later variables draw on.
+        """
+        k = n + 1 - len(self.assigns)
+        if k <= 0:
+            return
+        self.n = n
+        self.assigns += [self.UNASSIGNED] * k
+        self.level += [0] * k
+        self.reason += [-1] * k
+        self.phase += self.rng.integers(0, 2, size=k, dtype=np.int64).tolist()
+        self.watches += [[] for _ in range(2 * k)]
+        self.activity = np.concatenate([self.activity, np.zeros(k)])
+        self.unassigned = np.concatenate([self.unassigned, np.ones(k, dtype=bool)])
+        self.activity[0] = -np.inf  # index 0 is not a variable
+        self.unassigned[0] = False
+
+    def _load(self, f: CnfFormula):
+        """Add ``f``'s clauses at decision level 0.
+
+        Literals false at level 0 are dropped and clauses true there are
+        skipped.  Units are enqueued after the whole batch, so a batch
+        is simplified only against what earlier calls fixed, and a fresh
+        solver watches exactly the clauses it is given.
+        """
+        self._backtrack(0)
+        self._grow(f.n_vars)
+        self.loaded.clauses.extend(f.clauses)
+        self.loaded.n_vars = self.n
+        if not self.ok:
+            return
+        true0 = set(self.trail)  # after backtrack(0): exactly the level-0 literals
+        false0 = {-l for l in self.trail}
+        clauses, watches = self.clauses, self.watches
+        units = []
+        for cl in f.clauses:
+            if not true0.isdisjoint(cl):
+                continue  # true at level 0
+            if not false0.isdisjoint(cl):
+                cl = [l for l in cl if l not in false0]
+            if len(set(map(abs, cl))) < len(cl):  # a variable repeats
+                if not set(cl).isdisjoint(map(neg, cl)):
+                    continue  # tautology
+                cl = dict.fromkeys(cl)  # drop repeats, keep first order
+            out = list(cl)
+            if len(out) > 1:
+                ci = len(clauses)
+                clauses.append(out)
+                a, b = out[0], out[1]
+                watches[(a << 1) if a > 0 else ((-a << 1) | 1)].append(ci)
+                watches[(b << 1) if b > 0 else ((-b << 1) | 1)].append(ci)
+            elif out:
+                units.append(out[0])
+            else:
+                self.ok = False
+                return
+        for lit in units:
+            if not self._enqueue(lit, reason=-2):  # -2: input unit
+                self.ok = False
+                return
 
     def _watch(self, lit: int, ci: int):
         self.watches[self._lidx(lit)].append(ci)
@@ -163,14 +217,20 @@ class _Solver:
 
     # --- search ---
 
-    def solve(self) -> SolveResult:
+    def _run(self, f: CnfFormula, cfg: SolverConfig) -> SolveResult:
+        """Load ``f``, then search under ``cfg``; stats cover this call only."""
         t0 = time.perf_counter()
-        deadline = None if self.cfg.timeout_seconds is None \
-            else t0 + self.cfg.timeout_seconds
+        deadline = None if cfg.timeout_seconds is None \
+            else t0 + cfg.timeout_seconds
+        self.cfg = cfg
+        self.stats = SolverStats()
         try:
+            self._load(f)
             status, model = self._search(deadline)
         finally:
             self.stats.wall_seconds = time.perf_counter() - t0
+        if status is SolveStatus.UNSAT:
+            self.ok = False  # clauses are only ever added: UNSAT is final
         return SolveResult(status, model, self.stats)
 
     def _search(self, deadline):
@@ -340,10 +400,23 @@ class _Solver:
         self.qhead = min(self.qhead, len(self.trail))
 
 
-def solve(f: CnfFormula, config: SolverConfig | None = None) -> SolveResult:
-    """Decide a formula; see module docstring for the determinism contract."""
+def solve(f: CnfFormula, config: SolverConfig | None = None,
+          solver: Solver | None = None) -> SolveResult:
+    """Decide a formula; see module docstring for the determinism contract.
+
+    With ``solver``, ``f`` holds only the clauses added since that
+    solver's last call and the answer is for everything loaded so far;
+    the solver keeps the seed it was made with.  Every SAT model is
+    checked against all clauses the solver holds.
+    """
     cfg = config or SolverConfig()
-    result = _Solver(f, cfg).solve()
-    if result.status is SolveStatus.SAT and not verify_model(f, result.model):
+    if solver is None:
+        solver = Solver(cfg.seed)
+    elif cfg.seed != solver.seed:
+        raise ValueError(f"config seed {cfg.seed} differs from the solver's "
+                         f"seed {solver.seed}")
+    result = solver._run(f, cfg)
+    if result.status is SolveStatus.SAT and not verify_model(solver.loaded,
+                                                             result.model):
         raise RuntimeError("internal error: model check failed")
     return result

@@ -15,6 +15,7 @@ from locktime.attack import (
     sat_attack,
     verification_vectors,
 )
+from locktime.cnf import build_miter
 from locktime.netlist import parse_bench
 from locktime.obfuscate import (
     ObfuscationInstance,
@@ -40,9 +41,37 @@ def test_single_keygate_attack(c17):
 def test_unsatisfiable_key_constraints_raise(monkeypatch, c17):
     inst = random_obfuscate(c17, 1, XOR, seed=4)
     monkeypatch.setattr(locktime.attack, "solve",
-                        lambda f, cfg: SolveResult(SolveStatus.UNSAT, None))
+                        lambda f, cfg, solver=None: SolveResult(SolveStatus.UNSAT, None))
     with pytest.raises(RuntimeError, match="key constraints must stay satisfiable"):
         sat_attack(inst)
+
+
+@pytest.mark.parametrize("circuit, kind, n_loc, seed", [
+    ("c17", LUT2, 3, 2), ("mid12", XOR, 4, 1), ("mid12", LUT2, 2, 0)])
+def test_every_solve_is_observable(monkeypatch, request, circuit, kind, n_loc, seed):
+    calls = []
+    real = locktime.attack.solve
+
+    def counting(f, cfg=None, solver=None):
+        res = real(f, cfg, solver)
+        calls.append((len(f.clauses), solver, res.stats))
+        return res
+
+    monkeypatch.setattr(locktime.attack, "solve", counting)
+    inst = random_obfuscate(request.getfixturevalue(circuit), n_loc, kind, seed=seed)
+    r = sat_attack(inst)
+    assert r.status == AttackStatus.SOLVED
+    assert len(calls) == len(r.dips) + 2
+    for field in ("decisions", "propagations", "conflicts"):
+        assert sum(getattr(st, field) for _, _, st in calls) == \
+               getattr(r.total_stats, field)
+    # one solver holds the miter: each clause is loaded once, then a fresh
+    # solve of the key constraints (everything but the difference assertion)
+    living = {id(solver) for _, solver, _ in calls[:-1]}
+    assert len(living) == 1 and calls[-1][1] is None
+    key_clauses = calls[-1][0]
+    diff = len(build_miter(inst.obfuscated).diff_clauses)
+    assert sum(n for n, _, _ in calls[:-1]) == key_clauses + diff
 
 
 def test_redundant_keygate_attack_zero_iterations():

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import locktime.experiments
+
 from locktime.attack import LABEL_KINDS
 from locktime.experiments import (
+    DATASET_VERSION,
     attention_report,
     average_ranks,
     chain_circuit,
@@ -24,7 +27,7 @@ from locktime.experiments import (
     synthetic_mask_records,
     write_dataset,
 )
-from locktime.icnet import Model, ModelConfig, new_model, train
+from locktime.icnet import Model, ModelConfig, forward, new_model, train
 from locktime.netlist import GateType, simulate
 from locktime.obfuscate import ObfuscationKind
 
@@ -173,6 +176,18 @@ def test_load_dataset_rejects_foreign_directory(tmp_path):
         load_dataset(tmp_path)
 
 
+def test_load_dataset_refuses_version_1(tmp_path, c17, small_records):
+    # version 1 conflict labels came from a fresh solver per DIP call
+    records, logs = small_records
+    write_dataset(tmp_path, c17, records, logs)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["version"] == DATASET_VERSION == 2
+    manifest["version"] = 1
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="unsupported dataset version 1"):
+        load_dataset(tmp_path)
+
+
 def test_generate_dataset_writes_everything(tmp_path, c17):
     records, manifest = generate_dataset(
         c17, tmp_path / "out", 3, ObfuscationKind.parse("xnor"), (1, 2),
@@ -247,6 +262,27 @@ def test_evaluate_trained_model_fields(small_records):
     assert -1.0 <= rep.spearman <= 1.0 or np.isnan(rep.spearman)
     with pytest.raises(ValueError):
         evaluate(res.model, [])
+
+
+def test_reports_bit_identical_to_public_forward(monkeypatch, small_records):
+    # evaluate and attention_report reuse each sample's cached A·X; the
+    # public forward recomputes it from (A, X) and must give the same bits
+    records, _ = small_records
+    cfg = ModelConfig(hidden_dims=(6, 3), max_epochs=5, learning_rate=0.01, seed=2)
+    samples = records_to_samples(records, cfg, "conflicts")
+    model = train(samples, cfg).model
+    cached = (evaluate(model, samples).to_dict(),
+              attention_report(model, samples).to_dict())
+    by_ax = {id(smp.ax): smp for smp in samples}
+
+    def public_forward(model, a, ax):
+        smp = by_ax[id(ax)]
+        return forward(model, smp.a, smp.x)
+
+    monkeypatch.setattr(locktime.experiments, "_forward", public_forward)
+    recomputed = (evaluate(model, samples).to_dict(),
+                  attention_report(model, samples).to_dict())
+    assert json.dumps(cached) == json.dumps(recomputed)
 
 
 def test_attention_report_attention_mode(small_records):

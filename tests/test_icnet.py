@@ -1,7 +1,9 @@
 """Graph regressor: forward semantics, exact gradients, training, baselines."""
 
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +210,28 @@ def test_build_graph_input_features(c17):
     _, x1 = build_graph_input(inst, loc_cfg)
     assert x1.shape == (n, 1)
     assert x[:, 0].sum() == 3.0
+
+
+def _layered_dag(n_gates):
+    """A seeded layered random DAG from the benchmark's generator."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "randdag.py"
+    spec = importlib.util.spec_from_file_location("randdag", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return parse_bench(mod.layered_dag_bench(seed=3, n_gates=n_gates))
+
+
+@pytest.mark.parametrize("circuit", ["c17", "mid12", "dag600"])
+def test_one_hot_columns_equal_the_per_gate_loop(request, circuit):
+    base = _layered_dag(600) if circuit == "dag600" else request.getfixturevalue(circuit)
+    for kind in ("xor", "lut2"):
+        inst = random_obfuscate(base, 3, ObfuscationKind.parse(kind), seed=1)
+        _, x = build_graph_input(inst, ModelConfig())
+        ref = np.zeros_like(x)
+        ref[:, 0] = inst.mask_array()
+        for g in inst.obfuscated.gates:
+            ref[g.id, 1 + ONE_HOT_INDEX[g.type]] = 1.0
+        assert np.array_equal(x, ref)
 
 
 def test_large_circuit_structure_stays_small():

@@ -7,6 +7,7 @@ import locktime.satsolve
 from locktime.cnf import CnfFormula, tseitin
 from locktime.netlist import all_input_vectors, simulate
 from locktime.satsolve import (
+    Solver,
     SolverConfig,
     SolverStats,
     SolveStatus,
@@ -177,3 +178,135 @@ def test_tautology_and_duplicate_literals():
     assert r.status is SolveStatus.SAT
     assert r.model[2] is True
 
+
+
+# --- a solver that lives across calls ---
+
+def test_fresh_counters_match_the_one_shot_solver():
+    # recorded from the solver before it could live across calls
+    r = solve(pigeonhole(5, 4))
+    assert r.status is SolveStatus.UNSAT
+    assert (r.stats.decisions, r.stats.propagations, r.stats.conflicts) == (36, 338, 32)
+    r = solve(F(random_3sat(random.Random(1), 30, 128), 30))
+    assert r.status is SolveStatus.SAT
+    assert (r.stats.decisions, r.stats.propagations, r.stats.conflicts) == (36, 413, 31)
+
+
+def _chunks(rng, clauses, n):
+    """Split ``clauses`` into 2-4 consecutive formulas whose n_vars grow."""
+    clauses = sorted(clauses, key=lambda cl: max(map(abs, cl)))
+    cuts = sorted(rng.sample(range(1, len(clauses)), rng.randint(1, 3)))
+    parts = [clauses[a:b] for a, b in zip([0] + cuts, cuts + [len(clauses)])]
+    out, top = [], 0
+    for part in parts:
+        top = max([top] + [abs(l) for cl in part for l in cl])
+        out.append(F(part, top if part is not parts[-1] else n))
+    return out
+
+
+def test_incremental_verdicts_equal_fresh_solves_of_the_union():
+    rng = random.Random(2024)
+    unsat_seen = grown = 0
+    for trial in range(150):
+        n = rng.randint(4, 10)
+        clauses = random_3sat(rng, n, rng.randint(2 * n, 5 * n))
+        chunks = _chunks(rng, clauses, n)
+        solver = Solver(seed=trial % 3)
+        union = []
+        for k, chunk in enumerate(chunks):
+            union += chunk.clauses
+            whole = F(union, chunk.n_vars)
+            r = solve(chunk, SolverConfig(seed=trial % 3), solver)
+            assert r.status is solve(whole).status
+            assert (r.status is SolveStatus.SAT) == cnf_is_satisfiable(union, chunk.n_vars)
+            if r.status is SolveStatus.SAT:
+                assert verify_model(whole, r.model)
+            else:
+                unsat_seen += 1
+            grown += k > 0 and chunk.n_vars > chunks[k - 1].n_vars
+    assert unsat_seen >= 20 and grown >= 20
+
+
+def test_level_zero_literals_in_later_chunks():
+    solver = Solver()
+    r = solve(F([[1], [-2], [1, 2, 3]], 3), solver=solver)
+    assert r.status is SolveStatus.SAT and r.model[1] and not r.model[2]
+    watched = len(solver.clauses)
+    # (1 ∨ 4) is true at level 0 and skipped; -1 and 2 are false there and
+    # dropped: (-1 ∨ 3 ∨ 4) is watched as (3 ∨ 4), (-1 ∨ 2 ∨ 5) becomes the
+    # unit 5, and (4 ∨ -5 ∨ 3) is watched as given
+    r = solve(F([[1, 4], [-1, 3, 4], [-1, 2, 5], [4, -5, 3]], 5), solver=solver)
+    assert r.status is SolveStatus.SAT and r.model[5]
+    assert [sorted(cl) for cl in solver.clauses[watched:watched + 2]] == [[3, 4], [-5, 3, 4]]
+    assert verify_model(solver.loaded, r.model)
+    r = solve(F([[-3]], 5), solver=solver)
+    assert r.status is SolveStatus.SAT and r.model[4] and not r.model[3]
+    # every literal false at level 0: the formula turns UNSAT for good
+    r = solve(F([[-1, 2, -5]], 5), solver=solver)
+    assert r.status is SolveStatus.UNSAT and r.model is None
+    assert solve(F([[6]], 6), solver=solver).status is SolveStatus.UNSAT
+
+
+def test_chunk_that_turns_the_formula_unsat_by_search():
+    php = pigeonhole(5, 4)
+    solver = Solver()
+    at_most_one = [cl for cl in php.clauses if cl[0] < 0]
+    at_least_one = [cl for cl in php.clauses if cl[0] > 0]
+    assert solve(F(at_most_one, php.n_vars), solver=solver).status is SolveStatus.SAT
+    r = solve(F(at_least_one, php.n_vars), solver=solver)
+    assert r.status is SolveStatus.UNSAT and r.stats.conflicts > 0
+    # UNSAT is final: later calls answer without search
+    r = solve(F([[php.n_vars + 1]], php.n_vars + 1), solver=solver)
+    assert r.status is SolveStatus.UNSAT
+    assert (r.stats.decisions, r.stats.propagations, r.stats.conflicts) == (0, 0, 0)
+
+
+def test_stats_are_per_call():
+    f = F(random_3sat(random.Random(1), 30, 128), 30)
+    fresh = solve(f)
+    solver = Solver()
+    first = solve(f, solver=solver)
+    assert (first.stats.decisions, first.stats.propagations, first.stats.conflicts) == \
+           (fresh.stats.decisions, fresh.stats.propagations, fresh.stats.conflicts)
+    # saved phases replay the model: no conflict, at most one assignment per variable
+    again = solve(F([], 30), solver=solver)
+    assert again.status is SolveStatus.SAT and again.model == first.model
+    assert again.stats.conflicts == 0
+    assert again.stats.decisions + again.stats.propagations <= 30
+
+
+def test_later_call_can_time_out():
+    solver = Solver()
+    assert solve(F([[1, 2]], 2), solver=solver).status is SolveStatus.SAT
+    hard = pigeonhole(9, 8)
+    shifted = F([[l + 2 if l > 0 else l - 2 for l in cl] for cl in hard.clauses],
+                hard.n_vars + 2)
+    r = solve(shifted, SolverConfig(timeout_seconds=0.02), solver)
+    assert r.status is SolveStatus.TIMEOUT and r.model is None
+    assert r.stats.conflicts > 0
+
+
+def test_incremental_determinism_and_seed_check():
+    rng = random.Random(8)
+    clauses = random_3sat(rng, 12, 50)
+    chunks = _chunks(rng, clauses, 12)
+
+    def run():
+        solver = Solver(seed=5)
+        return [(r.status, r.model, r.stats.decisions, r.stats.propagations,
+                 r.stats.conflicts)
+                for r in (solve(c, SolverConfig(seed=5), solver) for c in chunks)]
+
+    assert run() == run()
+    with pytest.raises(ValueError, match="seed"):
+        solve(chunks[0], SolverConfig(seed=1), Solver(seed=5))
+
+
+def test_model_checked_against_every_loaded_clause(monkeypatch):
+    checked = []
+    monkeypatch.setattr(locktime.satsolve, "verify_model",
+                        lambda f, model: checked.append(list(f.clauses)) or True)
+    solver = Solver()
+    solve(F([[1, 2]], 2), solver=solver)
+    solve(F([[-1, 3]], 3), solver=solver)
+    assert checked[-1] == [(1, 2), (-1, 3)]
