@@ -106,10 +106,8 @@ class Solver:
 
     UNASSIGNED = -1
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-        self.cfg = SolverConfig(seed=seed)
-        self.rng = np.random.default_rng(seed)
+    def __init__(self):
+        self.rng = None  # seeded by the first call's config
         self.n = 0
         self.loaded = CnfFormula([], 0)
         self.assigns: list[int] = []
@@ -165,7 +163,7 @@ class Solver:
             return
         true0 = set(self.trail)  # after backtrack(0): exactly the level-0 literals
         false0 = {-l for l in self.trail}
-        clauses, watches = self.clauses, self.watches
+        clauses, watches, lidx = self.clauses, self.watches, self._lidx
         units = []
         for cl in f.clauses:
             if not true0.isdisjoint(cl):
@@ -180,9 +178,8 @@ class Solver:
             if len(out) > 1:
                 ci = len(clauses)
                 clauses.append(out)
-                a, b = out[0], out[1]
-                watches[(a << 1) if a > 0 else ((-a << 1) | 1)].append(ci)
-                watches[(b << 1) if b > 0 else ((-b << 1) | 1)].append(ci)
+                watches[lidx(out[0])].append(ci)
+                watches[lidx(out[1])].append(ci)
             elif out:
                 units.append(out[0])
             else:
@@ -223,6 +220,8 @@ class Solver:
         deadline = None if cfg.timeout_seconds is None \
             else t0 + cfg.timeout_seconds
         self.cfg = cfg
+        if self.rng is None:
+            self.rng = np.random.default_rng(cfg.seed)
         self.stats = SolverStats()
         try:
             self._load(f)
@@ -406,15 +405,11 @@ def solve(f: CnfFormula, config: SolverConfig | None = None,
 
     With ``solver``, ``f`` holds only the clauses added since that
     solver's last call and the answer is for everything loaded so far;
-    the solver keeps the seed it was made with.  Every SAT model is
-    checked against all clauses the solver holds.
+    the seed of the solver's first call chooses all its phases.  Every
+    SAT model is checked against all clauses the solver holds.
     """
     cfg = config or SolverConfig()
-    if solver is None:
-        solver = Solver(cfg.seed)
-    elif cfg.seed != solver.seed:
-        raise ValueError(f"config seed {cfg.seed} differs from the solver's "
-                         f"seed {solver.seed}")
+    solver = solver or Solver()
     result = solver._run(f, cfg)
     if result.status is SolveStatus.SAT and not verify_model(solver.loaded,
                                                              result.model):

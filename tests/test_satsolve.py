@@ -211,7 +211,7 @@ def test_incremental_verdicts_equal_fresh_solves_of_the_union():
         n = rng.randint(4, 10)
         clauses = random_3sat(rng, n, rng.randint(2 * n, 5 * n))
         chunks = _chunks(rng, clauses, n)
-        solver = Solver(seed=trial % 3)
+        solver = Solver()
         union = []
         for k, chunk in enumerate(chunks):
             union += chunk.clauses
@@ -286,20 +286,27 @@ def test_later_call_can_time_out():
     assert r.stats.conflicts > 0
 
 
-def test_incremental_determinism_and_seed_check():
+def test_incremental_determinism():
     rng = random.Random(8)
     clauses = random_3sat(rng, 12, 50)
     chunks = _chunks(rng, clauses, 12)
 
     def run():
-        solver = Solver(seed=5)
+        solver = Solver()
         return [(r.status, r.model, r.stats.decisions, r.stats.propagations,
                  r.stats.conflicts)
                 for r in (solve(c, SolverConfig(seed=5), solver) for c in chunks)]
 
     assert run() == run()
-    with pytest.raises(ValueError, match="seed"):
-        solve(chunks[0], SolverConfig(seed=1), Solver(seed=5))
+
+
+def test_first_call_seeds_the_solver():
+    f = F(random_3sat(random.Random(3), 30, 120), 30)
+    for seed in (0, 7):
+        fresh = solve(f, SolverConfig(seed=seed))
+        first = solve(f, SolverConfig(seed=seed), Solver())
+        assert (first.model, first.stats.decisions, first.stats.conflicts) == \
+               (fresh.model, fresh.stats.decisions, fresh.stats.conflicts)
 
 
 def test_model_checked_against_every_loaded_clause(monkeypatch):
