@@ -23,7 +23,7 @@ from .obfuscate import (
     replace_with_lut,
 )
 from .cnf import CnfFormula, build_miter, parse_dimacs, to_dimacs, tseitin
-from .satsolve import SolveResult, SolverConfig, SolveStatus, solve
+from .satsolve import SolveResult, SolveStatus, solve
 from .attack import AttackResult, AttackStatus, runtime_labels, sat_attack
 from .icnet import (
     Model,

@@ -26,10 +26,11 @@ import numpy as np
 from .cnf import CnfFormula, add_dip_constraint, build_miter
 from .netlist import Circuit, all_input_vectors, simulate, simulate_many
 from .obfuscate import ObfuscationInstance
-from .satsolve import Solver, SolverConfig, SolverStats, SolveStatus, solve
+from .satsolve import Solver, SolverStats, SolveStatus, solve
 
 EXHAUSTIVE_PI_LIMIT = 16
 RANDOM_VERIFY_VECTORS = 1000
+VERIFY_SEED = 0  # seeds the random verification vectors
 
 
 class AttackStatus:
@@ -40,8 +41,7 @@ class AttackStatus:
 @dataclass
 class AttackResult:
     recovered_key: tuple[int, ...] | None
-    dips: list[tuple[int, ...]]
-    iterations: int
+    dips: list[tuple[int, ...]]  # one per DIP-loop iteration
     wall_seconds: float
     total_stats: SolverStats
     status: str
@@ -50,17 +50,17 @@ class AttackResult:
 LABEL_KINDS = ("wall_seconds", "log1p_seconds", "conflicts", "log1p_conflicts")
 
 
-def verification_vectors(c: Circuit, seed: int = 0) -> np.ndarray:
+def verification_vectors(c: Circuit) -> np.ndarray:
     """Exhaustive inputs when |PI| <= 16, else 1000 seeded random vectors."""
     n = len(c.primary_inputs)
     if n <= EXHAUSTIVE_PI_LIMIT:
         return all_input_vectors(n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VERIFY_SEED)
     return rng.integers(0, 2, size=(RANDOM_VERIFY_VECTORS, n), dtype=np.uint8)
 
 
-def keys_equivalent(base: Circuit, obf: Circuit, key, seed: int = 0) -> bool:
-    vecs = verification_vectors(base, seed)
+def keys_equivalent(base: Circuit, obf: Circuit, key) -> bool:
+    vecs = verification_vectors(base)
     return bool(np.array_equal(simulate_many(base, vecs),
                                simulate_many(obf, vecs, key)))
 
@@ -81,21 +81,18 @@ def sat_attack(inst: ObfuscationInstance,
             return None
         return max(deadline - time.perf_counter(), 1e-9)
 
-    def cfg():
-        return SolverConfig(timeout_seconds=remaining())
-
     total = SolverStats()
     dips: list[tuple[int, ...]] = []
 
     def done(key, status):
-        return AttackResult(key, dips, len(dips), time.perf_counter() - t0,
+        return AttackResult(key, dips, time.perf_counter() - t0,
                             total, status)
 
     miter = build_miter(inst.obfuscated)
     solver = Solver()
     batch = CnfFormula(miter.clauses + miter.diff_clauses, miter.n_vars)
     while True:
-        res = solve(batch, cfg(), solver)
+        res = solve(batch, remaining(), solver)
         total = total.merged(res.stats)
         if res.status is SolveStatus.TIMEOUT:
             return done(None, AttackStatus.TIMEOUT)
@@ -108,7 +105,7 @@ def sat_attack(inst: ObfuscationInstance,
         add_dip_constraint(miter, dip, oracle_out)
         batch = CnfFormula(miter.clauses[loaded:], miter.n_vars)
 
-    res = solve(miter.key_constraint_formula(), cfg())
+    res = solve(miter.key_constraint_formula(), remaining())
     total = total.merged(res.stats)
     if res.status is SolveStatus.TIMEOUT:
         return done(None, AttackStatus.TIMEOUT)
@@ -138,7 +135,7 @@ def attack_log_record(instance_id: str, inst: ObfuscationInstance,
     return {
         "id": instance_id,
         "n_locations": len(inst.locations),
-        "iterations": r.iterations,
+        "iterations": len(r.dips),
         "wall_seconds": r.wall_seconds,
         "decisions": r.total_stats.decisions,
         "propagations": r.total_stats.propagations,

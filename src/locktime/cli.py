@@ -139,7 +139,7 @@ def _cmd_attack(args) -> None:
            if r.recovered_key is not None else None)
     _emit({
         "status": r.status,
-        "iterations": r.iterations,
+        "iterations": len(r.dips),
         "dips": len(r.dips),
         "wall_seconds": r.wall_seconds,
         "decisions": r.total_stats.decisions,

@@ -131,14 +131,13 @@ def _generate_one(base: Circuit, kind: ObfuscationKind, n_locations: int,
     inst = random_obfuscate(base, n_locations, kind, obf_seed)
     r = sat_attack(inst, timeout_seconds=timeout)
     rec = DatasetRecord(rec_id, inst, runtime_labels(r),
-                        r.status == AttackStatus.TIMEOUT, r.iterations, r.status)
+                        r.status == AttackStatus.TIMEOUT, len(r.dips), r.status)
     return rec, attack_log_record(rec_id, inst, r)
 
 
 def generate_records(base: Circuit, count: int, kind: ObfuscationKind,
                      location_range, seed: int,
-                     timeout_seconds: float | None = None, workers: int = 1,
-                     id_prefix: str = "inst-"):
+                     timeout_seconds: float | None = None, workers: int = 1):
     """Lock, attack, and label ``count`` instances; returns (records, logs).
 
     Each instance draws its location count and locking seed from an
@@ -160,7 +159,7 @@ def generate_records(base: Circuit, count: int, kind: ObfuscationKind,
         n_loc = int(rng.integers(lo, hi + 1))
         obf_seed = int(rng.integers(0, 2**31 - 1))
         tasks.append((base, kind, n_loc, obf_seed, timeout_seconds,
-                      f"{id_prefix}{i:05d}"))
+                      f"inst-{i:05d}"))
     if workers > 1:
         with get_context("spawn").Pool(workers) as pool:
             done = pool.starmap(_generate_one, tasks)

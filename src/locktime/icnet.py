@@ -58,6 +58,7 @@ FEATURE_SETS = ("location_only", "all_features")
 
 CHECKPOINT_FORMAT = "icnet-checkpoint"
 CHECKPOINT_VERSION = 2
+TEST_FRACTION = 0.2  # share of usable samples held out by train's split
 
 
 @dataclass(frozen=True)
@@ -372,14 +373,12 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def split_indices(n: int, seed: int, test_fraction: float = 0.2):
+def split_indices(n: int, seed: int):
     """Seeded disjoint-and-exhaustive train/test split."""
-    if not 0.0 <= test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in [0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_test = int(round(n * test_fraction))
-    if test_fraction > 0 and n > 1:
+    n_test = int(round(n * TEST_FRACTION))
+    if n > 1:
         n_test = max(1, n_test)
     n_test = min(n_test, n - 1) if n > 0 else 0
     test = tuple(sorted(int(i) for i in order[:n_test]))
@@ -387,17 +386,17 @@ def split_indices(n: int, seed: int, test_fraction: float = 0.2):
     return train, test
 
 
-def train(dataset: list, config: ModelConfig, include_censored: bool = False,
-          test_fraction: float = 0.2) -> TrainResult:
+def train(dataset: list, config: ModelConfig) -> TrainResult:
     """Alg.-style loop: split, shuffle, batch, ADAM, stop on convergence.
 
-    Stopping uses the train loss only; the held-out split's mse is logged
-    per epoch as val_mse for reporting.
+    Censored samples are left out.  Stopping uses the train loss only;
+    the held-out split's mse is logged per epoch as val_mse for
+    reporting.
     """
-    usable = [s for s in dataset if include_censored or not s.censored]
+    usable = [s for s in dataset if not s.censored]
     if not usable:
         raise ValueError("dataset is empty (or fully censored)")
-    train_idx, test_idx = split_indices(len(usable), config.seed, test_fraction)
+    train_idx, test_idx = split_indices(len(usable), config.seed)
     train_set = [usable[i] for i in train_idx]
     test_set = [usable[i] for i in test_idx]
     if len(train_set) < 2:
@@ -419,7 +418,7 @@ def train(dataset: list, config: ModelConfig, include_censored: bool = False,
             new_params, state = adam_step(model.params, grads, state)
             model = Model(model.config, new_params)
         train_mse = batch_mse(model, train_set)
-        val_mse = batch_mse(model, test_set) if test_set else float("nan")
+        val_mse = batch_mse(model, test_set)
         log.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse,
                     "wall_seconds": time.perf_counter() - t0})
         history.append(train_mse)

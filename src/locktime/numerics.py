@@ -92,20 +92,22 @@ def init_params(feature_dim: int, hidden_dims, seed: int = 0) -> ParamStore:
     return ParamStore(arrays)
 
 
+# ADAM's moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: ParamStore
     v: ParamStore
     t: int
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
 
 
-def init_adam(params: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(params.zeros_like(), params.zeros_like(), 0, lr, beta1, beta2, eps)
+def init_adam(params: ParamStore, lr: float = 1e-3) -> AdamState:
+    return AdamState(params.zeros_like(), params.zeros_like(), 0, lr)
 
 
 def adam_step(params: ParamStore, grads: ParamStore,
@@ -123,13 +125,13 @@ def adam_step(params: ParamStore, grads: ParamStore,
             return params, state
     t = state.t + 1
     new_p, new_m, new_v = {}, {}, {}
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for k, g in grads.arrays.items():
         m = b1 * state.m.arrays[k] + (1 - b1) * g
         v = b2 * state.v.arrays[k] + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        new_p[k] = params.arrays[k] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new_p[k] = params.arrays[k] - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[k] = m
         new_v[k] = v
     return ParamStore(new_p), replace(state, m=ParamStore(new_m), v=ParamStore(new_v), t=t)

@@ -82,13 +82,13 @@ def _fresh_key_name(c: Circuit) -> str:
     return f"{KEY_INPUT_PREFIX}{i}"
 
 
-def insert_keygate(c: Circuit, gate_id: int, kind: str, key_bit: int) -> Circuit:
+def insert_keygate(c: Circuit, gate_id: int, kind: str) -> Circuit:
     """Splice an XOR/XNOR key-gate after ``gate_id``.
 
     The key-gate takes over the locked gate's name and id; the original
     gate is appended under ``<name>$in`` and a fresh key input under
-    ``keyinput<i>``.  ``key_bit`` must be the transparent polarity: 0 for
-    XOR, 1 for XNOR.
+    ``keyinput<i>``.  The gate is transparent under key bit 0 for XOR
+    and 1 for XNOR.
     """
     if not 0 <= gate_id < c.n:
         raise ValueError(f"gate id {gate_id} does not exist")
@@ -96,13 +96,11 @@ def insert_keygate(c: Circuit, gate_id: int, kind: str, key_bit: int) -> Circuit
     if target.type is GateType.INPUT:
         raise ValueError(f"cannot insert a key-gate after input {target.name!r}")
     if kind == "xor":
-        gtype, want = GateType.XOR, 0
+        gtype = GateType.XOR
     elif kind == "xnor":
-        gtype, want = GateType.XNOR, 1
+        gtype = GateType.XNOR
     else:
         raise ValueError(f"key-gate kind must be 'xor' or 'xnor', got {kind!r}")
-    if key_bit != want:
-        raise ValueError(f"{kind} key-gate is transparent only under key {want}, got {key_bit}")
 
     inner_id, key_id = c.n, c.n + 1
     gates = list(c.gates)
@@ -193,7 +191,7 @@ def apply_at_locations(base: Circuit, kind: ObfuscationKind,
     if kind.scheme in ("xor", "xnor"):
         bit = 0 if kind.scheme == "xor" else 1
         for g in locations:
-            cur = insert_keygate(cur, g, kind.scheme, bit)
+            cur = insert_keygate(cur, g, kind.scheme)
             key_truth.append(bit)
     else:
         for g in locations:

@@ -2,20 +2,20 @@
 
 Features: two-watched-literal unit propagation, VSIDS-style decaying
 activity with lowest-index tie-break, first-UIP clause learning with
-non-chronological backjumping, optional Luby restarts, and a wall clock
-timeout reported as a distinct status.
+non-chronological backjumping, and a wall clock timeout reported as a
+distinct status.
 
 A :class:`Solver` can live across calls (MiniSat style, Eén & Sörensson,
-SAT 2003): each ``solve(f, cfg, solver)`` loads only the clauses of ``f``
-at decision level 0 and searches again.  Variables grow with the formulas
-loaded; activities, saved phases and learnt clauses carry over.  A plain
-``solve(f, cfg)`` is the same code on a fresh, empty solver.
+SAT 2003): each ``solve(f, timeout_seconds, solver)`` loads only the
+clauses of ``f`` at decision level 0 and searches again.  Variables grow
+with the formulas loaded; activities, saved phases and learnt clauses
+carry over.  A plain ``solve(f)`` is the same code on a fresh, empty
+solver.
 
-Determinism contract: identical call sequences of (clauses added, config)
-give identical statuses, models and effort counters across runs and
-machines; the seed only chooses initial decision phases.
-``wall_seconds`` is the single nondeterministic field.  Stats are per
-call.
+Determinism contract: identical call sequences of clauses give
+identical statuses, models and effort counters across runs and
+machines.  ``wall_seconds`` is the single nondeterministic field.
+Stats are per call.
 
 Counter semantics: ``decisions`` counts branch assignments,
 ``propagations`` counts literals enqueued with a reason (unit
@@ -35,23 +35,16 @@ import numpy as np
 from .cnf import CnfFormula
 
 
+# VSIDS: each conflict scales all earlier activity by this factor
+ACTIVITY_DECAY = 0.95
+# seeds the generator that draws each new variable's initial phase
+PHASE_SEED = 0
+
+
 class SolveStatus(Enum):
     SAT = "SAT"
     UNSAT = "UNSAT"
     TIMEOUT = "TIMEOUT"
-
-
-@dataclass
-class SolverConfig:
-    restarts: bool = False
-    seed: int = 0
-    timeout_seconds: float | None = None
-    decay: float = 0.95
-    restart_interval: int = 64  # conflicts per Luby unit
-
-    def __post_init__(self):
-        if not 0 < self.decay <= 1:
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
 
 
 @dataclass
@@ -75,17 +68,6 @@ class SolveResult:
     stats: SolverStats = field(default_factory=SolverStats)
 
 
-def luby(i: int) -> int:
-    """Luby restart sequence 1,1,2,1,1,2,4,... (1-indexed)."""
-    if i < 1:
-        raise ValueError("luby index starts at 1")
-    while True:
-        k = i.bit_length()  # 2^(k-1) <= i < 2^k
-        if i == (1 << k) - 1:
-            return 1 << (k - 1)
-        i -= (1 << (k - 1)) - 1
-
-
 def verify_model(f: CnfFormula, model: dict) -> bool:
     """True iff ``model`` (a full var -> bool map) satisfies every clause."""
     if not all(map(model.__contains__, range(1, f.n_vars + 1))):
@@ -107,7 +89,7 @@ class Solver:
     UNASSIGNED = -1
 
     def __init__(self):
-        self.rng = None  # seeded by the first call's config
+        self.rng = np.random.default_rng(PHASE_SEED)
         self.n = 0
         self.loaded = CnfFormula([], 0)
         self.assigns: list[int] = []
@@ -214,14 +196,10 @@ class Solver:
 
     # --- search ---
 
-    def _run(self, f: CnfFormula, cfg: SolverConfig) -> SolveResult:
-        """Load ``f``, then search under ``cfg``; stats cover this call only."""
+    def _run(self, f: CnfFormula, timeout_seconds: float | None) -> SolveResult:
+        """Load ``f``, then search; stats cover this call only."""
         t0 = time.perf_counter()
-        deadline = None if cfg.timeout_seconds is None \
-            else t0 + cfg.timeout_seconds
-        self.cfg = cfg
-        if self.rng is None:
-            self.rng = np.random.default_rng(cfg.seed)
+        deadline = None if timeout_seconds is None else t0 + timeout_seconds
         self.stats = SolverStats()
         try:
             self._load(f)
@@ -235,9 +213,6 @@ class Solver:
     def _search(self, deadline):
         if not self.ok:
             return SolveStatus.UNSAT, None
-        restart_round = 1
-        conflicts_here = 0
-        budget = self.cfg.restart_interval * luby(restart_round)
         check = 0
         while True:
             check += 1
@@ -247,7 +222,6 @@ class Solver:
             confl = self._propagate()
             if confl is not None:
                 self.stats.conflicts += 1
-                conflicts_here += 1
                 if not self.trail_lim:
                     return SolveStatus.UNSAT, None
                 learnt, back_level = self._analyze(confl)
@@ -255,11 +229,6 @@ class Solver:
                 if not self._learn(learnt):
                     return SolveStatus.UNSAT, None
                 self._decay_activity()
-                if self.cfg.restarts and conflicts_here >= budget:
-                    restart_round += 1
-                    conflicts_here = 0
-                    budget = self.cfg.restart_interval * luby(restart_round)
-                    self._backtrack(0)
                 continue
 
             v = self._pick_branch()
@@ -325,7 +294,7 @@ class Solver:
         return v
 
     def _decay_activity(self):
-        self.var_inc /= self.cfg.decay
+        self.var_inc /= ACTIVITY_DECAY
         if self.var_inc > 1e100:
             self.activity[1:] *= 1e-100
             self.var_inc *= 1e-100
@@ -399,18 +368,18 @@ class Solver:
         self.qhead = min(self.qhead, len(self.trail))
 
 
-def solve(f: CnfFormula, config: SolverConfig | None = None,
+def solve(f: CnfFormula, timeout_seconds: float | None = None,
           solver: Solver | None = None) -> SolveResult:
     """Decide a formula; see module docstring for the determinism contract.
 
-    With ``solver``, ``f`` holds only the clauses added since that
-    solver's last call and the answer is for everything loaded so far;
-    the seed of the solver's first call chooses all its phases.  Every
-    SAT model is checked against all clauses the solver holds.
+    ``timeout_seconds`` bounds this call's wall time; past it the status
+    is TIMEOUT.  With ``solver``, ``f`` holds only the clauses added
+    since that solver's last call and the answer is for everything
+    loaded so far.  Every SAT model is checked against all clauses the
+    solver holds.
     """
-    cfg = config or SolverConfig()
     solver = solver or Solver()
-    result = solver._run(f, cfg)
+    result = solver._run(f, timeout_seconds)
     if result.status is SolveStatus.SAT and not verify_model(solver.loaded,
                                                              result.model):
         raise RuntimeError("internal error: model check failed")

@@ -124,7 +124,7 @@ def test_cnf_formula_validation():
 
 def _tiny_locked():
     base = parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
-    return base, insert_keygate(base, base.name_to_id["z"], "xor", 0)
+    return base, insert_keygate(base, base.name_to_id["z"], "xor")
 
 
 def test_miter_requires_keys(c17):

@@ -376,22 +376,18 @@ def test_split_indices_disjoint_exhaustive_seeded():
     assert sorted(tr + te) == list(range(20))
     assert split_indices(20, seed=3) == (tr, te)
     assert split_indices(20, seed=4) != (tr, te)
-    tr0, te0 = split_indices(5, seed=0, test_fraction=0.0)
-    assert te0 == () and len(tr0) == 5
-    with pytest.raises(ValueError):
-        split_indices(5, seed=0, test_fraction=1.0)
 
 
 def test_train_memorizes_tiny_dataset():
     # full-width features: a bias-free net with a single input column
     # collapses to multiples of A@A@x and cannot fit arbitrary labels
     rng = np.random.default_rng(30)
-    samples = make_samples(rng, 4, n=5, f=11)
+    samples = make_samples(rng, 5, n=5, f=11)
     cfg = ModelConfig(conv_layers=2, hidden_dims=(8, 4),
                       feature_set="all_features", learning_rate=0.02,
                       max_epochs=3000, convergence_tol=0.0, batch_size=4,
                       seed=2)
-    res = train(samples, cfg, test_fraction=0.0)
+    res = train(samples, cfg)  # the 80/20 split trains on four
     final = res.log[-1]["train_mse"]
     assert final < 1e-6, f"train mse {final}"
 
@@ -447,8 +443,6 @@ def test_censored_samples_excluded_by_default():
     cfg = dataclasses.replace(SMALL, max_epochs=3)
     res = train(samples, cfg)
     assert len(res.train_indices) + len(res.test_indices) == 9
-    res_all = train(samples, cfg, include_censored=True)
-    assert len(res_all.train_indices) + len(res_all.test_indices) == 10
 
 
 def test_exp_head_beats_linear_head_on_exponential_labels():

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from locktime.numerics import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     NonFiniteError,
     ParamStore,
@@ -199,7 +202,7 @@ def test_adam_shape_mismatch_rejected():
 def test_adam_state_defaults():
     st = init_adam(_scalar_store(w=0.0))
     assert isinstance(st, AdamState)
-    assert (st.beta1, st.beta2, st.eps) == (0.9, 0.999, 1e-8)
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
     assert st.lr == 1e-3 and st.t == 0
 
 

@@ -37,7 +37,7 @@ def test_kind_parse_roundtrip():
 
 def test_xor_keygate_transparent(c17):
     gid = c17.name_to_id["11"]
-    locked = insert_keygate(c17, gid, "xor", 0)
+    locked = insert_keygate(c17, gid, "xor")
     assert len(locked.key_inputs) == 1
     assert locked.gates[gid].type is GateType.XOR
     assert locked.gates[gid].name == "11"  # key-gate takes over the net name
@@ -45,33 +45,26 @@ def test_xor_keygate_transparent(c17):
 
 
 def test_xnor_keygate_transparent(c17):
-    locked = insert_keygate(c17, c17.name_to_id["22"], "xnor", 1)
+    locked = insert_keygate(c17, c17.name_to_id["22"], "xnor")
     assert equivalent(c17, locked, [1])
 
 
 def test_wrong_key_flips_some_output(c17):
     for name in ("10", "11", "16", "19", "22", "23"):
-        locked = insert_keygate(c17, c17.name_to_id[name], "xor", 0)
+        locked = insert_keygate(c17, c17.name_to_id[name], "xor")
         assert not equivalent(c17, locked, [1]), f"wrong key undetected at {name}"
-
-
-def test_keygate_rejects_wrong_polarity(c17):
-    with pytest.raises(ValueError):
-        insert_keygate(c17, c17.name_to_id["10"], "xor", 1)
-    with pytest.raises(ValueError):
-        insert_keygate(c17, c17.name_to_id["10"], "xnor", 0)
 
 
 def test_keygate_rejects_inputs_and_bad_ids(c17):
     with pytest.raises(ValueError):
-        insert_keygate(c17, c17.primary_inputs[0], "xor", 0)
+        insert_keygate(c17, c17.primary_inputs[0], "xor")
     with pytest.raises(ValueError):
-        insert_keygate(c17, 999, "xor", 0)
+        insert_keygate(c17, 999, "xor")
 
 
 def test_keygate_on_primary_output(c17):
     gid = c17.name_to_id["23"]
-    locked = insert_keygate(c17, gid, "xor", 0)
+    locked = insert_keygate(c17, gid, "xor")
     assert locked.primary_outputs == c17.primary_outputs  # same ids still valid
     assert equivalent(c17, locked, [0])
 

@@ -8,10 +8,8 @@ from locktime.cnf import CnfFormula, tseitin
 from locktime.netlist import all_input_vectors, simulate
 from locktime.satsolve import (
     Solver,
-    SolverConfig,
     SolverStats,
     SolveStatus,
-    luby,
     solve,
     verify_model,
 )
@@ -55,19 +53,13 @@ def test_empty_formula_and_free_vars():
     assert solve(F([], 0)).status is SolveStatus.SAT
 
 
-@pytest.mark.parametrize("cfg", [
-    SolverConfig(),
-    SolverConfig(restarts=True, restart_interval=4, seed=7),
-    SolverConfig(restarts=True, restart_interval=4),
-    SolverConfig(seed=99),
-])
-def test_random_3sat_vs_enumeration(cfg):
+def test_random_3sat_vs_enumeration():
     rng = random.Random(101)
     for _ in range(120):
         n = rng.randint(3, 8)
         clauses = random_3sat(rng, n, rng.randint(int(3 * n), 5 * n))
         f = F(clauses, n)
-        r = solve(f, cfg)
+        r = solve(f)
         expect = cnf_is_satisfiable(clauses, n)
         assert (r.status is SolveStatus.SAT) == expect
         if r.status is SolveStatus.SAT:
@@ -112,7 +104,7 @@ def test_determinism_full_counters():
     rng = random.Random(5)
     clauses = random_3sat(rng, 12, 50)
     f = F(clauses, 12)
-    runs = [solve(f, SolverConfig(seed=3, restarts=True)) for _ in range(3)]
+    runs = [solve(f) for _ in range(3)]
     for r in runs[1:]:
         assert r.status is runs[0].status
         assert r.model == runs[0].model
@@ -120,18 +112,8 @@ def test_determinism_full_counters():
                (runs[0].stats.decisions, runs[0].stats.propagations, runs[0].stats.conflicts)
 
 
-def test_seed_only_changes_phases_not_status():
-    rng = random.Random(6)
-    for _ in range(10):
-        clauses = random_3sat(rng, 8, 30)
-        f = F(clauses, 8)
-        s0 = solve(f, SolverConfig(seed=0)).status
-        s1 = solve(f, SolverConfig(seed=1)).status
-        assert s0 is s1
-
-
 def test_timeout_is_distinct_status():
-    r = solve(pigeonhole(9, 8), SolverConfig(timeout_seconds=0.02))
+    r = solve(pigeonhole(9, 8), timeout_seconds=0.02)
     assert r.status is SolveStatus.TIMEOUT
     assert r.model is None
     assert r.stats.wall_seconds >= 0.0
@@ -141,10 +123,6 @@ def test_failed_model_check_raises(monkeypatch):
     monkeypatch.setattr(locktime.satsolve, "verify_model", lambda f, model: False)
     with pytest.raises(RuntimeError, match="model check failed"):
         solve(F([[1, 2]], 2))
-
-
-def test_luby_sequence():
-    assert [luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
 
 def test_verify_model():
@@ -207,7 +185,7 @@ def _chunks(rng, clauses, n):
 def test_incremental_verdicts_equal_fresh_solves_of_the_union():
     rng = random.Random(2024)
     unsat_seen = grown = 0
-    for trial in range(150):
+    for _ in range(150):
         n = rng.randint(4, 10)
         clauses = random_3sat(rng, n, rng.randint(2 * n, 5 * n))
         chunks = _chunks(rng, clauses, n)
@@ -216,7 +194,7 @@ def test_incremental_verdicts_equal_fresh_solves_of_the_union():
         for k, chunk in enumerate(chunks):
             union += chunk.clauses
             whole = F(union, chunk.n_vars)
-            r = solve(chunk, SolverConfig(seed=trial % 3), solver)
+            r = solve(chunk, solver=solver)
             assert r.status is solve(whole).status
             assert (r.status is SolveStatus.SAT) == cnf_is_satisfiable(union, chunk.n_vars)
             if r.status is SolveStatus.SAT:
@@ -281,7 +259,7 @@ def test_later_call_can_time_out():
     hard = pigeonhole(9, 8)
     shifted = F([[l + 2 if l > 0 else l - 2 for l in cl] for cl in hard.clauses],
                 hard.n_vars + 2)
-    r = solve(shifted, SolverConfig(timeout_seconds=0.02), solver)
+    r = solve(shifted, 0.02, solver)
     assert r.status is SolveStatus.TIMEOUT and r.model is None
     assert r.stats.conflicts > 0
 
@@ -295,18 +273,9 @@ def test_incremental_determinism():
         solver = Solver()
         return [(r.status, r.model, r.stats.decisions, r.stats.propagations,
                  r.stats.conflicts)
-                for r in (solve(c, SolverConfig(seed=5), solver) for c in chunks)]
+                for r in (solve(c, solver=solver) for c in chunks)]
 
     assert run() == run()
-
-
-def test_first_call_seeds_the_solver():
-    f = F(random_3sat(random.Random(3), 30, 120), 30)
-    for seed in (0, 7):
-        fresh = solve(f, SolverConfig(seed=seed))
-        first = solve(f, SolverConfig(seed=seed), Solver())
-        assert (first.model, first.stats.decisions, first.stats.conflicts) == \
-               (fresh.model, fresh.stats.decisions, fresh.stats.conflicts)
 
 
 def test_model_checked_against_every_loaded_clause(monkeypatch):

@@ -40,3 +40,67 @@ def test_every_import_is_used():
     sources += sorted(Path(__file__).resolve().parent.glob("*.py"))
     found = [hit for path in sources for hit in _unused_imports(path)]
     assert not found, f"unused imports: {found}"
+
+
+# defaulted parameters that no package or benchmark call sets, kept on purpose
+KNOB_EXEMPT = {
+    "main(argv)": "the CLI entry point; tests pass argv, the console script does not",
+    "simulate(key)": "the key is data, not a setting: unlocked circuits take none",
+    "fit_linear": "test-only baseline helper, to move out of the package",
+    "baseline_aggregate_features": "test-only baseline helper, to move out of the package",
+    "synthetic_mask_records": "test-only data helper, to move out of the package",
+}
+
+
+def _defaulted_params(path: Path):
+    """(param, callee name, positional index or None, line) per defaulted param."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                name = cls if cls and child.name == "__init__" else child.name
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0  # self, bound at the call
+                pos = a.posonlyargs + a.args
+                first = len(pos) - len(a.defaults)
+                out.extend((arg, name, i - skip) for i, arg in enumerate(pos) if i >= first)
+                out.extend((arg, name, None)
+                           for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return out
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no caller overrides is a constant in disguise: each
+    # value it could take is a configuration nobody runs
+    benchmarks = PACKAGE.parent.parent / "benchmarks"
+    calls = {}  # callee name -> calls
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(benchmarks.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, param, index):
+        return (any(k.arg in (None, param) for k in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or (index is not None and len(call.args) > index))
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for arg, name, index in _defaulted_params(path):
+            knob = f"{name}({arg.arg})"
+            if (knob not in KNOB_EXEMPT and name not in KNOB_EXEMPT and not any(
+                    passed(c, arg.arg, index) for c in calls.get(name, ()))):
+                found.append(f"{path.name}:{arg.lineno} {knob}")
+    assert not found, f"defaulted parameters no call sets: {found}"
