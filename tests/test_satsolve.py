@@ -53,17 +53,45 @@ def test_empty_formula_and_free_vars():
     assert solve(F([], 0)).status is SolveStatus.SAT
 
 
-def test_random_3sat_vs_enumeration():
+def _as_given(clauses, n, rng):
+    return [clauses]
+
+
+def _reversed(clauses, n, rng):
+    return [[list(reversed(c)) for c in reversed(clauses)]]
+
+
+def _renumbered(clauses, n, rng):
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return [[[perm[abs(l) - 1] * (1 if l > 0 else -1) for l in c]
+             for c in clauses]]
+
+
+def _in_two_halves(clauses, n, rng):
+    cut = len(clauses) // 2
+    return [clauses[:cut], clauses[cut:]]
+
+
+# Each cfg presents the same formula differently to the solver: clause
+# and literal order, variable numbering and incremental loading all steer
+# the search down another path, none may change the verdict.
+@pytest.mark.parametrize("cfg", [_as_given, _reversed, _renumbered, _in_two_halves],
+                         ids=["cfg0", "cfg1", "cfg2", "cfg3"])
+def test_random_3sat_vs_enumeration(cfg):
     rng = random.Random(101)
+    shuffle_rng = random.Random(7)
     for _ in range(120):
         n = rng.randint(3, 8)
         clauses = random_3sat(rng, n, rng.randint(int(3 * n), 5 * n))
-        f = F(clauses, n)
-        r = solve(f)
+        chunks = cfg(clauses, n, shuffle_rng)
+        solver = Solver()
+        for chunk in chunks:
+            r = solve(F(chunk, n), solver=solver)
         expect = cnf_is_satisfiable(clauses, n)
         assert (r.status is SolveStatus.SAT) == expect
         if r.status is SolveStatus.SAT:
-            assert verify_model(f, r.model)
+            assert verify_model(F([c for ch in chunks for c in ch], n), r.model)
 
 
 def test_unsat_answers_cross_checked():
