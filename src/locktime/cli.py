@@ -140,7 +140,6 @@ def _cmd_attack(args) -> None:
     _emit({
         "status": r.status,
         "iterations": len(r.dips),
-        "dips": len(r.dips),
         "wall_seconds": r.wall_seconds,
         "decisions": r.total_stats.decisions,
         "propagations": r.total_stats.propagations,

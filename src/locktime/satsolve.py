@@ -3,7 +3,8 @@
 Features: two-watched-literal unit propagation, VSIDS-style decaying
 activity with lowest-index tie-break, first-UIP clause learning with
 non-chronological backjumping, and a wall clock timeout reported as a
-distinct status.
+distinct status.  Values and watch lists are indexed by literal, and
+clauses are plain lists that watch lists and reasons hold directly.
 
 A :class:`Solver` can live across calls (MiniSat style, Eén & Sörensson,
 SAT 2003): each ``solve(f, timeout_seconds, solver)`` loads only the
@@ -84,23 +85,27 @@ class Solver:
     methods are internal.  Every clause loaded stays loaded, so the
     formula only ever grows.  ``loaded`` holds every input clause as
     given, against which each SAT model is checked.
-    """
 
-    UNASSIGNED = -1
+    ``val`` and ``watches`` hold ``+1..+n``, then ``-n..-1``, so negative
+    indexing makes ``val[lit]`` True, False or None (unassigned) and
+    ``watches[lit]`` the clauses watched by ``lit``, one of their first
+    two literals.  ``reason[v]`` is the clause that made ``v`` true, its
+    other literals all false, or None for a decision.
+    """
 
     def __init__(self):
         self.rng = np.random.default_rng(PHASE_SEED)
         self.n = 0
         self.loaded = CnfFormula([], 0)
-        self.assigns: list[int] = []
+        self.val: list[bool | None] = [None]  # index 0 is not a literal
+        self.watches: list[list[list[int]]] = [[]]
         self.level: list[int] = []
-        self.reason: list[int] = []  # clause index, -1 for decisions
+        self.reason: list[list[int] | None] = []
         self.phase: list[int] = []
         self.trail: list[int] = []  # literals in assignment order (true literals)
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.clauses: list[list[int]] = []  # watched: input, then learnt
-        self.watches: list[list[int]] = []
         self.activity = np.zeros(0, dtype=np.float64)
         self.unassigned = np.zeros(0, dtype=bool)
         self.var_inc = 1.0
@@ -110,24 +115,26 @@ class Solver:
     # --- clause plumbing ---
 
     def _grow(self, n: int):
-        """Extend every per-variable array to variables ``1..n``.
+        """Extend every per-variable and per-literal list to variables ``1..n``.
 
         A fresh solver draws n + 1 phases (index 0 included) at once, so
         its phases equal a one-shot solver's; later variables draw on.
+        New literals are spliced in between ``+old_n`` and ``-old_n``.
         """
-        k = n + 1 - len(self.assigns)
+        k = n + 1 - len(self.level)
         if k <= 0:
             return
-        self.n = n
-        self.assigns += [self.UNASSIGNED] * k
         self.level += [0] * k
-        self.reason += [-1] * k
+        self.reason += [None] * k
         self.phase += self.rng.integers(0, 2, size=k, dtype=np.int64).tolist()
-        self.watches += [[] for _ in range(2 * k)]
         self.activity = np.concatenate([self.activity, np.zeros(k)])
         self.unassigned = np.concatenate([self.unassigned, np.ones(k, dtype=bool)])
         self.activity[0] = -np.inf  # index 0 is not a variable
         self.unassigned[0] = False
+        at, new = self.n + 1, 2 * (n - self.n)
+        self.val[at:at] = [None] * new
+        self.watches[at:at] = [[] for _ in range(new)]
+        self.n = n
 
     def _load(self, f: CnfFormula):
         """Add ``f``'s clauses at decision level 0.
@@ -145,7 +152,7 @@ class Solver:
             return
         true0 = set(self.trail)  # after backtrack(0): exactly the level-0 literals
         false0 = {-l for l in self.trail}
-        clauses, watches, lidx = self.clauses, self.watches, self._lidx
+        clauses, watches = self.clauses, self.watches
         units = []
         for cl in f.clauses:
             if not true0.isdisjoint(cl):
@@ -158,39 +165,30 @@ class Solver:
                 cl = dict.fromkeys(cl)  # drop repeats, keep first order
             out = list(cl)
             if len(out) > 1:
-                ci = len(clauses)
                 clauses.append(out)
-                watches[lidx(out[0])].append(ci)
-                watches[lidx(out[1])].append(ci)
+                watches[out[0]].append(out)
+                watches[out[1]].append(out)
             elif out:
-                units.append(out[0])
+                units.append(out)
             else:
                 self.ok = False
                 return
-        for lit in units:
-            if not self._enqueue(lit, reason=-2):  # -2: input unit
+        for unit in units:
+            if not self._enqueue(unit[0], unit):
                 self.ok = False
                 return
 
-    def _watch(self, lit: int, ci: int):
-        self.watches[self._lidx(lit)].append(ci)
-
-    @staticmethod
-    def _lidx(lit: int) -> int:
-        return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
-
-    def _enqueue(self, lit: int, reason: int) -> bool:
+    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
+        """Make ``lit`` true for ``reason`` (None: a decision); False if it is false."""
+        if self.val[lit] is not None:
+            return self.val[lit]
+        self.val[lit], self.val[-lit] = True, False
         v = lit if lit > 0 else -lit
-        a = self.assigns[v]
-        want = 1 if lit > 0 else 0
-        if a >= 0:
-            return a == want
-        self.assigns[v] = want
         self.unassigned[v] = False
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
-        if reason != -1:
+        if reason is not None:
             self.stats.propagations += 1
         return True
 
@@ -233,58 +231,58 @@ class Solver:
 
             v = self._pick_branch()
             if v == 0:
-                model = {u: bool(self.assigns[u]) for u in range(1, self.n + 1)}
+                model = {u: self.val[u] for u in range(1, self.n + 1)}
                 return SolveStatus.SAT, model
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
-            lit = v if self.phase[v] else -v
-            self._enqueue(lit, reason=-1)
+            self._enqueue(v if self.phase[v] else -v, None)
 
     def _propagate(self):
-        """Two-watched-literal BCP; returns a conflicting clause index or None."""
-        assigns = self.assigns
-        clauses = self.clauses
-        watches = self.watches
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            fidx = self._lidx(-lit)
-            ws = watches[fidx]
-            keep = []
-            i = 0
-            nw = len(ws)
-            while i < nw:
-                ci = ws[i]
-                i += 1
-                cl = clauses[ci]
-                if cl[0] == -lit:
-                    cl[0], cl[1] = cl[1], cl[0]
+        """Two-watched-literal BCP; returns a conflicting clause or None."""
+        val, watches, trail = self.val, self.watches, self.trail
+        level, reason, unassigned = self.level, self.reason, self.unassigned
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        props = 0
+        confl = None
+        while confl is None and qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            ws = watches[false_lit]
+            watches[false_lit] = keep = []
+            rest = iter(ws)
+            for cl in rest:
                 first = cl[0]
-                a = assigns[first] if first > 0 else assigns[-first]
-                v0 = -1 if a < 0 else (a if first > 0 else 1 - a)
-                if v0 == 1:
-                    keep.append(ci)
+                if first == false_lit:
+                    first = cl[0] = cl[1]
+                    cl[1] = false_lit
+                vf = val[first]
+                if vf is True:
+                    keep.append(cl)
                     continue
-                moved = False
                 for k in range(2, len(cl)):
                     lk = cl[k]
-                    ak = assigns[lk] if lk > 0 else assigns[-lk]
-                    vk = -1 if ak < 0 else (ak if lk > 0 else 1 - ak)
-                    if vk != 0:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        watches[self._lidx(cl[1])].append(ci)
-                        moved = True
+                    if val[lk] is not False:  # a new literal to watch
+                        cl[1] = lk
+                        cl[k] = false_lit
+                        watches[lk].append(cl)
                         break
-                if moved:
-                    continue
-                keep.append(ci)
-                if v0 == 0:
-                    keep.extend(ws[i:])
-                    watches[fidx] = keep
-                    return ci
-                self._enqueue(first, reason=ci)
-            watches[fidx] = keep
-        return None
+                else:
+                    keep.append(cl)
+                    if vf is False:  # conflict: keep the unvisited watches
+                        keep += rest
+                        confl = cl
+                        break
+                    val[first], val[-first] = True, False
+                    v = first if first > 0 else -first
+                    unassigned[v] = False
+                    level[v] = lvl
+                    reason[v] = cl
+                    trail.append(first)
+                    props += 1
+        self.qhead = qhead
+        self.stats.propagations += props
+        return confl
 
     def _pick_branch(self) -> int:
         masked = np.where(self.unassigned, self.activity, -np.inf)
@@ -299,72 +297,70 @@ class Solver:
             self.activity[1:] *= 1e-100
             self.var_inc *= 1e-100
 
-    def _bump(self, v: int):
-        self.activity[v] += self.var_inc
-
-    def _analyze(self, confl: int):
+    def _analyze(self, confl: list[int]):
         """First-UIP conflict analysis; returns (learnt clause, backjump level)."""
+        level, trail, reason = self.level, self.trail, self.reason
         seen = bytearray(self.n + 1)
+        bumped = []
         learnt = [0]  # placeholder for the asserting literal
         counter = 0
         p = 0
         cur_level = len(self.trail_lim)
-        idx = len(self.trail) - 1
-        reason = confl
+        idx = len(trail) - 1
+        cl = confl
         while True:
-            cl = self.clauses[reason]
             for q in cl:
                 if q == p:  # the propagated literal itself, true in its reason
                     continue
                 v = q if q > 0 else -q
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = 1
-                    self._bump(v)
-                    if self.level[v] == cur_level:
+                    bumped.append(v)
+                    if level[v] == cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self.trail[idx] if self.trail[idx] > 0 else -self.trail[idx]]:
+            p = trail[idx]
+            while not seen[p if p > 0 else -p]:
                 idx -= 1
-            p = self.trail[idx]
+                p = trail[idx]
             pv = p if p > 0 else -p
             idx -= 1
             seen[pv] = 0
             counter -= 1
             if counter == 0:
                 break
-            reason = self.reason[pv]
+            cl = reason[pv]
+        self.activity[bumped] += self.var_inc  # each variable is bumped once
         learnt[0] = -p
         if len(learnt) == 1:
             return learnt, 0
-        back = max(self.level[q if q > 0 else -q] for q in learnt[1:])
+        back = max(level[q if q > 0 else -q] for q in learnt[1:])
         # move a literal of the backjump level into the second watch slot
         for k in range(1, len(learnt)):
             v = learnt[k] if learnt[k] > 0 else -learnt[k]
-            if self.level[v] == back:
+            if level[v] == back:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, back
 
     def _learn(self, learnt: list[int]) -> bool:
-        if len(learnt) == 1:
-            return self._enqueue(learnt[0], reason=-2)
-        ci = len(self.clauses)
-        self.clauses.append(learnt)
-        self._watch(learnt[0], ci)
-        self._watch(learnt[1], ci)
-        return self._enqueue(learnt[0], reason=ci)
+        if len(learnt) > 1:
+            self.clauses.append(learnt)
+            self.watches[learnt[0]].append(learnt)
+            self.watches[learnt[1]].append(learnt)
+        return self._enqueue(learnt[0], learnt)
 
     def _backtrack(self, back_level: int):
-        while len(self.trail_lim) > back_level:
-            lim = self.trail_lim.pop()
-            while len(self.trail) > lim:
-                lit = self.trail.pop()
-                v = lit if lit > 0 else -lit
-                self.phase[v] = self.assigns[v]  # phase saving
-                self.assigns[v] = self.UNASSIGNED
-                self.unassigned[v] = True
-                self.reason[v] = -1
+        if len(self.trail_lim) > back_level:
+            lim = self.trail_lim[back_level]
+            undone = self.trail[lim:]  # starts with a decision: never empty
+            del self.trail[lim:], self.trail_lim[back_level:]
+            val, phase = self.val, self.phase
+            for lit in undone:
+                val[lit] = val[-lit] = None
+                phase[lit if lit > 0 else -lit] = lit > 0  # phase saving
+            self.unassigned[np.abs(undone)] = True
         self.qhead = min(self.qhead, len(self.trail))
 
 

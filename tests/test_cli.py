@@ -90,6 +90,9 @@ def test_attack_recovers_key(locked_dir, capsys):
     outdir, doc = locked_dir
     res = run_json(capsys, "attack", str(outdir / "instance.json"))
     assert res["status"] == "SOLVED"
+    assert set(res) == {"status", "iterations", "wall_seconds", "decisions",
+                        "propagations", "conflicts", "recovered_key",
+                        "ground_truth_key", "labels"}
     assert len(res["recovered_key"]) == 2
     assert res["iterations"] >= 0 and res["conflicts"] >= 0
     assert set(res["labels"]) == {"wall_seconds", "log1p_seconds",

@@ -73,17 +73,22 @@ def _in_two_halves(clauses, n, rng):
     return [clauses[:cut], clauses[cut:]]
 
 
+def _random_3cnfs():
+    """120 seeded (clauses, n_vars) pairs, 3 to 8 variables each."""
+    rng = random.Random(101)
+    for _ in range(120):
+        n = rng.randint(3, 8)
+        yield random_3sat(rng, n, rng.randint(int(3 * n), 5 * n)), n
+
+
 # Each cfg presents the same formula differently to the solver: clause
 # and literal order, variable numbering and incremental loading all steer
 # the search down another path, none may change the verdict.
 @pytest.mark.parametrize("cfg", [_as_given, _reversed, _renumbered, _in_two_halves],
                          ids=["cfg0", "cfg1", "cfg2", "cfg3"])
 def test_random_3sat_vs_enumeration(cfg):
-    rng = random.Random(101)
     shuffle_rng = random.Random(7)
-    for _ in range(120):
-        n = rng.randint(3, 8)
-        clauses = random_3sat(rng, n, rng.randint(int(3 * n), 5 * n))
+    for clauses, n in _random_3cnfs():
         chunks = cfg(clauses, n, shuffle_rng)
         solver = Solver()
         for chunk in chunks:
@@ -210,13 +215,18 @@ def _chunks(rng, clauses, n):
     return out
 
 
-def test_incremental_verdicts_equal_fresh_solves_of_the_union():
+def _chunked_cnfs():
+    """150 seeded 3-CNFs, each split by :func:`_chunks` into 2-4 formulas."""
     rng = random.Random(2024)
-    unsat_seen = grown = 0
     for _ in range(150):
         n = rng.randint(4, 10)
         clauses = random_3sat(rng, n, rng.randint(2 * n, 5 * n))
-        chunks = _chunks(rng, clauses, n)
+        yield _chunks(rng, clauses, n)
+
+
+def test_incremental_verdicts_equal_fresh_solves_of_the_union():
+    unsat_seen = grown = 0
+    for chunks in _chunked_cnfs():
         solver = Solver()
         union = []
         for k, chunk in enumerate(chunks):
@@ -314,3 +324,63 @@ def test_model_checked_against_every_loaded_clause(monkeypatch):
     solve(F([[1, 2]], 2), solver=solver)
     solve(F([[-1, 3]], 3), solver=solver)
     assert checked[-1] == [(1, 2), (-1, 3)]
+
+
+# --- the kernel: same search, counted and checked ---
+
+def _effort(results):
+    return tuple(map(sum, zip(*((r.stats.conflicts, r.stats.decisions,
+                                 r.stats.propagations) for r in results))))
+
+
+def test_kernel_counters_are_pinned():
+    # summed (conflicts, decisions, propagations), recorded before the
+    # literal-indexed kernel: a change to the order in which clauses are
+    # visited, watches move or literals are learnt shows up here
+    assert _effort(solve(F(cl, n)) for cl, n in _random_3cnfs()) == (205, 407, 935)
+    incremental = []
+    for chunks in _chunked_cnfs():
+        solver = Solver()
+        incremental += [solve(chunk, solver=solver) for chunk in chunks]
+    assert _effort(incremental) == (259, 1664, 2197)
+
+
+def _check_watches_and_reasons(solver):
+    n, val = solver.n, solver.val
+    lits = [l for v in range(1, n + 1) for l in (v, -v)]
+    watched_by = {}
+    for lit in lits:
+        for cl in solver.watches[lit]:
+            watched_by.setdefault(id(cl), []).append(lit)
+    # each stored clause (all have length >= 2) is watched by its first two
+    # literals and by no other; no list watches a clause that is not stored
+    assert len(watched_by) == len(solver.clauses)
+    for cl in solver.clauses:
+        assert sorted(watched_by.get(id(cl), [])) == sorted(cl[:2]), cl
+    assert all((val[v], val[-v]) in ((True, False), (False, True), (None, None))
+               for v in range(1, n + 1))
+    assert {l for l in lits if val[l] is True} == set(solver.trail)
+    for lit in solver.trail:
+        v = abs(lit)
+        reason = solver.reason[v]
+        if solver.level[v] > 0 and reason is not None:
+            assert lit in reason, (lit, reason)
+            assert all(val[q] is False for q in reason if q != lit), (lit, reason)
+
+
+def test_watches_and_reasons_hold_after_every_call():
+    calls = 0
+    for chunks in _chunked_cnfs():
+        solver = Solver()
+        for chunk in chunks:
+            solve(chunk, solver=solver)
+            _check_watches_and_reasons(solver)
+            calls += 1
+    # a call that leaves propagated literals above level 0 behind
+    solver = Solver()
+    r = solve(F(random_3sat(random.Random(1), 30, 128), 30), solver=solver)
+    assert r.stats.decisions > 0 and r.stats.conflicts > 0
+    _check_watches_and_reasons(solver)
+    assert any(solver.level[abs(l)] > 0 and solver.reason[abs(l)] is not None
+               for l in solver.trail)
+    assert calls > 300
