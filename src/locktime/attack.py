@@ -3,13 +3,15 @@
 The attack owns a miter with two independent key copies, and one solver
 that lives for the whole attack: it loads the miter once, then only each
 DIP's two new constrained copies, and keeps its learnt clauses from call
-to call.  While the miter is satisfiable, the model yields a
-distinguishing input pattern (DIP): an input on which the two keys
-disagree.  The oracle — simulation of the unlocked base circuit — labels
-the DIP, and both key copies are constrained to reproduce that label.
-When the miter goes unsatisfiable, every key consistent with the
-accumulated constraints is functionally correct; one is extracted by a
-fresh solve of the constraints without the difference assertion.
+to call.  Each DIP call assumes an activation variable ``act`` that
+switches the at-least-one-difference clause on.  While the miter is
+satisfiable, the model yields a distinguishing input pattern (DIP): an
+input on which the two keys disagree.  The oracle — simulation of the
+unlocked base circuit — labels the DIP, and both key copies are
+constrained to reproduce that label.  When the miter goes
+unsatisfiable, every key consistent with the accumulated constraints is
+functionally correct; one is extracted by one more solve on the same
+solver, with ``act`` false.
 
 Effort counters from all solver calls are summed and exposed as runtime
 labels; ``conflicts`` is reproducible across machines, wall time is the
@@ -89,10 +91,12 @@ def sat_attack(inst: ObfuscationInstance,
                             total, status)
 
     miter = build_miter(inst.obfuscated)
+    act = miter.n_vars = miter.n_vars + 1  # guards the difference clause
     solver = Solver()
-    batch = CnfFormula(miter.clauses + miter.diff_clauses, miter.n_vars)
+    batch = CnfFormula(miter.clauses + miter.diff_clauses[:-1]
+                       + [miter.diff_clauses[-1] + (-act,)], miter.n_vars)
     while True:
-        res = solve(batch, remaining(), solver)
+        res = solve(batch, remaining(), solver, (act,))
         total = total.merged(res.stats)
         if res.status is SolveStatus.TIMEOUT:
             return done(None, AttackStatus.TIMEOUT)
@@ -105,7 +109,7 @@ def sat_attack(inst: ObfuscationInstance,
         add_dip_constraint(miter, dip, oracle_out)
         batch = CnfFormula(miter.clauses[loaded:], miter.n_vars)
 
-    res = solve(miter.key_constraint_formula(), remaining())
+    res = solve(CnfFormula([(-act,)], miter.n_vars), remaining(), solver)
     total = total.merged(res.stats)
     if res.status is SolveStatus.TIMEOUT:
         return done(None, AttackStatus.TIMEOUT)

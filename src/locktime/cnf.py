@@ -158,9 +158,10 @@ class MiterContext:
     ``clauses`` holds gate semantics for both key copies and all DIP
     copies; ``diff_clauses`` holds the difference assertion (per-output
     xor-difference definitions plus the at-least-one-difference clause).
-    While hunting DIPs the attack's solver holds clauses + diff_clauses,
-    loaded once and then grown by what each :func:`add_dip_constraint`
-    appends; a key is extracted by a fresh solve of ``clauses`` alone.
+    The attack's solver loads clauses + diff_clauses once, the last one
+    guarded by an activation literal, then what each
+    :func:`add_dip_constraint` appends; a key is extracted from the same
+    solver with that literal false, where ``clauses`` alone constrain it.
     """
 
     obf: Circuit
@@ -176,10 +177,6 @@ class MiterContext:
     @property
     def formula(self) -> CnfFormula:
         return CnfFormula(self.clauses + self.diff_clauses, self.n_vars)
-
-    def key_constraint_formula(self) -> CnfFormula:
-        """Accumulated constraints without the difference assertion."""
-        return CnfFormula(list(self.clauses), self.n_vars)
 
 
 def build_miter(obf: Circuit) -> MiterContext:

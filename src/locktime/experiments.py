@@ -49,7 +49,7 @@ from .obfuscate import (
 )
 
 DATASET_FORMAT = "locktime-dataset"
-DATASET_VERSION = 2  # 2: conflict labels from one living solver per attack
+DATASET_VERSION = 3  # 3: the key comes from the attack's own solver; conflict labels moved
 
 
 # --- ranking metrics ---

@@ -13,15 +13,22 @@ with the formulas loaded; activities, saved phases and learnt clauses
 carry over.  A plain ``solve(f)`` is the same code on a fresh, empty
 solver.
 
-Determinism contract: identical call sequences of clauses give
-identical statuses, models and effort counters across runs and
+A call may also take assumption literals, held true for that call only:
+the search decides them first, in order, each one not yet true on a
+level of its own, before any activity branch.  An assumption found false
+when its turn comes answers UNSAT for this call only; the solver stays
+usable.  UNSAT is final for a solver only when it comes from a conflict
+at level 0.  A call without assumptions searches exactly as before.
+
+Determinism contract: identical call sequences of (clauses, assumptions)
+give identical statuses, models and effort counters across runs and
 machines.  ``wall_seconds`` is the single nondeterministic field.
 Stats are per call.
 
-Counter semantics: ``decisions`` counts branch assignments,
-``propagations`` counts literals enqueued with a reason (unit
-propagation, initial units, asserting literals), ``conflicts`` counts
-conflicting clauses encountered.
+Counter semantics: ``decisions`` counts branch assignments (assumption
+levels are not decisions), ``propagations`` counts literals enqueued
+with a reason (unit propagation, initial units, asserting literals),
+``conflicts`` counts conflicting clauses encountered.
 """
 
 from __future__ import annotations
@@ -194,21 +201,23 @@ class Solver:
 
     # --- search ---
 
-    def _run(self, f: CnfFormula, timeout_seconds: float | None) -> SolveResult:
-        """Load ``f``, then search; stats cover this call only."""
+    def _run(self, f: CnfFormula, timeout_seconds: float | None,
+             assumptions: tuple[int, ...]) -> SolveResult:
+        """Load ``f``, then search under ``assumptions``; stats cover this call only."""
         t0 = time.perf_counter()
         deadline = None if timeout_seconds is None else t0 + timeout_seconds
         self.stats = SolverStats()
+        n = max(self.n, f.n_vars)
+        if not all(0 < abs(lit) <= n for lit in assumptions):
+            raise ValueError(f"assumptions {assumptions} outside variables 1..{n}")
         try:
             self._load(f)
-            status, model = self._search(deadline)
+            status, model = self._search(deadline, assumptions)
         finally:
             self.stats.wall_seconds = time.perf_counter() - t0
-        if status is SolveStatus.UNSAT:
-            self.ok = False  # clauses are only ever added: UNSAT is final
         return SolveResult(status, model, self.stats)
 
-    def _search(self, deadline):
+    def _search(self, deadline, assumptions):
         if not self.ok:
             return SolveStatus.UNSAT, None
         check = 0
@@ -221,21 +230,28 @@ class Solver:
             if confl is not None:
                 self.stats.conflicts += 1
                 if not self.trail_lim:
+                    self.ok = False  # clauses are only ever added: UNSAT is final
                     return SolveStatus.UNSAT, None
                 learnt, back_level = self._analyze(confl)
                 self._backtrack(back_level)
-                if not self._learn(learnt):
-                    return SolveStatus.UNSAT, None
+                self._learn(learnt)  # learnt[0] is unassigned after the backjump
                 self._decay_activity()
                 continue
 
-            v = self._pick_branch()
-            if v == 0:
-                model = {u: self.val[u] for u in range(1, self.n + 1)}
-                return SolveStatus.SAT, model
-            self.stats.decisions += 1
+            for lit in assumptions:  # decided first, before any branch
+                if self.val[lit] is None:
+                    break
+                if self.val[lit] is False:  # implied false: UNSAT under them only
+                    return SolveStatus.UNSAT, None
+            else:
+                v = self._pick_branch()
+                if v == 0:
+                    model = {u: self.val[u] for u in range(1, self.n + 1)}
+                    return SolveStatus.SAT, model
+                self.stats.decisions += 1
+                lit = v if self.phase[v] else -v
             self.trail_lim.append(len(self.trail))
-            self._enqueue(v if self.phase[v] else -v, None)
+            self._enqueue(lit, None)
 
     def _propagate(self):
         """Two-watched-literal BCP; returns a conflicting clause or None."""
@@ -344,12 +360,12 @@ class Solver:
                 break
         return learnt, back
 
-    def _learn(self, learnt: list[int]) -> bool:
+    def _learn(self, learnt: list[int]):
         if len(learnt) > 1:
             self.clauses.append(learnt)
             self.watches[learnt[0]].append(learnt)
             self.watches[learnt[1]].append(learnt)
-        return self._enqueue(learnt[0], learnt)
+        self._enqueue(learnt[0], learnt)
 
     def _backtrack(self, back_level: int):
         if len(self.trail_lim) > back_level:
@@ -365,18 +381,20 @@ class Solver:
 
 
 def solve(f: CnfFormula, timeout_seconds: float | None = None,
-          solver: Solver | None = None) -> SolveResult:
+          solver: Solver | None = None, assumptions: tuple[int, ...] = ()) -> SolveResult:
     """Decide a formula; see module docstring for the determinism contract.
 
     ``timeout_seconds`` bounds this call's wall time; past it the status
     is TIMEOUT.  With ``solver``, ``f`` holds only the clauses added
     since that solver's last call and the answer is for everything
-    loaded so far.  Every SAT model is checked against all clauses the
-    solver holds.
+    loaded so far.  ``assumptions`` are literals held true for this call
+    only.  Every SAT model is checked against all clauses the solver
+    holds and against the assumptions.
     """
     solver = solver or Solver()
-    result = solver._run(f, timeout_seconds)
-    if result.status is SolveStatus.SAT and not verify_model(solver.loaded,
-                                                             result.model):
+    result = solver._run(f, timeout_seconds, assumptions)
+    if result.status is SolveStatus.SAT and not (
+            verify_model(solver.loaded, result.model)
+            and all(result.model[abs(lit)] is (lit > 0) for lit in assumptions)):
         raise RuntimeError("internal error: model check failed")
     return result

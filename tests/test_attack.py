@@ -15,8 +15,8 @@ from locktime.attack import (
     sat_attack,
     verification_vectors,
 )
-from locktime.cnf import build_miter
-from locktime.netlist import parse_bench
+from locktime.cnf import add_dip_constraint, build_miter
+from locktime.netlist import parse_bench, simulate
 from locktime.obfuscate import (
     ObfuscationInstance,
     ObfuscationKind,
@@ -40,7 +40,7 @@ def test_single_keygate_attack(c17):
 def test_unsatisfiable_key_constraints_raise(monkeypatch, c17):
     inst = random_obfuscate(c17, 1, XOR, seed=4)
     monkeypatch.setattr(locktime.attack, "solve",
-                        lambda f, timeout_seconds=None, solver=None:
+                        lambda f, timeout_seconds=None, solver=None, assumptions=():
                         SolveResult(SolveStatus.UNSAT, None))
     with pytest.raises(RuntimeError, match="key constraints must stay satisfiable"):
         sat_attack(inst)
@@ -52,9 +52,9 @@ def test_every_solve_is_observable(monkeypatch, request, circuit, kind, n_loc, s
     calls = []
     real = locktime.attack.solve
 
-    def counting(f, timeout_seconds=None, solver=None):
-        res = real(f, timeout_seconds, solver)
-        calls.append((len(f.clauses), solver, res.stats))
+    def counting(f, timeout_seconds=None, solver=None, assumptions=()):
+        res = real(f, timeout_seconds, solver, assumptions)
+        calls.append((len(f.clauses), solver, assumptions, res))
         return res
 
     monkeypatch.setattr(locktime.attack, "solve", counting)
@@ -63,15 +63,24 @@ def test_every_solve_is_observable(monkeypatch, request, circuit, kind, n_loc, s
     assert r.status == AttackStatus.SOLVED
     assert len(calls) == len(r.dips) + 2
     for field in ("decisions", "propagations", "conflicts"):
-        assert sum(getattr(st, field) for _, _, st in calls) == \
+        assert sum(getattr(res.stats, field) for *_, res in calls) == \
                getattr(r.total_stats, field)
-    # one solver holds the miter: each clause is loaded once, then a fresh
-    # solve of the key constraints (everything but the difference assertion)
-    living = {id(solver) for _, solver, _ in calls[:-1]}
-    assert len(living) == 1 and calls[-1][1] is None
-    key_clauses = calls[-1][0]
-    diff = len(build_miter(inst.obfuscated).diff_clauses)
-    assert sum(n for n, _, _ in calls[:-1]) == key_clauses + diff
+    # one solver for every call, the key call included
+    solver = calls[0][1]
+    assert solver is not None and all(s is solver for _, s, _, _ in calls)
+    # every DIP call assumes the activation literal and the last one fails
+    # on it; the key call assumes nothing and loads only the unit -act
+    hunts, (key_loaded, _, key_assumed, _) = calls[:-1], calls[-1]
+    (act,) = hunts[0][2]
+    assert all(a == (act,) for _, _, a, _ in hunts) and key_assumed == ()
+    assert [res.status for *_, res in hunts] == [SolveStatus.SAT] * len(r.dips) + [
+        SolveStatus.UNSAT]
+    assert key_loaded == 1 and solver.loaded.clauses[-1] == (-act,)
+    # each clause is loaded once: the miter, its DIP copies and the unit
+    m = build_miter(inst.obfuscated)
+    for dip in r.dips:
+        add_dip_constraint(m, dip, simulate(inst.base, dip))
+    assert sum(n for n, *_ in calls) == len(m.clauses) + len(m.diff_clauses) + 1
 
 
 def test_redundant_keygate_attack_zero_iterations():
@@ -133,10 +142,10 @@ def test_attack_determinism(c17):
 @pytest.mark.parametrize("circuit, kind, n_loc, seed, counters", [
     # (DIPs, conflicts, decisions, propagations): the benchmark's attack-mid12
     # list and the README example
-    ("mid12", XOR, 8, 0, (3, 1650, 2582, 96099)),
-    ("mid12", LUT2, 4, 4, (8, 2158, 3176, 156701)),
-    ("mid12", ObfuscationKind("lut", 3), 2, 5, (7, 2273, 3290, 144535)),
-    ("c17", ObfuscationKind("xnor"), 2, 3, (2, 9, 27, 285)),
+    ("mid12", XOR, 8, 0, (3, 1652, 2543, 95419)),
+    ("mid12", LUT2, 4, 4, (8, 2158, 3155, 154710)),
+    ("mid12", ObfuscationKind("lut", 3), 2, 5, (7, 2273, 3275, 142790)),
+    ("c17", ObfuscationKind("xnor"), 2, 3, (2, 12, 28, 267)),
 ], ids=["mid12-xor8", "mid12-lut2x4", "mid12-lut3x2", "c17-xnor2"])
 def test_attack_counters_are_pinned(request, circuit, kind, n_loc, seed, counters):
     # conflicts are the dataset's reproducible label: any change to the

@@ -177,15 +177,17 @@ def test_load_dataset_rejects_foreign_directory(tmp_path):
 
 
 def test_load_dataset_refuses_version_1(tmp_path, c17, small_records):
-    # version 1 conflict labels came from a fresh solver per DIP call
+    # version 1 conflict labels came from a fresh solver per DIP call,
+    # version 2 ones from a fresh solver for the key: both are refused
     records, logs = small_records
     write_dataset(tmp_path, c17, records, logs)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["version"] == DATASET_VERSION == 2
-    manifest["version"] = 1
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="unsupported dataset version 1"):
-        load_dataset(tmp_path)
+    assert manifest["version"] == DATASET_VERSION == 3
+    for old in (1, 2):
+        manifest["version"] = old
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"unsupported dataset version {old}"):
+            load_dataset(tmp_path)
 
 
 def test_generate_dataset_writes_everything(tmp_path, c17):

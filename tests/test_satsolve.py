@@ -369,13 +369,19 @@ def _check_watches_and_reasons(solver):
 
 
 def test_watches_and_reasons_hold_after_every_call():
-    calls = 0
+    rng = random.Random(17)
+    calls = assumed = 0
     for chunks in _chunked_cnfs():
         solver = Solver()
         for chunk in chunks:
             solve(chunk, solver=solver)
             _check_watches_and_reasons(solver)
-            calls += 1
+            # the same invariants after a call under assumptions
+            r = solve(F([], chunk.n_vars), solver=solver,
+                      assumptions=_random_assumptions(rng, chunk.n_vars))
+            _check_watches_and_reasons(solver)
+            calls += 2
+            assumed += r.status is SolveStatus.SAT and r.stats.propagations > 0
     # a call that leaves propagated literals above level 0 behind
     solver = Solver()
     r = solve(F(random_3sat(random.Random(1), 30, 128), 30), solver=solver)
@@ -383,4 +389,59 @@ def test_watches_and_reasons_hold_after_every_call():
     _check_watches_and_reasons(solver)
     assert any(solver.level[abs(l)] > 0 and solver.reason[abs(l)] is not None
                for l in solver.trail)
-    assert calls > 300
+    assert calls > 600 and assumed > 100
+
+
+# --- assumptions: literals held true for one call ---
+
+def _random_assumptions(rng, n):
+    """0-3 random literals over 1..n; repeats and complements may occur."""
+    return tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 3)))
+
+
+def test_assumption_verdicts_match_restricted_enumeration():
+    rng = random.Random(31)
+    seen = {SolveStatus.SAT: 0, SolveStatus.UNSAT: 0}
+    for clauses, n in _random_3cnfs():
+        solver = Solver()
+        for k in range(4):  # one living solver, new clauses only in the first call
+            assumptions = _random_assumptions(rng, n)
+            r = solve(F(clauses if k == 0 else [], n), solver=solver,
+                      assumptions=assumptions)
+            units = [[lit] for lit in assumptions]
+            assert (r.status is SolveStatus.SAT) == cnf_is_satisfiable(clauses + units, n)
+            if r.status is SolveStatus.SAT:
+                assert verify_model(F(clauses + units, n), r.model)
+            seen[r.status] += 1
+        # the formula's own verdict is untouched by the calls before
+        r = solve(F([], n), solver=solver)
+        assert (r.status is SolveStatus.SAT) == cnf_is_satisfiable(clauses, n)
+    assert min(seen.values()) >= 100
+
+
+def test_failed_assumption_is_not_final():
+    # the pigeonhole's at-least-one clauses, each guarded by -21: UNSAT under
+    # 21 only after search, satisfiable without it
+    php = pigeonhole(5, 4)
+    guarded = F([cl + (-21,) if cl[0] > 0 else cl for cl in php.clauses], 21)
+    solver = Solver()
+    r = solve(guarded, solver=solver, assumptions=(21,))
+    assert r.status is SolveStatus.UNSAT and r.model is None
+    assert r.stats.conflicts > 0
+    r = solve(F([], 21), solver=solver)
+    assert r.status is SolveStatus.SAT and not r.model[21]
+    # -21 is now fixed at level 0: the assumption fails at once, and a
+    # formula whose own clauses fail still turns UNSAT for good
+    r = solve(F([], 21), solver=solver, assumptions=(21,))
+    assert r.status is SolveStatus.UNSAT
+    assert (r.stats.decisions, r.stats.propagations, r.stats.conflicts) == (0, 0, 0)
+    assert solve(F([(21,)], 21), solver=solver).status is SolveStatus.UNSAT
+    assert solve(F([], 21), solver=solver).status is SolveStatus.UNSAT
+
+
+def test_assumption_levels_are_not_decisions():
+    r = solve(F([[1, 2, 3], [-3, 4]], 4), assumptions=(-1, -2))
+    assert r.status is SolveStatus.SAT and r.model[3] and r.model[4]
+    assert (r.stats.decisions, r.stats.propagations) == (0, 2)
+    with pytest.raises(ValueError, match="outside variables"):
+        solve(F([[1, 2]], 2), assumptions=(3,))
