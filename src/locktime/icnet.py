@@ -7,10 +7,14 @@ gates to one scalar z, and an exp or identity output head.
 
 The structure A is an edge list ``(rows, cols, vals)`` (see
 ``netlist.graph_matrix``), so each product with A costs O(edges · width)
-instead of O(n² · width).  A and X never change, so the first layer's
-A·X is computed once per sample (``GraphSample.ax``) and the first
-convolution is (A·X)·Θ_0; later ones are A·(P·Θ_l), propagating the
-narrower product.
+instead of O(n² · width).  ``_propagate`` sums the edge terms
+``vals[e] * h[cols[e], j]`` into their rows one column j at a time with
+``np.bincount``, in edge order from 0.0, so the unsorted transpose
+``(cols, rows, vals)`` needs no sorting; a temporary for all columns at
+once would be big enough to cost fresh memory pages on every call.  A
+and X never change, so the first layer's A·X is computed once per sample
+(``GraphSample.ax``) and the first convolution is (A·X)·Θ_0; later ones
+are A·(P·Θ_l), propagating the narrower product.
 
 Aggregations come in attention / sum / mean variants.  Attention scoring
 is built so the whole network is invariant to gate reordering:
@@ -30,6 +34,7 @@ test suite.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -59,6 +64,7 @@ FEATURE_SETS = ("location_only", "all_features")
 CHECKPOINT_FORMAT = "icnet-checkpoint"
 CHECKPOINT_VERSION = 2
 TEST_FRACTION = 0.2  # share of usable samples held out by train's split
+_ONE_HOT_BY_NAME = {t._name_: i for t, i in ONE_HOT_INDEX.items()}  # Enum hashing runs in Python
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,16 @@ class ModelConfig:
         ]:
             if value not in options:
                 raise ValueError(f"{name} must be one of {options}, got {value!r}")
+        for name in ("conv_layers", "batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if min(self.hidden_dims) < 1:
+            raise ValueError(f"every hidden_dims entry must be >= 1, got {self.hidden_dims}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
+        if not self.convergence_tol >= 0:
+            raise ValueError(f"convergence_tol must be >= 0, got {self.convergence_tol!r}")
 
     @property
     def feature_dim(self) -> int:
@@ -162,14 +178,15 @@ def _as_structure(a, n: int) -> tuple:
 
 
 def _propagate(a: tuple, h: np.ndarray) -> np.ndarray:
-    """A @ h for the edge list A, one bincount per column of h.
-
-    Rows of A with no entries give zero rows.
-    """
+    """A @ h for the edge list A; rows of A with no entries give zero rows."""
     rows, cols, vals = a
-    n = h.shape[0]
-    return np.stack([np.bincount(rows, vals * hj[cols], minlength=n)
-                     for hj in np.ascontiguousarray(h.T)], axis=1)
+    n, width = h.shape
+    out = np.empty((n, width))
+    for j in range(width):
+        terms = h[:, j].take(cols)
+        terms *= vals
+        out[:, j] = np.bincount(rows, terms, minlength=n)
+    return out
 
 
 def new_model(config: ModelConfig) -> Model:
@@ -189,7 +206,7 @@ def build_graph_input(inst: ObfuscationInstance,
     else:
         x = np.zeros((n, config.feature_dim), dtype=np.float64)
         x[:, 0] = mask
-        codes = [ONE_HOT_INDEX[g.type] for g in inst.obfuscated.gates]  # gates[i].id == i
+        codes = [_ONE_HOT_BY_NAME[g.type._name_] for g in inst.obfuscated.gates]  # gates[i].id == i
         x[np.arange(n), 1 + np.array(codes, dtype=np.intp)] = 1.0
     return a, x
 
@@ -198,8 +215,7 @@ def build_graph_input(inst: ObfuscationInstance,
 class _Cache:
     """Intermediates of one forward pass, consumed by backprop."""
 
-    zs: list  # Z_0 = (A X) theta_0, Z_l = A (P_{l-1} theta_l)
-    ps: list  # P_l = relu(Z_l)
+    ps: list  # P_l = relu(Z_l), Z_0 = (A X) theta_0, Z_l = A (P_{l-1} theta_l)
     mu: np.ndarray | None
     a_feat: np.ndarray | None
     s: np.ndarray
@@ -214,15 +230,13 @@ def _forward(model: Model, a: tuple, ax: np.ndarray) -> _Cache:
     if ax.shape != (n, cfg.feature_dim):
         raise ValueError(f"feature matrix must be {(n, cfg.feature_dim)} "
                          f"for feature_set={cfg.feature_set!r}, got {ax.shape}")
-    zs, ps = [], []
+    ps = []
     # non-finite values are reported via NonFiniteError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(cfg.conv_layers):
-            theta = p[f"conv{l}"]
-            z = ax @ theta if l == 0 else _propagate(a, ps[-1] @ theta)
+            z = ax @ p["conv0"] if l == 0 else _propagate(a, ps[-1] @ p[f"conv{l}"])
             check_finite(f"conv{l} pre-activation", z)
-            zs.append(z)
-            ps.append(np.maximum(z, 0.0))
+            ps.append(np.maximum(z, 0.0, out=z))
     h = ps[-1]
 
     mu = a_feat = None
@@ -245,7 +259,7 @@ def _forward(model: Model, a: tuple, ax: np.ndarray) -> _Cache:
     else:
         z_out = float(s.mean())
     check_finite("gate aggregation", np.asarray([z_out]))
-    return _Cache(zs, ps, mu, a_feat, s, a_gate, z_out)
+    return _Cache(ps, mu, a_feat, s, a_gate, z_out)
 
 
 def forward(model: Model, a, x) -> Prediction:
@@ -276,8 +290,8 @@ def target_value(config: ModelConfig, label: float) -> float:
 
 
 def _backward(model: Model, a: tuple, ax: np.ndarray, cache: _Cache,
-              dz: float) -> ParamStore:
-    """Closed-form gradients of dz * z w.r.t. every parameter.
+              dz: float, grads: dict) -> None:
+    """Add the closed-form gradients of dz * z w.r.t. each parameter to grads.
 
     For l >= 1, U = A^T dZ_l gives dTheta_l = P_{l-1}^T U and
     dP_{l-1} = U Theta_l^T; dTheta_0 = (A X)^T dZ_0.  The gradient with
@@ -288,12 +302,11 @@ def _backward(model: Model, a: tuple, ax: np.ndarray, cache: _Cache,
     n = ax.shape[0]
     h = cache.ps[-1]
     s, z = cache.s, cache.z
-    grads = {k: np.zeros_like(v) for k, v in p.arrays.items()}
 
     if cfg.gate_agg == "attention":
         b = cache.a_gate
         theta_g = p["gate"][0]
-        grads["gate"][0] = dz * float(b @ (s * s) - z * z)
+        grads["gate"][0] += dz * float(b @ (s * s) - z * z)
         ds = dz * (b + theta_g * b * (s - z))
     elif cfg.gate_agg == "sum":
         ds = np.full(n, dz)
@@ -305,23 +318,21 @@ def _backward(model: Model, a: tuple, ax: np.ndarray, cache: _Cache,
         a_f = cache.a_feat
         da = h.T @ ds
         de = a_f * (da - float(a_f @ da))
-        grads["feat"][:] = cache.mu * de
+        grads["feat"] += cache.mu * de
         dmu = p["feat"] * de
-        dh = np.outer(ds, a_f) + dmu[None, :] / n
+        dp = np.outer(ds, a_f) + dmu[None, :] / n
     elif cfg.feat_agg == "sum":
-        dh = np.repeat(ds[:, None], hw, axis=1)
+        dp = np.repeat(ds[:, None], hw, axis=1)
     else:
-        dh = np.repeat(ds[:, None], hw, axis=1) / hw
+        dp = np.repeat(ds[:, None], hw, axis=1) / hw
 
-    dp = dh
-    rows, cols, vals = a
-    at = (cols, rows, vals)
+    at = (a[1], a[0], a[2])  # A^T
+    # P_l > 0 exactly where Z_l > 0, so P_l masks the relu gradient
     for l in range(cfg.conv_layers - 1, 0, -1):
-        u = _propagate(at, relu_grad(cache.zs[l], dp))
-        grads[f"conv{l}"][:] = cache.ps[l - 1].T @ u
+        u = _propagate(at, relu_grad(cache.ps[l], dp))
+        grads[f"conv{l}"] += cache.ps[l - 1].T @ u
         dp = u @ p[f"conv{l}"].T
-    grads["conv0"][:] = ax.T @ relu_grad(cache.zs[0], dp)
-    return ParamStore(grads)
+    grads["conv0"] += ax.T @ relu_grad(cache.ps[0], dp)
 
 
 def loss_and_grads(model: Model, samples: list) -> tuple[float, ParamStore]:
@@ -339,9 +350,7 @@ def loss_and_grads(model: Model, samples: list) -> tuple[float, ParamStore]:
         cache = _forward(model, smp.a, smp.ax)
         r = cache.z - target_value(model.config, smp.label)
         sq += r * r
-        g = _backward(model, smp.a, smp.ax, cache, 2.0 * r * inv_b)
-        for k in total.arrays:
-            total.arrays[k] += g.arrays[k]
+        _backward(model, smp.a, smp.ax, cache, 2.0 * r * inv_b, total.arrays)
     mse = sq * inv_b
     if not np.isfinite(mse):
         raise NonFiniteError("batch loss")
@@ -408,9 +417,7 @@ def train(dataset: list, config: ModelConfig) -> TrainResult:
     log = []
     history: list[float] = []
     t0 = time.perf_counter()
-    epochs = 0
     for epoch in range(config.max_epochs):
-        epochs = epoch + 1
         order = shuffle_rng.permutation(len(train_set))
         for lo in range(0, len(order), config.batch_size):
             batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
@@ -426,7 +433,7 @@ def train(dataset: list, config: ModelConfig) -> TrainResult:
             prev = history[-11]
             if abs(prev - train_mse) / max(prev, 1e-12) < config.convergence_tol:
                 break
-    return TrainResult(model, log, train_idx, test_idx, epochs)
+    return TrainResult(model, log, train_idx, test_idx, len(log))
 
 
 # --- flat baselines ---

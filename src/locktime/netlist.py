@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -339,13 +340,14 @@ def graph_matrix(c: Circuit, kind="adjacency", directed=False, self_loops=True):
     if kind not in ("adjacency", "laplacian"):
         raise ValueError(f"unknown graph matrix kind {kind!r}")
     n = c.n
-    heads = np.fromiter((g.id for g in c.gates for _ in g.fanin), dtype=np.intp)
-    tails = np.fromiter((f for g in c.gates for f in g.fanin), dtype=np.intp)
+    ids = np.arange(n, dtype=np.intp)
+    fanins = [g.fanin for g in c.gates]  # gates[i].id == i
+    heads = np.repeat(ids, np.fromiter(map(len, fanins), np.intp, n))
+    tails = np.fromiter(chain.from_iterable(fanins), np.intp, heads.size)
     if not directed:
         heads, tails = np.concatenate([heads, tails]), np.concatenate([tails, heads])
     if self_loops or kind == "laplacian":
-        loops = np.arange(n, dtype=np.intp)
-        heads, tails = np.concatenate([heads, loops]), np.concatenate([tails, loops])
+        heads, tails = np.concatenate([heads, ids]), np.concatenate([tails, ids])
     # sort + neighbour mask: np.unique is an order of magnitude slower here
     keys = np.sort(heads * n + tails)
     keep = np.ones(keys.size, dtype=bool)

@@ -22,7 +22,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def check_finite(name: str, a: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(name)
     return a
 
@@ -32,7 +32,9 @@ def relu_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     upstream = np.asarray(upstream, dtype=np.float64)
     if x.shape != upstream.shape:
         raise ValueError(f"relu_grad shapes differ: {x.shape} vs {upstream.shape}")
-    return np.where(x > 0.0, upstream, 0.0)  # subgradient 0 at x == 0
+    if not np.isfinite(upstream).all():  # inf or nan times a zero mask is nan, not 0
+        return np.where(x > 0.0, upstream, 0.0)
+    return upstream * (x > 0.0)  # subgradient 0 at x == 0
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -119,7 +121,7 @@ def adam_step(params: ParamStore, grads: ParamStore,
     """
     params.check_shapes(grads)
     for k in grads.arrays:
-        if not np.all(np.isfinite(grads.arrays[k])):
+        if not np.isfinite(grads.arrays[k]).all():
             warnings.warn(f"non-finite gradient for {k!r}; ADAM step skipped",
                           RuntimeWarning, stacklevel=2)
             return params, state

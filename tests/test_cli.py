@@ -240,6 +240,27 @@ def test_train_divergence_is_json_error(pipeline, capsys, tmp_path):
     assert json.loads(err)["error"] == "NonFiniteError"
 
 
+@pytest.mark.parametrize("fields,name", [
+    ({"max_epochs": 0}, "max_epochs"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"hidden_dims": [-1, 4]}, "hidden_dims"),
+    ({"hidden_dims": [0, 16]}, "hidden_dims"),
+    ({"learning_rate": -1}, "learning_rate"),
+    ({"convergence_tol": -0.5}, "convergence_tol"),
+])
+def test_train_rejects_bad_config_values(pipeline, capsys, tmp_path, fields, name):
+    ds, *_ = pipeline
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(fields))
+    code, out, err = run_cli(capsys, "train", "--dataset", str(ds),
+                             "--config", str(cfg),
+                             "--out", str(tmp_path / "m.json"))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and name in doc["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_gen_data_requires_out(capsys):
     code, _, err = run_cli(capsys, "gen-data", "builtin:c17", "--count", "1",
                            "--kind", "xor", "--locations", "1")

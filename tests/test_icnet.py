@@ -1,6 +1,7 @@
 """Graph regressor: forward semantics, exact gradients, training, baselines."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -12,6 +13,7 @@ from locktime.icnet import (
     GraphSample,
     Model,
     ModelConfig,
+    _propagate,
     baseline_aggregate_features,
     baseline_gcn_config,
     batch_mse,
@@ -27,8 +29,8 @@ from locktime.icnet import (
     split_indices,
     train,
 )
-from locktime.netlist import ONE_HOT_INDEX, parse_bench
-from locktime.numerics import NonFiniteError, ParamStore
+from locktime.netlist import ONE_HOT_INDEX, graph_matrix, parse_bench
+from locktime.numerics import NonFiniteError, ParamStore, params_to_doc
 from locktime.obfuscate import ObfuscationKind, random_obfuscate
 from oracles import densify, edge_list, random_structure
 
@@ -62,6 +64,23 @@ def test_config_validation():
         ModelConfig(feat_agg="max")
     with pytest.raises(ValueError, match="output_head"):
         ModelConfig(output_head="softplus")
+    bad = [({"conv_layers": 0, "hidden_dims": ()}, "conv_layers"),
+           ({"batch_size": 0}, "batch_size"),
+           ({"max_epochs": 0}, "max_epochs"),
+           ({"hidden_dims": (-1, 4)}, "hidden_dims"),
+           ({"hidden_dims": (0, 16)}, "hidden_dims"),
+           ({"learning_rate": -1.0}, "learning_rate"),
+           ({"learning_rate": 0.0}, "learning_rate"),
+           ({"learning_rate": float("inf")}, "learning_rate"),
+           ({"learning_rate": float("nan")}, "learning_rate"),
+           ({"convergence_tol": -1e-9}, "convergence_tol"),
+           ({"convergence_tol": float("nan")}, "convergence_tol")]
+    for fields, name in bad:
+        with pytest.raises(ValueError, match=name):
+            ModelConfig(**fields)
+    # the smallest valid values, and a huge but finite step size
+    ModelConfig(conv_layers=1, hidden_dims=(1,), batch_size=1, max_epochs=1,
+                learning_rate=1e200, convergence_tol=0.0)
     cfg = ModelConfig(hidden_dims=[16, 8])  # list accepted, stored as tuple
     assert cfg.hidden_dims == (16, 8)
     assert ModelConfig(feature_set="location_only").feature_dim == 1
@@ -210,6 +229,38 @@ def test_build_graph_input_features(c17):
     _, x1 = build_graph_input(inst, loc_cfg)
     assert x1.shape == (n, 1)
     assert x[:, 0].sum() == 3.0
+
+
+def _propagate_by_edges(a, h):
+    """A @ h one edge at a time: each row's terms summed in edge order from 0.0."""
+    out = [[0.0] * h.shape[1] for _ in range(h.shape[0])]
+    for r, c, v in zip(*(arr.tolist() for arr in a)):
+        for j in range(h.shape[1]):
+            out[r][j] += v * float(h[c, j])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind,directed", [("adjacency", False), ("laplacian", True)])
+@pytest.mark.parametrize("width", [1, 11, 16])
+def test_propagate_equals_edge_order_accumulation(mid12, kind, directed, width):
+    inst = random_obfuscate(mid12, 3, ObfuscationKind.parse("lut2"), seed=4)
+    a = graph_matrix(inst.obfuscated, kind=kind, directed=directed, self_loops=False)
+    n = inst.obfuscated.n
+    if kind == "laplacian":  # primary inputs have no fanin, so no entries
+        assert np.setdiff1d(np.arange(n), a[0]).size > 0
+    if width == 11:
+        h = build_graph_input(inst, ModelConfig())[1]
+        h[:, 0] *= np.random.default_rng(width).standard_normal(n)
+    else:
+        h = np.random.default_rng(width).standard_normal((n, width))
+        h[::5] = 0.0
+        h[1::7] = -0.0
+    transposed = (a[1], a[0], a[2])  # unsorted rows
+    assert np.any(np.diff(transposed[0]) < 0)
+    for edges in (a, transposed):
+        got = _propagate(edges, h)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _propagate_by_edges(edges, h).tobytes()
 
 
 def _layered_dag(n_gates):
@@ -403,6 +454,38 @@ def test_train_determinism():
     assert [row["train_mse"] for row in r1.log] == \
            [row["train_mse"] for row in r2.log]
     assert r1.train_indices == r2.train_indices
+
+
+# (config overrides, repr of the final train mse, sha256 of the params doc),
+# recorded with numpy 2.4 and OpenBLAS 0.3 on x86-64: a different BLAS
+# build may round the dense products differently
+PINNED_TRAINING = [
+    ({}, "1.7185586378045694",
+     "b33b816e82c434f8c36e6363fed5f9e8e333c82f6ba266c86e7fa5d4f4314adb"),
+    ({"graph_repr": "laplacian", "directed": True, "feat_agg": "mean",
+      "output_head": "linear"}, "0.4128366743013202",
+     "af0c8c45b45bf92d3f206ec32c897946dbc54286ff9eb8f8fdc84be281ab18c0"),
+]
+
+
+@pytest.mark.parametrize("overrides,mse_repr,params_sha", PINNED_TRAINING,
+                         ids=["adjacency", "laplacian-directed"])
+def test_training_numerics_are_pinned(mid12, overrides, mse_repr, params_sha):
+    # every bit of a short seeded training run on real structures: graph
+    # build, one-hot features, sparse products, activations and ADAM
+    cfg = dataclasses.replace(
+        ModelConfig(hidden_dims=(8, 4), learning_rate=0.01, batch_size=4,
+                    max_epochs=4, convergence_tol=0.0, seed=5), **overrides)
+    samples = []
+    for i in range(10):
+        m = 1 + i % 4
+        inst = random_obfuscate(mid12, m, ObfuscationKind.parse(("xor", "lut2")[i % 2]),
+                                seed=i)
+        samples.append(GraphSample(*build_graph_input(inst, cfg), float(np.expm1(0.3 * m))))
+    res = train(samples, cfg)
+    doc = json.dumps(params_to_doc(res.model.params), sort_keys=True)
+    assert (repr(res.log[-1]["train_mse"]),
+            hashlib.sha256(doc.encode()).hexdigest()) == (mse_repr, params_sha)
 
 
 def test_train_log_and_convergence_stop():

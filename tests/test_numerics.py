@@ -50,6 +50,22 @@ def test_relu_grad_zero_on_negative_side():
         relu_grad(np.ones((2, 2)), np.ones((2, 3)))
 
 
+def test_relu_grad_equals_where_on_special_values():
+    finite = np.array([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324, 1e308, -1e308])
+    special = np.concatenate([finite, [np.inf, -np.inf, np.nan]])
+    for x_vals, up_vals in ((special, finite), (finite, special), (special, special)):
+        x, up = np.meshgrid(x_vals, up_vals)
+        assert np.array_equal(relu_grad(x, up), np.where(x > 0, up, 0.0), equal_nan=True)
+    # one non-finite upstream entry where the mask is zero, among random ones
+    rng = np.random.default_rng(9)
+    x, up = rng.normal(size=(50, 8)), rng.normal(size=(50, 8))
+    x[3, 2], up[3, 2] = -1.0, np.inf
+    x[7, 1], up[7, 1] = -0.0, np.nan
+    got = relu_grad(x, up)
+    assert np.array_equal(got, np.where(x > 0, up, 0.0), equal_nan=True)
+    assert np.isfinite(got).all()
+
+
 # --- softmax ---
 
 def test_softmax_uniform():

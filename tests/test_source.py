@@ -1,6 +1,7 @@
 """Source-level rules for the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "locktime"
@@ -16,6 +17,23 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # scipy and pytest are test extras: the package itself must not need them
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert not found, f"imports outside the standard library and numpy: {found}"
 
 
 def _unused_imports(path: Path) -> list[str]:
