@@ -112,11 +112,11 @@ class DatasetRecord:
 
 def records_to_samples(records, config: ModelConfig,
                        label_kind: str) -> list:
-    """Graph samples carrying the chosen raw label.
+    """Graph samples carrying the chosen label.
 
-    Pick a raw kind ("wall_seconds", "conflicts") with the exp head —
-    its target transform applies the log itself; the pre-logged
-    "log1p_*" kinds suit the linear head.
+    The raw kinds ("wall_seconds", "conflicts") are the intended targets:
+    the model regresses log1p(label) itself, so a pre-logged "log1p_*"
+    kind would be logged twice.
     """
     return [GraphSample(*build_graph_input(rec.instance, config),
                         float(rec.labels[label_kind]), rec.instance_id,
@@ -153,6 +153,8 @@ def generate_records(base: Circuit, count: int, kind: ObfuscationKind,
                          f"{n_eligible} eligible gates for {kind}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
         rng = np.random.default_rng(child)
@@ -160,8 +162,9 @@ def generate_records(base: Circuit, count: int, kind: ObfuscationKind,
         obf_seed = int(rng.integers(0, 2**31 - 1))
         tasks.append((base, kind, n_loc, obf_seed, timeout_seconds,
                       f"inst-{i:05d}"))
-    if workers > 1:
-        with get_context("spawn").Pool(workers) as pool:
+    processes = min(workers, count)
+    if processes > 1:
+        with get_context("spawn").Pool(processes) as pool:
             done = pool.starmap(_generate_one, tasks)
         # each result arrives with its own unpickled base; share the caller's
         for rec, _ in done:
@@ -268,7 +271,7 @@ def evaluate(model: Model, samples) -> MetricsReport:
     zs, ts = [], []
     for smp in samples:
         zs.append(_forward(model, smp.a, smp.ax).z)
-        ts.append(target_value(model.config, smp.label))
+        ts.append(target_value(smp.label))
     z = np.asarray(zs)
     t = np.asarray(ts)
     try:
@@ -313,7 +316,7 @@ def attention_report(model: Model, samples) -> AttentionReport:
 
     Input attribution chains the absolute conv weights |W0|·|W1|·…,
     weights the hidden columns by the mean feature attention (uniform
-    for sum/mean aggregation), and normalizes to shares.  Gate entropy
+    for mean aggregation), and normalizes to shares.  Gate entropy
     is the mean normalized entropy of the gate attention, 1.0 meaning
     uniform spread (only defined in attention mode).
     """

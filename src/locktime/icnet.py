@@ -3,7 +3,7 @@
 Architecture: two graph convolutions H_l = ReLU(A · H_{l-1} · Θ_l) over a
 per-gate feature matrix, a feature-level aggregation collapsing hidden
 features to one scalar per gate, a gate-level aggregation collapsing
-gates to one scalar z, and an exp or identity output head.
+gates to one scalar z, and an exp output head.
 
 The structure A is an edge list ``(rows, cols, vals)`` (see
 ``netlist.graph_matrix``), so each product with A costs O(edges · width)
@@ -16,7 +16,7 @@ and X never change, so the first layer's A·X is computed once per sample
 (``GraphSample.ax``) and the first convolution is (A·X)·Θ_0; later ones
 are A·(P·Θ_l), propagating the narrower product.
 
-Aggregations come in attention / sum / mean variants.  Attention scoring
+Aggregations come in attention / mean variants.  Attention scoring
 is built so the whole network is invariant to gate reordering:
 
 * feature attention scores each hidden feature f by theta_feat[f] times
@@ -26,9 +26,8 @@ is built so the whole network is invariant to gate reordering:
   softmaxes into a_gate, and returns z = a_gate . s.
 
 The exp head is trained in the log domain (latent z regresses
-log1p(label)); the linear head regresses raw labels.  Gradients are
-closed-form backpropagation, checked against finite differences in the
-test suite.
+log1p(label)).  Gradients are closed-form backpropagation, checked
+against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -57,12 +56,11 @@ from .numerics import (
 from .obfuscate import ObfuscationInstance
 
 GRAPH_REPRS = ("adjacency", "laplacian")
-AGG_MODES = ("attention", "sum", "mean")
-OUTPUT_HEADS = ("exp", "linear")
+AGG_MODES = ("attention", "mean")
 FEATURE_SETS = ("location_only", "all_features")
 
 CHECKPOINT_FORMAT = "icnet-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 TEST_FRACTION = 0.2  # share of usable samples held out by train's split
 _ONE_HOT_BY_NAME = {t._name_: i for t, i in ONE_HOT_INDEX.items()}  # Enum hashing runs in Python
 
@@ -70,13 +68,10 @@ _ONE_HOT_BY_NAME = {t._name_: i for t, i in ONE_HOT_INDEX.items()}  # Enum hashi
 @dataclass(frozen=True)
 class ModelConfig:
     graph_repr: str = "adjacency"
-    self_loops: bool = True
-    directed: bool = False
     conv_layers: int = 2
     hidden_dims: tuple = (32, 16)
     feat_agg: str = "attention"
     gate_agg: str = "attention"
-    output_head: str = "exp"
     feature_set: str = "all_features"
     learning_rate: float = 1e-3
     batch_size: int = 32
@@ -93,7 +88,6 @@ class ModelConfig:
             ("graph_repr", self.graph_repr, GRAPH_REPRS),
             ("feat_agg", self.feat_agg, AGG_MODES),
             ("gate_agg", self.gate_agg, AGG_MODES),
-            ("output_head", self.output_head, OUTPUT_HEADS),
             ("feature_set", self.feature_set, FEATURE_SETS),
         ]:
             if value not in options:
@@ -197,8 +191,7 @@ def new_model(config: ModelConfig) -> Model:
 def build_graph_input(inst: ObfuscationInstance,
                       config: ModelConfig) -> tuple[tuple, np.ndarray]:
     """Structure edge list A and features X (column 0 = mask, 1..10 = one-hot type)."""
-    a = graph_matrix(inst.obfuscated, kind=config.graph_repr,
-                     directed=config.directed, self_loops=config.self_loops)
+    a = graph_matrix(inst.obfuscated, config.graph_repr)
     n = inst.obfuscated.n
     mask = inst.mask_array()
     if config.feature_set == "location_only":
@@ -244,8 +237,6 @@ def _forward(model: Model, a: tuple, ax: np.ndarray) -> _Cache:
         mu = h.mean(axis=0)
         a_feat = softmax(p["feat"] * mu)
         s = h @ a_feat
-    elif cfg.feat_agg == "sum":
-        s = h.sum(axis=1)
     else:
         s = h.mean(axis=1)
     check_finite("feature aggregation", s)
@@ -254,8 +245,6 @@ def _forward(model: Model, a: tuple, ax: np.ndarray) -> _Cache:
     if cfg.gate_agg == "attention":
         a_gate = softmax(p["gate"][0] * s)
         z_out = float(a_gate @ s)
-    elif cfg.gate_agg == "sum":
-        z_out = float(s.sum())
     else:
         z_out = float(s.mean())
     check_finite("gate aggregation", np.asarray([z_out]))
@@ -268,12 +257,9 @@ def forward(model: Model, a, x) -> Prediction:
     a = _as_structure(a, x.shape[0])
     t0 = time.perf_counter()
     cache = _forward(model, a, _propagate(a, x))
-    if model.config.output_head == "exp":
-        with np.errstate(over="ignore"):
-            yhat = float(np.exp(cache.z))
-        check_finite("output head", np.asarray([yhat]))
-    else:
-        yhat = cache.z
+    with np.errstate(over="ignore"):
+        yhat = float(np.exp(cache.z))
+    check_finite("output head", np.asarray([yhat]))
     return Prediction(yhat, cache.z, cache.a_feat, cache.a_gate,
                       time.perf_counter() - t0)
 
@@ -282,10 +268,8 @@ def predict(model: Model, inst: ObfuscationInstance) -> Prediction:
     return forward(model, *build_graph_input(inst, model.config))
 
 
-def target_value(config: ModelConfig, label: float) -> float:
+def target_value(label: float) -> float:
     """The quantity the latent z regresses for a raw label."""
-    if config.output_head == "linear":
-        return float(label)
     return float(np.log1p(label))
 
 
@@ -308,8 +292,6 @@ def _backward(model: Model, a: tuple, ax: np.ndarray, cache: _Cache,
         theta_g = p["gate"][0]
         grads["gate"][0] += dz * float(b @ (s * s) - z * z)
         ds = dz * (b + theta_g * b * (s - z))
-    elif cfg.gate_agg == "sum":
-        ds = np.full(n, dz)
     else:
         ds = np.full(n, dz / n)
 
@@ -321,8 +303,6 @@ def _backward(model: Model, a: tuple, ax: np.ndarray, cache: _Cache,
         grads["feat"] += cache.mu * de
         dmu = p["feat"] * de
         dp = np.outer(ds, a_f) + dmu[None, :] / n
-    elif cfg.feat_agg == "sum":
-        dp = np.repeat(ds[:, None], hw, axis=1)
     else:
         dp = np.repeat(ds[:, None], hw, axis=1) / hw
 
@@ -336,10 +316,9 @@ def _backward(model: Model, a: tuple, ax: np.ndarray, cache: _Cache,
 
 
 def loss_and_grads(model: Model, samples: list) -> tuple[float, ParamStore]:
-    """Batch MSE on the head's training scale plus exact parameter grads.
+    """Batch MSE in the log domain plus exact parameter grads.
 
-    exp head: residual z - log1p(label); linear head:
-    residual z - label.  MSE is the mean of squared residuals.
+    The residual is z - log1p(label); MSE is the mean of squared residuals.
     """
     if not samples:
         raise ValueError("empty batch")
@@ -348,7 +327,7 @@ def loss_and_grads(model: Model, samples: list) -> tuple[float, ParamStore]:
     inv_b = 1.0 / len(samples)
     for smp in samples:
         cache = _forward(model, smp.a, smp.ax)
-        r = cache.z - target_value(model.config, smp.label)
+        r = cache.z - target_value(smp.label)
         sq += r * r
         _backward(model, smp.a, smp.ax, cache, 2.0 * r * inv_b, total.arrays)
     mse = sq * inv_b
@@ -361,7 +340,7 @@ def batch_mse(model: Model, samples: list) -> float:
     sq = 0.0
     for smp in samples:
         cache = _forward(model, smp.a, smp.ax)
-        r = cache.z - target_value(model.config, smp.label)
+        r = cache.z - target_value(smp.label)
         sq += r * r
     return sq / len(samples)
 

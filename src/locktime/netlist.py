@@ -326,16 +326,16 @@ def emit_bench(c: Circuit) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def graph_matrix(c: Circuit, kind="adjacency", directed=False, self_loops=True):
-    """Structure matrix of the fanin relation as an edge list.
+def graph_matrix(c: Circuit, kind="adjacency"):
+    """Structure matrix of the symmetrized fanin relation as an edge list.
 
     Returns the nonzeros of the n x n matrix as ``(rows, cols, vals)``,
     unique and sorted by (row, col); n is ``c.n`` and is not stored.
-    ``w[i, j] = 1`` iff gate j is a fanin of gate i (a repeated fanin
-    still gives 1); undirected mode also sets the transpose, self_loops
-    sets the diagonal.  The laplacian is ``D - W`` over the same
-    connectivity, its zero diagonal entries left out.  The transpose is
-    the same triple with rows and cols swapped.
+    ``w[i, j] = w[j, i] = 1`` iff gate j is a fanin of gate i (a repeated
+    fanin still gives 1), and every diagonal entry is 1.  The laplacian is
+    ``D - W`` over the same connectivity, its zero diagonal entries (gates
+    with no edges) left out.  The transpose is the same triple with rows
+    and cols swapped.
     """
     if kind not in ("adjacency", "laplacian"):
         raise ValueError(f"unknown graph matrix kind {kind!r}")
@@ -344,19 +344,16 @@ def graph_matrix(c: Circuit, kind="adjacency", directed=False, self_loops=True):
     fanins = [g.fanin for g in c.gates]  # gates[i].id == i
     heads = np.repeat(ids, np.fromiter(map(len, fanins), np.intp, n))
     tails = np.fromiter(chain.from_iterable(fanins), np.intp, heads.size)
-    if not directed:
-        heads, tails = np.concatenate([heads, tails]), np.concatenate([tails, heads])
-    if self_loops or kind == "laplacian":
-        heads, tails = np.concatenate([heads, ids]), np.concatenate([tails, ids])
     # sort + neighbour mask: np.unique is an order of magnitude slower here
-    keys = np.sort(heads * n + tails)
+    keys = np.sort(np.concatenate([heads, tails, ids]) * n
+                   + np.concatenate([tails, heads, ids]))
     keep = np.ones(keys.size, dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
     rows, cols = np.divmod(keys[keep], n)
     if kind == "adjacency":
         return rows, cols, np.ones(rows.size)
-    # every row holds its diagonal slot, where D - W is the count of the
-    # row's other entries whether or not W has the self-loop
+    # W holds every self-loop, so the diagonal of D - W is the count of
+    # the row's other entries
     vals = np.where(rows == cols, np.bincount(rows, minlength=n)[rows] - 1.0, -1.0)
     nonzero = vals != 0.0
     return rows[nonzero], cols[nonzero], vals[nonzero]

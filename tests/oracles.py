@@ -162,22 +162,17 @@ def random_3sat(rng: random.Random, n_vars, n_clauses):
 
 # --- structure matrices ---
 
-def dense_graph_matrix(c: Circuit, kind="adjacency", directed=False, self_loops=True):
+def dense_graph_matrix(c: Circuit, kind="adjacency"):
     """Dense n x n structure matrix: the definition ``graph_matrix`` lists the nonzeros of.
 
-    ``w[i, j] = 1`` iff gate j is a fanin of gate i; undirected mode also
-    sets the transpose, self_loops sets the diagonal.  The laplacian is
-    ``D - W`` over the same connectivity.
+    ``w[i, j] = w[j, i] = 1`` iff gate j is a fanin of gate i, and the
+    diagonal is 1.  The laplacian is ``D - W`` over the same connectivity.
     """
     n = c.n
-    w = np.zeros((n, n), dtype=np.float64)
+    w = np.eye(n)
     for g in c.gates:
         for f in g.fanin:
-            w[g.id, f] = 1.0
-            if not directed:
-                w[f, g.id] = 1.0
-    if self_loops:
-        np.fill_diagonal(w, 1.0)
+            w[g.id, f] = w[f, g.id] = 1.0
     if kind == "adjacency":
         return w
     return np.diag(w.sum(axis=1)) - w

@@ -204,27 +204,25 @@ def test_c05_gradient_fidelity(capsys):
     samples = [GraphSample(a, x, 7.5), GraphSample(a, 1.0 - x, 2.25)]
     worst = 0.0
     combos = 0
-    for feat_agg in ("attention", "sum", "mean"):
-        for gate_agg in ("attention", "sum", "mean"):
-            for head in ("exp", "linear"):
-                cfg = ModelConfig(conv_layers=2, hidden_dims=(5, 4),
-                                  feature_set="location_only", seed=2,
-                                  feat_agg=feat_agg, gate_agg=gate_agg,
-                                  output_head=head)
-                model = new_model(cfg)
-                _, analytic = loss_and_grads(model, samples)
-                numeric = _numeric_grads(model, samples, h=1e-5)
-                for name in analytic.names():
-                    an, nu = analytic[name], numeric[name]
-                    rel = np.abs(an - nu) / np.maximum.reduce(
-                        [np.abs(an), np.abs(nu), np.full_like(an, 1e-6)])
-                    worst = max(worst, float(np.max(rel)))
-                combos += 1
-    ok = combos == 18 and worst < 1e-4
+    for feat_agg in ("attention", "mean"):
+        for gate_agg in ("attention", "mean"):
+            cfg = ModelConfig(conv_layers=2, hidden_dims=(5, 4),
+                              feature_set="location_only", seed=2,
+                              feat_agg=feat_agg, gate_agg=gate_agg)
+            model = new_model(cfg)
+            _, analytic = loss_and_grads(model, samples)
+            numeric = _numeric_grads(model, samples, h=1e-5)
+            for name in analytic.names():
+                an, nu = analytic[name], numeric[name]
+                rel = np.abs(an - nu) / np.maximum.reduce(
+                    [np.abs(an), np.abs(nu), np.full_like(an, 1e-6)])
+                worst = max(worst, float(np.max(rel)))
+            combos += 1
+    ok = combos == 4 and worst < 1e-4
     verdict(capsys, 5, ok,
             f"analytic vs central-difference gradients (h=1e-5): max "
             f"relative error {worst:.2e} < 1e-4 over {combos} "
-            f"aggregation/head combinations on n=6 inputs")
+            f"aggregation combinations (exp head) on n=6 inputs")
 
 
 # --- 6: architectural invariants ---

@@ -16,10 +16,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(capsys, *argv):
+    """Run a command that must succeed and parse its stdout as strict JSON."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_reject_constant)
 
 
 # --- parse ---
@@ -220,12 +225,13 @@ def test_train_rejects_unknown_config_keys(pipeline, capsys, tmp_path):
 def test_train_rejects_removed_config_keys(pipeline, capsys, tmp_path):
     ds, *_ = pipeline
     old = tmp_path / "old.json"
-    old.write_text('{"hidden_dims": [4, 2], "init_scheme": "uniform_glorot"}')
-    code, _, err = run_cli(capsys, "train", "--dataset", str(ds),
-                           "--config", str(old),
-                           "--out", str(tmp_path / "m.json"))
-    assert code == 1
-    assert json.loads(err)["message"] == "unknown model config keys: ['init_scheme']"
+    for key, value in (("init_scheme", "uniform_glorot"), ("directed", True)):
+        old.write_text(json.dumps({"hidden_dims": [4, 2], key: value}))
+        code, _, err = run_cli(capsys, "train", "--dataset", str(ds),
+                               "--config", str(old),
+                               "--out", str(tmp_path / "m.json"))
+        assert code == 1
+        assert json.loads(err)["message"] == f"unknown model config keys: ['{key}']"
 
 
 def test_train_divergence_is_json_error(pipeline, capsys, tmp_path):
@@ -259,6 +265,24 @@ def test_train_rejects_bad_config_values(pipeline, capsys, tmp_path, fields, nam
     doc = json.loads(err)
     assert doc["error"] == "ValueError" and name in doc["message"]
     assert not (tmp_path / "m.json").exists()
+
+
+def test_report_undefined_correlation_is_null(capsys, tmp_path):
+    # one location everywhere: Spearman against a constant is undefined
+    ds = tmp_path / "ds"
+    run_json(capsys, "gen-data", "builtin:c17", "--count", "3", "--kind", "xor",
+             "--locations", "1", "--out", str(ds))
+    doc = run_json(capsys, "report", "--dataset", str(ds))
+    assert doc["dataset"]["spearman_locations_conflicts"] is None
+
+
+def test_gen_data_rejects_nonpositive_workers(capsys, tmp_path):
+    for workers in ("0", "-2"):
+        code, out, err = run_cli(capsys, "gen-data", "builtin:c17", "--count", "2",
+                                 "--kind", "xor", "--locations", "1",
+                                 "--workers", workers, "--out", str(tmp_path / "ds"))
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"] == f"workers must be >= 1, got {workers}"
 
 
 def test_gen_data_requires_out(capsys):

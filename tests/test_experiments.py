@@ -149,6 +149,41 @@ def test_generate_records_validation(c17):
         generate_records(c17, 2, kind, (1, 99), seed=0)
     with pytest.raises(ValueError, match="count"):
         generate_records(c17, 0, kind, (1, 2), seed=0)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            generate_records(c17, 2, kind, (1, 2), seed=0, workers=workers)
+
+
+class _InProcessContext:
+    """Stands in for a spawn context: records pool sizes, runs tasks here."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def Pool(self, processes):
+        self.pool_sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, tasks):
+        return [fn(*t) for t in tasks]
+
+
+def test_generate_records_pool_never_exceeds_count(monkeypatch, c17):
+    ctx = _InProcessContext()
+    monkeypatch.setattr(locktime.experiments, "get_context", lambda method: ctx)
+    kind = ObfuscationKind.parse("xor")
+    serial, _ = generate_records(c17, 3, kind, (1, 2), seed=4)
+    capped, _ = generate_records(c17, 3, kind, (1, 2), seed=4, workers=64)
+    generate_records(c17, 1, kind, (1, 2), seed=4, workers=64)
+    assert ctx.pool_sizes == [3]  # a single task runs in this process
+    assert [r.labels["conflicts"] for r in capped] == \
+        [r.labels["conflicts"] for r in serial]
 
 
 def test_dataset_round_trip(tmp_path, c17, small_records):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from locktime.icnet import (
+    CHECKPOINT_VERSION,
     GraphSample,
     Model,
     ModelConfig,
@@ -62,8 +63,8 @@ def test_config_validation():
         ModelConfig(graph_repr="normalized")
     with pytest.raises(ValueError, match="feat_agg"):
         ModelConfig(feat_agg="max")
-    with pytest.raises(ValueError, match="output_head"):
-        ModelConfig(output_head="softplus")
+    with pytest.raises(ValueError, match="gate_agg"):
+        ModelConfig(gate_agg="sum")
     bad = [({"conv_layers": 0, "hidden_dims": ()}, "conv_layers"),
            ({"batch_size": 0}, "batch_size"),
            ({"max_epochs": 0}, "max_epochs"),
@@ -187,19 +188,6 @@ def test_zero_attention_logits_equal_mean_aggregation():
     assert abs(za - zm) <= 1e-12
 
 
-def test_exp_head_positive_linear_head_is_latent():
-    rng = np.random.default_rng(6)
-    samples = make_samples(rng, 10, n=5)
-    exp_model = new_model(SMALL)
-    lin_model = Model(dataclasses.replace(SMALL, output_head="linear"),
-                      exp_model.params)
-    for smp in samples:
-        pe = forward(exp_model, smp.a, smp.x)
-        pl = forward(lin_model, smp.a, smp.x)
-        assert pe.yhat > 0
-        assert pl.yhat == pl.z == pe.z
-
-
 def test_structure_matrix_choice_changes_output(c17):
     inst = random_obfuscate(c17, 2, ObfuscationKind.parse("lut2"), seed=1)
     z = {}
@@ -207,9 +195,6 @@ def test_structure_matrix_choice_changes_output(c17):
         cfg = ModelConfig(hidden_dims=(6, 3), graph_repr=repr_, seed=0)
         z[repr_] = predict(new_model(cfg), inst).z
     assert z["adjacency"] != z["laplacian"]
-    und = ModelConfig(hidden_dims=(6, 3), directed=False, seed=0)
-    dire = ModelConfig(hidden_dims=(6, 3), directed=True, seed=0)
-    assert predict(new_model(und), inst).z != predict(new_model(dire), inst).z
 
 
 def test_build_graph_input_features(c17):
@@ -231,6 +216,12 @@ def test_build_graph_input_features(c17):
     assert x[:, 0].sum() == 3.0
 
 
+def _without_input_rows(c, a):
+    """The triple ``a`` with the primary inputs' rows dropped, leaving them empty."""
+    keep = ~np.isin(a[0], c.primary_inputs)
+    return tuple(arr[keep] for arr in a)
+
+
 def _propagate_by_edges(a, h):
     """A @ h one edge at a time: each row's terms summed in edge order from 0.0."""
     out = [[0.0] * h.shape[1] for _ in range(h.shape[0])]
@@ -240,13 +231,14 @@ def _propagate_by_edges(a, h):
     return np.array(out)
 
 
-@pytest.mark.parametrize("kind,directed", [("adjacency", False), ("laplacian", True)])
+@pytest.mark.parametrize("kind,empty_rows", [("adjacency", False), ("laplacian", True)])
 @pytest.mark.parametrize("width", [1, 11, 16])
-def test_propagate_equals_edge_order_accumulation(mid12, kind, directed, width):
+def test_propagate_equals_edge_order_accumulation(mid12, kind, empty_rows, width):
     inst = random_obfuscate(mid12, 3, ObfuscationKind.parse("lut2"), seed=4)
-    a = graph_matrix(inst.obfuscated, kind=kind, directed=directed, self_loops=False)
+    a = graph_matrix(inst.obfuscated, kind)
     n = inst.obfuscated.n
-    if kind == "laplacian":  # primary inputs have no fanin, so no entries
+    if empty_rows:
+        a = _without_input_rows(inst.obfuscated, a)
         assert np.setdiff1d(np.arange(n), a[0]).size > 0
     if width == 11:
         h = build_graph_input(inst, ModelConfig())[1]
@@ -323,7 +315,7 @@ def test_nonfinite_intermediates_reported_by_stage():
         forward(model, edge_list(np.eye(3)), x)
     # exp-head overflow is caught at the output head
     big = Model(
-        dataclasses.replace(SMALL, feat_agg="sum", gate_agg="sum"),
+        dataclasses.replace(SMALL, feat_agg="mean", gate_agg="mean"),
         ParamStore({"conv0": np.ones((1, 5)) * 50, "conv1": np.ones((5, 4)) * 50,
                     "feat": np.zeros(4), "gate": np.zeros(1)}))
     with pytest.raises(NonFiniteError, match="output head"):
@@ -348,12 +340,10 @@ def numeric_grads(model, samples, h=1e-5):
     return grads
 
 
-@pytest.mark.parametrize("feat_agg", ["attention", "sum", "mean"])
-@pytest.mark.parametrize("gate_agg", ["attention", "sum", "mean"])
-@pytest.mark.parametrize("head", ["exp", "linear"])
-def test_gradient_fidelity(feat_agg, gate_agg, head):
-    cfg = dataclasses.replace(SMALL, feat_agg=feat_agg, gate_agg=gate_agg,
-                              output_head=head)
+@pytest.mark.parametrize("feat_agg", ["attention", "mean"])
+@pytest.mark.parametrize("gate_agg", ["attention", "mean"])
+def test_gradient_fidelity(feat_agg, gate_agg):
+    cfg = dataclasses.replace(SMALL, feat_agg=feat_agg, gate_agg=gate_agg)
     model = new_model(cfg)
     samples = make_samples(np.random.default_rng(12), 3, n=6)
     _, analytic = loss_and_grads(model, samples)
@@ -365,26 +355,28 @@ def test_gradient_fidelity(feat_agg, gate_agg, head):
         assert np.max(rel) < 1e-4, f"{name}: max rel err {np.max(rel):.2e}"
 
 
-@pytest.mark.parametrize("overrides", [
-    {},  # narrowing: 11 -> 4 -> 3
-    {"hidden_dims": (3, 6)},  # widening second layer
-    {"conv_layers": 1, "hidden_dims": (4,)},
-    {"conv_layers": 3, "hidden_dims": (4, 6, 3)},
-    {"graph_repr": "laplacian"},
-    {"directed": True},
-    {"directed": True, "self_loops": False},  # input gates' rows are empty
+@pytest.mark.parametrize("overrides,empty_rows", [
+    ({}, False),  # narrowing: 11 -> 4 -> 3
+    ({"hidden_dims": (3, 6)}, False),  # widening second layer
+    ({"conv_layers": 1, "hidden_dims": (4,)}, False),
+    ({"conv_layers": 3, "hidden_dims": (4, 6, 3)}, False),
+    ({"graph_repr": "laplacian"}, False),
+    ({}, True),  # input gates' rows are empty
 ], ids=["narrowing", "widening", "one-layer", "three-layer", "laplacian",
-        "directed", "empty-rows"])
-def test_gradient_fidelity_all_features_config(c17, overrides):
+        "empty-rows"])
+def test_gradient_fidelity_all_features_config(c17, overrides, empty_rows):
     cfg = dataclasses.replace(
         ModelConfig(hidden_dims=(4, 3), feature_set="all_features", seed=3),
         **overrides)
     model = new_model(cfg)
     samples = make_samples(np.random.default_rng(8), 2, n=5, f=11)
-    # real structures built under the config's graph options
+    # real structures built under the config's graph_repr
     for seed, label in ((1, 3.0), (2, 11.0)):
         inst = random_obfuscate(c17, 2, ObfuscationKind.parse("xor"), seed=seed)
-        samples.append(GraphSample(*build_graph_input(inst, cfg), label))
+        a, x = build_graph_input(inst, cfg)
+        if empty_rows:
+            a = _without_input_rows(inst.obfuscated, a)
+        samples.append(GraphSample(a, x, label))
     _, analytic = loss_and_grads(model, samples)
     numeric = numeric_grads(model, samples, h=1e-5)
     for name in analytic.names():
@@ -398,12 +390,8 @@ def test_loss_with_zero_parameters():
     zero = ParamStore({"conv0": np.zeros((1, 5)), "conv1": np.zeros((5, 4)),
                        "feat": np.zeros(4), "gate": np.zeros(1)})
     smp = GraphSample(edge_list(np.eye(3)), np.ones((3, 1)), label=4.0)
-    lin = Model(dataclasses.replace(SMALL, output_head="linear"), zero)
-    mse, _ = loss_and_grads(lin, [smp])
-    assert np.isclose(mse, 16.0)  # z = 0, raw residual = -label
-    exp = Model(SMALL, zero)
-    mse, _ = loss_and_grads(exp, [smp])
-    assert np.isclose(mse, np.log1p(4.0) ** 2)  # log-domain residual
+    mse, _ = loss_and_grads(Model(SMALL, zero), [smp])
+    assert np.isclose(mse, np.log1p(4.0) ** 2)  # z = 0, log-domain residual
 
 
 def test_batch_loss_is_mean_and_grads_average():
@@ -462,14 +450,14 @@ def test_train_determinism():
 PINNED_TRAINING = [
     ({}, "1.7185586378045694",
      "b33b816e82c434f8c36e6363fed5f9e8e333c82f6ba266c86e7fa5d4f4314adb"),
-    ({"graph_repr": "laplacian", "directed": True, "feat_agg": "mean",
-      "output_head": "linear"}, "0.4128366743013202",
-     "af0c8c45b45bf92d3f206ec32c897946dbc54286ff9eb8f8fdc84be281ab18c0"),
+    ({"graph_repr": "laplacian", "feat_agg": "mean", "gate_agg": "mean"},
+     "0.19136079752957735",
+     "19e36ef1965cd9efce7db24ffc6c819377b4c484969732475c9cc7a1f3a73d6e"),
 ]
 
 
 @pytest.mark.parametrize("overrides,mse_repr,params_sha", PINNED_TRAINING,
-                         ids=["adjacency", "laplacian-directed"])
+                         ids=["adjacency", "gcn-baseline"])
 def test_training_numerics_are_pinned(mid12, overrides, mse_repr, params_sha):
     # every bit of a short seeded training run on real structures: graph
     # build, one-hot features, sparse products, activations and ADAM
@@ -526,35 +514,6 @@ def test_censored_samples_excluded_by_default():
     cfg = dataclasses.replace(SMALL, max_epochs=3)
     res = train(samples, cfg)
     assert len(res.train_indices) + len(res.test_indices) == 9
-
-
-def test_exp_head_beats_linear_head_on_exponential_labels():
-    rng = np.random.default_rng(40)
-    samples = []
-    for _ in range(44):
-        n = 8
-        a = np.eye(n) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
-        m = int(rng.integers(0, 11))
-        x = np.zeros((n, 1))
-        x[rng.permutation(n)[: min(m, n)], 0] = 1.0
-        # exponential growth in the mask count, mild noise
-        label = float(np.exp(0.8 * m + rng.normal(0.0, 0.05)))
-        samples.append(GraphSample(edge_list(a), x, label))
-    results = {}
-    for head in ("exp", "linear"):
-        cfg = ModelConfig(hidden_dims=(8, 4), feature_set="location_only",
-                          output_head=head, learning_rate=0.01,
-                          max_epochs=200, batch_size=16, seed=0)
-        res = train(samples, cfg)
-        test_set = [samples[i] for i in res.test_indices]
-        # compare on the log scale regardless of head
-        sq = 0.0
-        for smp in test_set:
-            pred = forward(res.model, smp.a, smp.x)
-            est = pred.yhat if head == "linear" else np.expm1(pred.z)
-            sq += (np.log1p(max(est, 0.0)) - np.log1p(smp.label)) ** 2
-        results[head] = sq / len(test_set)
-    assert results["exp"] < results["linear"], results
 
 
 # --- baselines ---
@@ -615,12 +574,15 @@ def test_checkpoint_rejects_foreign_documents(tmp_path):
 
 
 def test_checkpoint_rejects_version_1(tmp_path):
-    # version 1 configs carry two fields ModelConfig no longer has
-    path = tmp_path / "v1.json"
+    # version 1 configs carry two fields ModelConfig no longer has, and
+    # version 2 ones three more (self_loops, directed, output_head)
+    path = tmp_path / "old.json"
     save_checkpoint(new_model(SMALL), path)
     doc = json.loads(path.read_text())
-    doc["version"] = 1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
-        load_checkpoint(path)
+    assert doc["version"] == CHECKPOINT_VERSION == 3
+    for old in (1, 2):
+        doc["version"] = old
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {old}"):
+            load_checkpoint(path)
 

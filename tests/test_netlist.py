@@ -176,34 +176,33 @@ def test_roundtrip_isomorphic(c17, mid12):
 
 # --- graph matrices ---
 
-GRAPH_OPTIONS = [(kind, directed, self_loops) for kind in ("adjacency", "laplacian")
-                 for directed in (False, True) for self_loops in (False, True)]
-
 # "u" has no edges, and AND(a, a) repeats a fanin
 AND_AA = "INPUT(a)\nINPUT(u)\nOUTPUT(y)\ny = AND(a, a)\n"
 
 
-@pytest.mark.parametrize("kind,directed,self_loops", GRAPH_OPTIONS)
-def test_graph_matrix_equals_dense_definition(c17, mid12, kind, directed, self_loops):
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+def test_graph_matrix_equals_dense_definition(c17, mid12, kind):
     circuits = [c17, mid12, random_circuit(random.Random(5), n_inputs=6, n_gates=40),
                 parse_bench(AND_AA)]
     for c in circuits:
-        rows, cols, vals = graph_matrix(c, kind, directed, self_loops)
+        rows, cols, vals = graph_matrix(c, kind)
         assert rows.shape == cols.shape == vals.shape
         key = rows * c.n + cols
         assert np.all(np.diff(key) > 0)  # unique, sorted by (row, col)
         assert np.all(vals != 0)
         np.testing.assert_array_equal(densify((rows, cols, vals), c.n),
-                                      dense_graph_matrix(c, kind, directed, self_loops))
+                                      dense_graph_matrix(c, kind))
 
 
 def test_repeated_fanin_is_one_entry():
     c = parse_bench(AND_AA)
     a, u, y = (c.name_to_id[k] for k in "auy")
-    w = densify(graph_matrix(c, self_loops=False), c.n)
+    w = densify(graph_matrix(c), c.n)
     assert w[y, a] == w[a, y] == 1.0
-    assert not w[u].any() and not w[:, u].any()
-    lap = densify(graph_matrix(c, kind="laplacian", self_loops=False), c.n)
+    assert w[u].sum() == w[:, u].sum() == w[u, u] == 1.0  # only the self-loop
+    rows, cols, vals = graph_matrix(c, kind="laplacian")
+    assert u not in rows and u not in cols  # its zero diagonal is left out
+    lap = densify((rows, cols, vals), c.n)
     assert lap[y, y] == 1.0 and lap[y, a] == -1.0
 
 
@@ -214,13 +213,6 @@ def test_adjacency_undirected_self_loops(c17):
     g10 = c17.name_to_id["10"]
     assert w[g10, c17.name_to_id["1"]] == 1.0
     assert w[g10, c17.name_to_id["7"]] == 0.0
-
-
-def test_adjacency_directed():
-    c = parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
-    rows, cols, vals = graph_matrix(c, directed=True, self_loops=False)
-    a, z = c.name_to_id["a"], c.name_to_id["z"]
-    assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([z], [a], [1.0])
 
 
 def test_laplacian_rows_sum_zero(mid12):
