@@ -340,8 +340,10 @@ def numeric_grads(model, samples, h=1e-5):
     return grads
 
 
-@pytest.mark.parametrize("feat_agg", ["attention", "mean"])
-@pytest.mark.parametrize("gate_agg", ["attention", "mean"])
+# ids read head-gate_agg-feat_agg; the exponential head is the model's only one
+@pytest.mark.parametrize("gate_agg,feat_agg", [
+    pytest.param(g, f, id=f"exp-{g}-{f}")
+    for g in ("attention", "mean") for f in ("attention", "mean")])
 def test_gradient_fidelity(feat_agg, gate_agg):
     cfg = dataclasses.replace(SMALL, feat_agg=feat_agg, gate_agg=gate_agg)
     model = new_model(cfg)
