@@ -14,8 +14,9 @@ functionally correct; one is extracted by one more solve on the same
 solver, with ``act`` false.
 
 Effort counters from all solver calls are summed and exposed as runtime
-labels; ``conflicts`` is reproducible across machines, wall time is the
-natural target but machine-dependent.
+labels, raw counts that the regressor log-transforms itself;
+``conflicts`` is reproducible across machines, wall time is the natural
+target but machine-dependent.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class AttackResult:
     status: str
 
 
-LABEL_KINDS = ("wall_seconds", "log1p_seconds", "conflicts", "log1p_conflicts")
+LABEL_KINDS = ("wall_seconds", "conflicts")
 
 
 def verification_vectors(c: Circuit) -> np.ndarray:
@@ -72,9 +73,13 @@ def sat_attack(inst: ObfuscationInstance,
     """Run the DIP loop on one instance; see module docstring.
 
     ``timeout_seconds`` bounds the whole loop; a partial result with
-    status TIMEOUT is returned when exceeded.  The wall clock covers
-    miter construction through key extraction.
+    status TIMEOUT is returned when exceeded.  It must be > 0 (``inf``
+    allowed); anything else, nan included, raises ValueError before any
+    solving.  The wall clock covers miter construction through key
+    extraction.
     """
+    if timeout_seconds is not None and not timeout_seconds > 0:
+        raise ValueError(f"timeout must be > 0 seconds, got {timeout_seconds!r}")
     t0 = time.perf_counter()
     deadline = None if timeout_seconds is None else t0 + timeout_seconds
 
@@ -124,12 +129,11 @@ def sat_attack(inst: ObfuscationInstance,
 
 
 def runtime_labels(r: AttackResult) -> dict:
-    """Label kind -> value, one entry per kind in ``LABEL_KINDS``."""
+    """Raw attack effort per kind in ``LABEL_KINDS``: wall seconds and
+    summed solver conflicts (as floats)."""
     return {
         "wall_seconds": r.wall_seconds,
-        "log1p_seconds": float(np.log1p(r.wall_seconds)),
         "conflicts": float(r.total_stats.conflicts),
-        "log1p_conflicts": float(np.log1p(r.total_stats.conflicts)),
     }
 
 

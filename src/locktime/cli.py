@@ -4,7 +4,7 @@ Subcommands:
 
   parse          validate a bench netlist and print a structure summary
   obfuscate      lock a circuit; writes instance.json / locked.bench / base.bench
-  attack         run key recovery on a locked instance and print effort labels
+  attack         run key recovery on a locked instance and print solver effort
   gen-data       build an attack-labelled dataset directory
   train          fit the runtime regressor on a dataset
   eval           score a trained model on a dataset split
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import load_bundled
-from .attack import LABEL_KINDS, runtime_labels, sat_attack
+from .attack import LABEL_KINDS, sat_attack
 from .cnf import build_miter, to_dimacs, tseitin
 from .experiments import (
     attention_report,
@@ -159,7 +159,6 @@ def _cmd_attack(args) -> None:
         "conflicts": r.total_stats.conflicts,
         "recovered_key": key,
         "ground_truth_key": "".join(str(b) for b in inst.key_truth),
-        "labels": runtime_labels(r),
     }, args.out)
 
 
@@ -188,6 +187,14 @@ def _model_config(args) -> ModelConfig:
     return ModelConfig(**doc)
 
 
+def _split_samples(samples, seed: int, split: str):
+    """The uncensored samples of ``split`` under train's seeded split."""
+    usable = [s for s in samples if not s.censored]
+    tr, te = split_indices(len(usable), seed)
+    picks = {"train": tr, "test": te, "all": tuple(range(len(usable)))}[split]
+    return [usable[i] for i in picks]
+
+
 def _cmd_train(args) -> None:
     _, records, _ = load_dataset(args.dataset)
     config = _model_config(args)
@@ -196,8 +203,7 @@ def _cmd_train(args) -> None:
     save_checkpoint(res.model, args.out)
     if args.log_csv:
         Path(args.log_csv).write_text(res.log_csv())
-    usable = [s for s in samples if not s.censored]
-    test = [usable[i] for i in res.test_indices]
+    test = _split_samples(samples, config.seed, "test")
     doc = {
         "model": str(args.out),
         "label_kind": args.label_kind,
@@ -210,13 +216,6 @@ def _cmd_train(args) -> None:
     if test:
         doc["test_metrics"] = evaluate(res.model, test).to_dict()
     _emit(doc)
-
-
-def _split_samples(samples, seed: int, split: str):
-    usable = [s for s in samples if not s.censored]
-    tr, te = split_indices(len(usable), seed)
-    picks = {"train": tr, "test": te, "all": tuple(range(len(usable)))}[split]
-    return [usable[i] for i in picks]
 
 
 def _cmd_eval(args) -> None:
@@ -235,7 +234,7 @@ def _cmd_report(args) -> None:
     doc = {"dataset": dataset_report(records)}
     if args.model:
         model = load_checkpoint(args.model)
-        samples = records_to_samples(records, model.config, args.label_kind)
+        samples = records_to_samples(records, model.config, "conflicts")
         doc["attention"] = attention_report(model, samples).to_dict()
     _emit(doc, args.out)
 
@@ -303,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("report", _cmd_report, "dataset / attention report")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", default=None)
-    p.add_argument("--label-kind", default="conflicts", choices=LABEL_KINDS)
 
     p = add("export-dimacs", _cmd_export_dimacs, "emit DIMACS CNF")
     p.add_argument("source", help="bench file (circuit) or instance.json (miter)")

@@ -49,7 +49,7 @@ from .obfuscate import (
 )
 
 DATASET_FORMAT = "locktime-dataset"
-DATASET_VERSION = 3  # 3: the key comes from the attack's own solver; conflict labels moved
+DATASET_VERSION = 4  # 4: labels are raw effort only; the pre-logged kinds are gone
 
 
 # --- ranking metrics ---
@@ -112,12 +112,7 @@ class DatasetRecord:
 
 def records_to_samples(records, config: ModelConfig,
                        label_kind: str) -> list:
-    """Graph samples carrying the chosen label.
-
-    The raw kinds ("wall_seconds", "conflicts") are the intended targets:
-    the model regresses log1p(label) itself, so a pre-logged "log1p_*"
-    kind would be logged twice.
-    """
+    """Graph samples carrying the chosen label."""
     return [GraphSample(*build_graph_input(rec.instance, config),
                         float(rec.labels[label_kind]), rec.instance_id,
                         rec.censored)

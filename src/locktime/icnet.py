@@ -110,12 +110,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden_dims": list(self.hidden_dims)}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        doc = dict(doc)
-        doc["hidden_dims"] = tuple(doc["hidden_dims"])
-        return cls(**doc)
-
 
 def baseline_gcn_config(cfg: ModelConfig) -> ModelConfig:
     """The Laplacian-GCN-mean reference: same capacity, no attention."""
@@ -479,4 +473,4 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"not a model checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    return Model(ModelConfig.from_dict(doc["config"]), params_from_doc(doc["params"]))
+    return Model(ModelConfig(**doc["config"]), params_from_doc(doc["params"]))

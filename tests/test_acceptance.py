@@ -355,7 +355,6 @@ def test_c09_inference_speed(capsys, attack_results, trained_trials):
 def _strip_timing(doc):
     labels = dict(doc["labels"])
     labels.pop("wall_seconds", None)
-    labels.pop("log1p_seconds", None)
     return {**doc, "labels": labels}
 
 

@@ -3,11 +3,14 @@
 import json
 import shutil
 import subprocess
+from dataclasses import replace
 
 import pytest
 
 from locktime.cli import main
+from locktime.experiments import generate_records, write_dataset
 from locktime.netlist import parse_bench
+from locktime.obfuscate import ObfuscationKind
 
 
 def run_cli(capsys, *argv):
@@ -97,12 +100,21 @@ def test_attack_recovers_key(locked_dir, capsys):
     assert res["status"] == "SOLVED"
     assert set(res) == {"status", "iterations", "wall_seconds", "decisions",
                         "propagations", "conflicts", "recovered_key",
-                        "ground_truth_key", "labels"}
+                        "ground_truth_key"}
     assert len(res["recovered_key"]) == 2
     assert res["iterations"] >= 0 and res["conflicts"] >= 0
-    assert set(res["labels"]) == {"wall_seconds", "log1p_seconds",
-                                  "conflicts", "log1p_conflicts"}
-    assert res["labels"]["conflicts"] == res["conflicts"]
+
+
+def test_bad_timeout_is_json_error(locked_dir, capsys, tmp_path):
+    outdir, _ = locked_dir
+    for argv in (("attack", str(outdir / "instance.json")),
+                 ("gen-data", "builtin:c17", "--count", "2", "--kind", "xor",
+                  "--locations", "1", "--out", str(tmp_path / "ds"))):
+        code, out, err = run_cli(capsys, *argv, "--timeout", "-1")
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError"
+        assert doc["message"] == "timeout must be > 0 seconds, got -1.0"
 
 
 def test_export_dimacs_circuit_and_miter(locked_dir, capsys, tmp_path):
@@ -209,6 +221,28 @@ def test_report_with_attention(pipeline, capsys):
     assert "mask" in doc["attention"]["input_shares"]
     assert doc["attention"]["gate_entropy"] is None or \
         0 <= doc["attention"]["gate_entropy"] <= 1
+    with pytest.raises(SystemExit):  # attention ignores labels: no label knob
+        main(["report", "--dataset", str(ds), "--label-kind", "conflicts"])
+
+
+def test_train_test_metrics_equal_eval_test_split(capsys, tmp_path, c17):
+    # a censored record ahead of the others shifts every uncensored index
+    records, logs = generate_records(c17, 11, ObfuscationKind.parse("lut2"),
+                                     (1, 3), seed=1)
+    records[0] = replace(records[0], censored=True, status="TIMEOUT")
+    ds, model = tmp_path / "ds", tmp_path / "model.json"
+    write_dataset(ds, c17, records, logs)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"hidden_dims": [6, 3], "max_epochs": 15,
+                               "learning_rate": 0.02, "batch_size": 4}))
+    trained = run_json(capsys, "train", "--dataset", str(ds), "--config",
+                       str(cfg), "--out", str(model))
+    evaluated = run_json(capsys, "eval", "--dataset", str(ds),
+                         "--model", str(model), "--split", "test")
+    assert trained["train_size"] + trained["test_size"] == 10
+    assert trained["test_metrics"]["n"] == trained["test_size"] >= 2
+    assert {k: evaluated[k] for k in trained["test_metrics"]} == \
+        trained["test_metrics"]
 
 
 def test_train_rejects_unknown_config_keys(pipeline, capsys, tmp_path):

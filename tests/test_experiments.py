@@ -98,9 +98,8 @@ def test_generate_records_contents(small_records):
     assert len(records) == len(logs) == 6
     for rec, log in zip(records, logs):
         assert rec.status == "SOLVED" and not rec.censored
-        assert set(rec.labels) == set(LABEL_KINDS)
-        assert rec.labels["log1p_conflicts"] == pytest.approx(
-            np.log1p(rec.labels["conflicts"]))
+        assert tuple(rec.labels) == LABEL_KINDS
+        assert rec.labels["conflicts"] == int(rec.labels["conflicts"]) >= 0
         assert 1 <= rec.n_locations <= 3
         assert log["id"] == rec.instance_id
         assert log["n_locations"] == rec.n_locations
@@ -213,12 +212,14 @@ def test_load_dataset_rejects_foreign_directory(tmp_path):
 
 def test_load_dataset_refuses_version_1(tmp_path, c17, small_records):
     # version 1 conflict labels came from a fresh solver per DIP call,
-    # version 2 ones from a fresh solver for the key: both are refused
+    # version 2 ones from a fresh solver for the key, version 3 also
+    # stored pre-logged label kinds: all are refused
     records, logs = small_records
     write_dataset(tmp_path, c17, records, logs)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["version"] == DATASET_VERSION == 3
-    for old in (1, 2):
+    assert manifest["version"] == DATASET_VERSION == 4
+    assert manifest["label_kinds"] == ["wall_seconds", "conflicts"]
+    for old in (1, 2, 3):
         manifest["version"] = old
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=f"unsupported dataset version {old}"):
@@ -245,13 +246,11 @@ def test_written_instances_identical_across_runs_modulo_timing(tmp_path, c17):
            (tmp_path / "b" / "manifest.json").read_bytes()
     assert (tmp_path / "a" / "base.bench").read_bytes() == \
            (tmp_path / "b" / "base.bench").read_bytes()
-    timing = ("wall_seconds", "log1p_seconds")
     for f in sorted((tmp_path / "a" / "instances").glob("*.json")):
         da = json.loads(f.read_text())
         db = json.loads((tmp_path / "b" / "instances" / f.name).read_text())
         for doc in (da, db):
-            for k in timing:
-                doc["labels"].pop(k)
+            doc["labels"].pop("wall_seconds")  # the only wall-clock field
         assert da == db
 
 

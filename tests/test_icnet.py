@@ -86,7 +86,7 @@ def test_config_validation():
     assert cfg.hidden_dims == (16, 8)
     assert ModelConfig(feature_set="location_only").feature_dim == 1
     assert ModelConfig(feature_set="all_features").feature_dim == 11
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**cfg.to_dict()) == cfg
 
 
 def test_baseline_gcn_config_swaps_only_structure_fields():
