@@ -36,7 +36,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import neg
 
 import numpy as np
 
@@ -98,6 +97,12 @@ class Solver:
     ``watches[lit]`` the clauses watched by ``lit``, one of their first
     two literals.  ``reason[v]`` is the clause that made ``v`` true, its
     other literals all false, or None for a decision.
+
+    ``_load`` reads level-0 status straight from ``val``: right after
+    backtracking to level 0, a literal true or false there is exactly
+    one true or false at level 0.  ``free[v]`` is ``activity[v]`` while
+    ``v`` is unassigned and ``-inf`` otherwise (and at index 0), so a
+    branch is one ``argmax`` over it.
     """
 
     def __init__(self):
@@ -114,7 +119,7 @@ class Solver:
         self.qhead = 0
         self.clauses: list[list[int]] = []  # watched: input, then learnt
         self.activity = np.zeros(0, dtype=np.float64)
-        self.unassigned = np.zeros(0, dtype=bool)
+        self.free = np.zeros(0, dtype=np.float64)
         self.var_inc = 1.0
         self.stats = SolverStats()
         self.ok = True
@@ -135,9 +140,8 @@ class Solver:
         self.reason += [None] * k
         self.phase += self.rng.integers(0, 2, size=k, dtype=np.int64).tolist()
         self.activity = np.concatenate([self.activity, np.zeros(k)])
-        self.unassigned = np.concatenate([self.unassigned, np.ones(k, dtype=bool)])
-        self.activity[0] = -np.inf  # index 0 is not a variable
-        self.unassigned[0] = False
+        self.free = np.concatenate([self.free, np.zeros(k)])
+        self.free[0] = -np.inf  # index 0 is not a variable
         at, new = self.n + 1, 2 * (n - self.n)
         self.val[at:at] = [None] * new
         self.watches[at:at] = [[] for _ in range(new)]
@@ -147,7 +151,8 @@ class Solver:
         """Add ``f``'s clauses at decision level 0.
 
         Literals false at level 0 are dropped and clauses true there are
-        skipped.  Units are enqueued after the whole batch, so a batch
+        skipped, as are tautologies; a repeated literal keeps its first
+        occurrence.  Units are enqueued after the whole batch, so a batch
         is simplified only against what earlier calls fixed, and a fresh
         solver watches exactly the clauses it is given.
         """
@@ -157,29 +162,28 @@ class Solver:
         self.loaded.n_vars = self.n
         if not self.ok:
             return
-        true0 = set(self.trail)  # after backtrack(0): exactly the level-0 literals
-        false0 = {-l for l in self.trail}
-        clauses, watches = self.clauses, self.watches
+        val, clauses, watches = self.val, self.clauses, self.watches
         units = []
         for cl in f.clauses:
-            if not true0.isdisjoint(cl):
-                continue  # true at level 0
-            if not false0.isdisjoint(cl):
-                cl = [l for l in cl if l not in false0]
-            if len(set(map(abs, cl))) < len(cl):  # a variable repeats
-                if not set(cl).isdisjoint(map(neg, cl)):
-                    continue  # tautology
-                cl = dict.fromkeys(cl)  # drop repeats, keep first order
-            out = list(cl)
-            if len(out) > 1:
-                clauses.append(out)
-                watches[out[0]].append(out)
-                watches[out[1]].append(out)
-            elif out:
-                units.append(out)
+            out = []
+            for lit in cl:  # val holds only level-0 values after backtrack(0)
+                x = val[lit]
+                if x is None and lit not in out:  # repeats are dropped
+                    if -lit in out:
+                        break  # tautology
+                    out.append(lit)
+                elif x:
+                    break  # true at level 0
             else:
-                self.ok = False
-                return
+                if len(out) > 1:
+                    clauses.append(out)
+                    watches[out[0]].append(out)
+                    watches[out[1]].append(out)
+                elif out:
+                    units.append(out)
+                else:
+                    self.ok = False
+                    return
         for unit in units:
             if not self._enqueue(unit[0], unit):
                 self.ok = False
@@ -191,7 +195,7 @@ class Solver:
             return self.val[lit]
         self.val[lit], self.val[-lit] = True, False
         v = lit if lit > 0 else -lit
-        self.unassigned[v] = False
+        self.free[v] = -np.inf
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -256,8 +260,8 @@ class Solver:
     def _propagate(self):
         """Two-watched-literal BCP; returns a conflicting clause or None."""
         val, watches, trail = self.val, self.watches, self.trail
-        level, reason, unassigned = self.level, self.reason, self.unassigned
-        lvl = len(self.trail_lim)
+        level, reason, free = self.level, self.reason, self.free
+        lvl, ninf = len(self.trail_lim), -np.inf
         qhead = self.qhead
         props = 0
         confl = None
@@ -291,7 +295,7 @@ class Solver:
                         break
                     val[first], val[-first] = True, False
                     v = first if first > 0 else -first
-                    unassigned[v] = False
+                    free[v] = ninf
                     level[v] = lvl
                     reason[v] = cl
                     trail.append(first)
@@ -301,16 +305,15 @@ class Solver:
         return confl
 
     def _pick_branch(self) -> int:
-        masked = np.where(self.unassigned, self.activity, -np.inf)
-        v = int(np.argmax(masked))  # first max == lowest index on ties
-        if masked[v] == -np.inf:
-            return 0
-        return v
+        """The unassigned variable of highest activity, lowest index on ties;
+        0 (whose ``free`` is -inf) when every variable is assigned."""
+        return int(np.argmax(self.free))
 
     def _decay_activity(self):
         self.var_inc /= ACTIVITY_DECAY
         if self.var_inc > 1e100:
             self.activity[1:] *= 1e-100
+            self.free[1:] *= 1e-100
             self.var_inc *= 1e-100
 
     def _analyze(self, confl: list[int]):
@@ -376,7 +379,8 @@ class Solver:
             for lit in undone:
                 val[lit] = val[-lit] = None
                 phase[lit if lit > 0 else -lit] = lit > 0  # phase saving
-            self.unassigned[np.abs(undone)] = True
+            undone = np.abs(undone)
+            self.free[undone] = self.activity[undone]
         self.qhead = min(self.qhead, len(self.trail))
 
 

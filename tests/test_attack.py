@@ -15,7 +15,8 @@ from locktime.attack import (
     sat_attack,
     verification_vectors,
 )
-from locktime.cnf import add_dip_constraint, build_miter
+from locktime.cnf import add_dip_constraint, build_miter, tseitin
+from locktime.experiments import generate_records
 from locktime.netlist import parse_bench, simulate
 from locktime.obfuscate import (
     ObfuscationInstance,
@@ -155,6 +156,36 @@ def test_attack_counters_are_pinned(request, circuit, kind, n_loc, seed, counter
     st = r.total_stats
     assert r.status == AttackStatus.SOLVED
     assert (len(r.dips), st.conflicts, st.decisions, st.propagations) == counters
+
+
+def test_gendata_c17_counters_are_pinned(c17):
+    # the benchmark's 50 short c17 attacks, where solver set-up is about
+    # half the cost: summed (dips, conflicts, decisions, propagations)
+    totals = [0, 0, 0, 0]
+    for seed in (0, 1):
+        _, logs = generate_records(c17, 25, LUT2, (1, 3), seed)
+        for log in logs:
+            assert log["status"] == AttackStatus.SOLVED
+            for k, name in enumerate(("iterations", "conflicts", "decisions", "propagations")):
+                totals[k] += log[name]
+    assert tuple(totals) == (335, 1203, 6924, 61879)
+
+
+# y = AND(a, a) repeats a fanin, so its Tseitin clauses repeat a variable
+AND_AA = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
+          "t = AND(a, a)\ny = OR(t, b)\nz = NAND(t, c)\n")
+
+
+@pytest.mark.parametrize("kind", [XOR, LUT2], ids=["xor", "lut2"])
+def test_attack_on_a_repeated_fanin(kind):
+    base = parse_bench(AND_AA)
+    for seed in range(3):
+        inst = random_obfuscate(base, 3, kind, seed=seed)  # every gate, t too
+        for c in (base, inst.obfuscated):
+            assert any(len({abs(l) for l in cl}) < len(cl) for cl in tseitin(c).clauses)
+        r = sat_attack(inst)
+        assert r.status == AttackStatus.SOLVED
+        assert keys_equivalent(base, inst.obfuscated, r.recovered_key)
 
 
 def test_attack_timeout(mid12):

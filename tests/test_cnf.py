@@ -112,12 +112,21 @@ def test_tseitin_var_numbering_with_keys(c17):
 
 
 def test_cnf_formula_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty clause"):
         CnfFormula([()], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"literal 3 out of range \(n_vars=2\)"):
         CnfFormula([(1, 3)], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="literal 0 out of range"):
         CnfFormula([(0,)], 2)
+    # the message names the first offence in clause order
+    with pytest.raises(ValueError, match="literal 5 out of range"):
+        CnfFormula([(1, 5), (-7,)], 2)
+    with pytest.raises(ValueError, match="literal -4 out of range"):
+        CnfFormula([(1, -2), (-4, 0), ()], 3)
+    with pytest.raises(ValueError, match="empty clause"):
+        CnfFormula([(1,), (), (0,)], 3)
+    assert CnfFormula([(1, -2), (-1,)], 2).n_vars == 2
+    assert CnfFormula([], 0).clauses == []
 
 
 # --- miter ---

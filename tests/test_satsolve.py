@@ -1,4 +1,6 @@
+import math
 import random
+from operator import neg
 
 import pytest
 
@@ -360,6 +362,10 @@ def _check_watches_and_reasons(solver):
     assert all((val[v], val[-v]) in ((True, False), (False, True), (None, None))
                for v in range(1, n + 1))
     assert {l for l in lits if val[l] is True} == set(solver.trail)
+    # branching reads free: a variable's activity while unassigned, else -inf
+    assert solver.free[0] == -math.inf
+    for v in range(1, n + 1):
+        assert solver.free[v] == (solver.activity[v] if val[v] is None else -math.inf), v
     for lit in solver.trail:
         v = abs(lit)
         reason = solver.reason[v]
@@ -380,6 +386,8 @@ def test_watches_and_reasons_hold_after_every_call():
             r = solve(F([], chunk.n_vars), solver=solver,
                       assumptions=_random_assumptions(rng, chunk.n_vars))
             _check_watches_and_reasons(solver)
+            solver._backtrack(0)  # what the next call does first: free is restored
+            _check_watches_and_reasons(solver)
             calls += 2
             assumed += r.status is SolveStatus.SAT and r.stats.propagations > 0
     # a call that leaves propagated literals above level 0 behind
@@ -390,6 +398,114 @@ def test_watches_and_reasons_hold_after_every_call():
     assert any(solver.level[abs(l)] > 0 and solver.reason[abs(l)] is not None
                for l in solver.trail)
     assert calls > 600 and assumed > 100
+
+
+def test_activity_rescale_keeps_free_in_step():
+    # var_inc starts just below 1e100, so the first conflict's decay
+    # rescales activity and free together; check right after each decay
+    solver = Solver()
+    solver.var_inc = 0.99e100
+    decay, rescaled = solver._decay_activity, []
+
+    def decay_and_check():
+        decay()
+        rescaled.append(solver.var_inc < 1e50)
+        assert any(solver.val[v] is None for v in range(1, solver.n + 1))
+        _check_watches_and_reasons(solver)
+
+    solver._decay_activity = decay_and_check
+    r = solve(F(random_3sat(random.Random(1), 30, 128), 30), solver=solver)
+    assert r.status is SolveStatus.SAT and r.stats.conflicts > 1
+    assert rescaled[0] and all(rescaled)
+    assert 0 < solver.activity[1:].max() < 1e3
+
+
+def _reference_load(level0, clauses):
+    """The set-based simplification ``_load`` once applied, kept as an oracle.
+
+    Returns (clauses to watch, trail after enqueueing the units, ok).  An
+    empty clause stops the batch: the clauses before it stay watched and
+    no unit is enqueued.  Units are enqueued in order until one is false.
+    """
+    true0 = set(level0)
+    false0 = {-l for l in level0}
+    watched, units = [], []
+    for cl in clauses:
+        if not true0.isdisjoint(cl):
+            continue  # true at level 0
+        if not false0.isdisjoint(cl):
+            cl = [l for l in cl if l not in false0]
+        if len(set(map(abs, cl))) < len(cl):  # a variable repeats
+            if not set(cl).isdisjoint(map(neg, cl)):
+                continue  # tautology
+            cl = dict.fromkeys(cl)  # drop repeats, keep first order
+        out = list(cl)
+        if len(out) > 1:
+            watched.append(out)
+        elif out:
+            units.append(out[0])
+        else:
+            return watched, list(level0), False
+    trail = list(level0)
+    for unit in units:
+        if -unit in trail:
+            return watched, trail, False
+        if unit not in trail:
+            trail.append(unit)
+    return watched, trail, True
+
+
+def _messy_clause(rng, n, level0):
+    """1-6 literals over 1..n that often repeat a literal, hold a
+    complement or name a variable fixed at level 0."""
+    cl = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 2)):
+        pick = rng.random()
+        if pick < 0.3:
+            cl.append(rng.choice(cl))
+        elif pick < 0.45:
+            cl.append(-rng.choice(cl))
+        elif level0:
+            cl.append(rng.choice((1, -1)) * rng.choice(level0))
+    rng.shuffle(cl)
+    return tuple(cl)
+
+
+def test_load_equals_the_set_based_rule():
+    rng = random.Random(99)
+    seen = dict.fromkeys(("level0", "repeat", "tautology", "unit", "empty", "unsat"), 0)
+    for _ in range(150):
+        solver = Solver()
+        n = rng.randint(4, 9)
+        lits = [l for v in range(1, n + 1) for l in (v, -v)]
+        for _ in range(rng.randint(2, 5)):
+            level0 = solver.trail[:solver.trail_lim[0] if solver.trail_lim else None]
+            chunk = F([_messy_clause(rng, n, level0) for _ in range(rng.randint(1, 12))], n)
+            was_ok = solver.ok
+            if was_ok:
+                watched, trail, ok = _reference_load(level0, chunk.clauses)
+            else:  # UNSAT for good: nothing more is loaded
+                watched, trail, ok = [], level0, False
+            stored = list(solver.clauses)
+            watches = {l: list(solver.watches[l]) for l in lits if abs(l) <= solver.n}
+            solver._load(chunk)
+            assert solver.clauses[:len(stored)] == stored
+            new = solver.clauses[len(stored):]
+            assert new == watched
+            for l in lits:
+                assert solver.watches[l] == watches.get(l, []) + [cl for cl in new if l in cl[:2]]
+            assert solver.trail == trail
+            assert solver.ok is ok
+            _check_watches_and_reasons(solver)
+            fixed = {abs(l) for l in level0}
+            seen["level0"] += any(abs(l) in fixed for cl in chunk.clauses for l in cl)
+            seen["repeat"] += any(len(set(cl)) < len(cl) for cl in chunk.clauses)
+            seen["tautology"] += any(-l in cl for cl in chunk.clauses for l in cl)
+            seen["unit"] += len(trail) > len(level0)
+            seen["empty"] += any(set(cl) <= {-l for l in level0} for cl in chunk.clauses)
+            seen["unsat"] += was_ok and not ok
+            solve(F([], n), solver=solver)  # search: fixes more at level 0
+    assert min(seen.values()) >= 20, seen
 
 
 # --- assumptions: literals held true for one call ---
