@@ -200,7 +200,7 @@ def _cmd_train(args) -> None:
     config = _model_config(args)
     samples = records_to_samples(records, config, args.label_kind)
     res = train_model(samples, config)
-    save_checkpoint(res.model, args.out)
+    save_checkpoint(res.model, args.out, args.label_kind)
     if args.log_csv:
         Path(args.log_csv).write_text(res.log_csv())
     test = _split_samples(samples, config.seed, "test")
@@ -219,13 +219,16 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    model = load_checkpoint(args.model)
+    model, label_kind = load_checkpoint(args.model)
+    if args.label_kind not in (None, label_kind):
+        raise ValueError(f"model was trained on label kind {label_kind!r}, "
+                         f"not {args.label_kind!r}")
     _, records, _ = load_dataset(args.dataset)
-    samples = records_to_samples(records, model.config, args.label_kind)
+    samples = records_to_samples(records, model.config, label_kind)
     subset = _split_samples(samples, model.config.seed, args.split)
     rep = evaluate(model, subset)
     doc = rep.to_dict()
-    doc.update({"split": args.split, "label_kind": args.label_kind})
+    doc.update({"split": args.split, "label_kind": label_kind})
     _emit(doc, args.out)
 
 
@@ -233,8 +236,8 @@ def _cmd_report(args) -> None:
     _, records, _ = load_dataset(args.dataset)
     doc = {"dataset": dataset_report(records)}
     if args.model:
-        model = load_checkpoint(args.model)
-        samples = records_to_samples(records, model.config, "conflicts")
+        model, label_kind = load_checkpoint(args.model)
+        samples = records_to_samples(records, model.config, label_kind)
         doc["attention"] = attention_report(model, samples).to_dict()
     _emit(doc, args.out)
 
@@ -296,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("eval", _cmd_eval, "score a trained model")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--label-kind", default="conflicts", choices=LABEL_KINDS)
+    p.add_argument("--label-kind", default=None, choices=LABEL_KINDS,
+                   help="the kind the model was trained on (the default)")
     p.add_argument("--split", default="test", choices=("train", "test", "all"))
 
     p = add("report", _cmd_report, "dataset / attention report")

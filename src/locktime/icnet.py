@@ -60,7 +60,7 @@ AGG_MODES = ("attention", "mean")
 FEATURE_SETS = ("location_only", "all_features")
 
 CHECKPOINT_FORMAT = "icnet-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 TEST_FRACTION = 0.2  # share of usable samples held out by train's split
 _ONE_HOT_BY_NAME = {t._name_: i for t, i in ONE_HOT_INDEX.items()}  # Enum hashing runs in Python
 
@@ -457,20 +457,23 @@ def linear_predict(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 # --- checkpointing ---
 
-def save_checkpoint(model: Model, path) -> None:
+def save_checkpoint(model: Model, path, label_kind: str) -> None:
+    """Write the model and the label kind it was trained on as JSON."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
+        "label_kind": label_kind,
         "params": params_to_doc(model.params),
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def load_checkpoint(path) -> Model:
+def load_checkpoint(path) -> tuple[Model, str]:
+    """The model and the label kind it was trained on."""
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    return Model(ModelConfig(**doc["config"]), params_from_doc(doc["params"]))
+    return Model(ModelConfig(**doc["config"]), params_from_doc(doc["params"])), doc["label_kind"]

@@ -69,6 +69,33 @@ class Gate:
     lut_bits: tuple[int, ...] | None = None  # ground-truth table, LUT only
 
 
+def topo_order(gates) -> tuple[int, ...]:
+    """Gate ids in Kahn order; FIFO over ascending ids makes it canonical.
+
+    ``gates[i].id == i`` for all i.  Raises :class:`CircuitError` naming
+    gates on a cycle.
+    """
+    n = len(gates)
+    indeg = [len(g.fanin) for g in gates]
+    fanout = [[] for _ in range(n)]
+    for g in gates:
+        for f in g.fanin:
+            fanout[f].append(g.id)
+    queue = [i for i in range(n) if indeg[i] == 0]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for v in fanout[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    if len(queue) != n:
+        cyc = [gates[i].name for i in range(n) if indeg[i] > 0]
+        raise CircuitError(f"circuit contains a cycle through: {', '.join(sorted(cyc)[:5])}")
+    return tuple(queue)
+
+
 @dataclass
 class Circuit:
     """Immutable-by-convention gate-level netlist.
@@ -123,7 +150,7 @@ class Circuit:
         for gid in self.primary_outputs:
             if not 0 <= gid < n:
                 raise CircuitError(f"primary output id {gid} does not exist")
-        self.topo_order = self._topo_sort()
+        self.topo_order = topo_order(self.gates)
 
     @staticmethod
     def _check_arity(g: Gate):
@@ -143,30 +170,6 @@ class Circuit:
         else:
             if k < 2:
                 raise CircuitError(f"{t.value} {g.name!r} needs at least 2 fanins, got {k}")
-
-    def _topo_sort(self):
-        # Kahn's algorithm; FIFO over ascending ids makes the order canonical.
-        n = len(self.gates)
-        indeg = [len(g.fanin) for g in self.gates]
-        fanout = [[] for _ in range(n)]
-        for g in self.gates:
-            for f in g.fanin:
-                fanout[f].append(g.id)
-        queue = sorted(i for i in range(n) if indeg[i] == 0)
-        order = []
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            order.append(u)
-            for v in fanout[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if len(order) != n:
-            cyc = [self.gates[i].name for i in range(n) if indeg[i] > 0]
-            raise CircuitError(f"circuit contains a cycle through: {', '.join(sorted(cyc)[:5])}")
-        return tuple(order)
 
     def key_layout(self):
         """Ordered key slots: (gate_id, n_bits) per key input, then per LUT.

@@ -11,16 +11,23 @@ padding value.
 The inserted key-gate reuses the name and id of the gate it locks, so
 fanout edges and output lists carry over unchanged and a location is
 identified by the same gate id in the base and obfuscated circuits.
+
+:func:`apply_at_locations` is the one locking path: it splices every
+location into one gate list and builds one :class:`Circuit` per
+instance.  A LUT is padded from the topological order of the circuit as
+locked so far, and generated names (``keyinput<i>``, ``<name>$in``)
+count up past any net already present.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count, islice
 
 import numpy as np
 
 from .netlist import (KEY_INPUT_PREFIX, Circuit, Gate, GateType,
-                      all_input_vectors, simulate_many)
+                      all_input_vectors, simulate_many, topo_order)
 
 LUT_MAX_ARITY = 4
 
@@ -74,139 +81,124 @@ class ObfuscationInstance:
         return np.asarray(self.mask, dtype=np.float64)
 
 
-def _fresh_key_name(c: Circuit) -> str:
-    used = {c.gates[g].name for g in c.key_inputs}
-    i = len(used)
-    while f"{KEY_INPUT_PREFIX}{i}" in used:
-        i += 1
-    return f"{KEY_INPUT_PREFIX}{i}"
+def _first_free(taken: set, names) -> str:
+    """The first of ``names`` not in ``taken``; it is added to ``taken``."""
+    name = next(s for s in names if s not in taken)
+    taken.add(name)
+    return name
 
 
 def insert_keygate(c: Circuit, gate_id: int, kind: str) -> Circuit:
-    """Splice an XOR/XNOR key-gate after ``gate_id``.
-
-    The key-gate takes over the locked gate's name and id; the original
-    gate is appended under ``<name>$in`` and a fresh key input under
-    ``keyinput<i>``.  The gate is transparent under key bit 0 for XOR
-    and 1 for XNOR.
-    """
-    if not 0 <= gate_id < c.n:
-        raise ValueError(f"gate id {gate_id} does not exist")
-    target = c.gates[gate_id]
-    if target.type is GateType.INPUT:
-        raise ValueError(f"cannot insert a key-gate after input {target.name!r}")
-    if kind == "xor":
-        gtype = GateType.XOR
-    elif kind == "xnor":
-        gtype = GateType.XNOR
-    else:
+    """Splice an XOR/XNOR key-gate after ``gate_id``, transparent under key
+    bit 0 for XOR and 1 for XNOR: one-location :func:`apply_at_locations`."""
+    if kind not in ("xor", "xnor"):
         raise ValueError(f"key-gate kind must be 'xor' or 'xnor', got {kind!r}")
-
-    inner_id, key_id = c.n, c.n + 1
-    gates = list(c.gates)
-    gates[gate_id] = Gate(gate_id, target.name, gtype, (inner_id, key_id))
-    gates.append(Gate(inner_id, f"{target.name}$in", target.type, target.fanin, target.lut_bits))
-    gates.append(Gate(key_id, _fresh_key_name(c), GateType.INPUT))
-    return Circuit(tuple(gates), c.primary_inputs, c.primary_outputs,
-                   c.key_inputs + (key_id,))
+    return apply_at_locations(c, ObfuscationKind(kind), (gate_id,)).obfuscated
 
 
-def _padding_nets(c: Circuit, gate_id: int, exclude: set, count: int) -> list:
-    """Nearest topological predecessors of gate_id, then any earlier nets."""
-    pos = {g: i for i, g in enumerate(c.topo_order)}
-    before = [g for g in c.topo_order[: pos[gate_id]]
-              if g not in exclude and g not in c.key_inputs]
-    before.sort(key=lambda g: -pos[g])  # nearest first; PIs end up last
-    if len(before) < count:
-        raise ValueError(f"not enough nets to pad LUT at gate {c.gates[gate_id].name!r}: "
-                         f"need {count}, found {len(before)}")
-    return before[:count]
+def _padding_nets(gates, order, keys: set, gate_id: int, need: int) -> list:
+    """Nearest predecessors of gate_id in ``order``, then any earlier nets."""
+    fanin = set(gates[gate_id].fanin)
+    before = order[:order.index(gate_id)]
+    pads = list(islice((g for g in reversed(before) if g not in fanin and g not in keys), need))
+    if len(pads) < need:
+        raise ValueError(f"not enough nets to pad LUT at gate {gates[gate_id].name!r}: "
+                         f"need {need}, found {len(pads)}")
+    return pads
+
+
+def _lut_table(target: Gate, arity_k: int) -> tuple[int, ...]:
+    """Truth table of ``target`` alone over its own fanins (MSB-first), each
+    row repeated across the padding bits, which are the low index bits."""
+    m = len(target.fanin)
+    ins = [Gate(i, f"{target.name}$f{i}", GateType.INPUT) for i in range(m)]
+    alone = Circuit(tuple(ins) + (Gate(m, target.name, target.type, tuple(range(m))),),
+                    tuple(range(m)), (m,))
+    own = simulate_many(alone, all_input_vectors(m))[:, 0]
+    return tuple(int(b) for b in np.repeat(own, 2 ** (arity_k - m)))
 
 
 def replace_with_lut(c: Circuit, gate_id: int, arity_k: int) -> tuple[Circuit, tuple[int, ...]]:
     """Replace a logic gate with a k-input LUT; returns (circuit, table).
 
-    The LUT's fanins are the gate's own fanins followed by padding nets
-    (nearest topological predecessors).  The returned 2^k table reproduces
-    the original function and ignores the padding bits, so equivalence
-    holds for every padding value.
+    One-location :func:`apply_at_locations`.  The LUT's fanins are the
+    gate's own fanins followed by padding nets; the table reproduces the
+    original function and ignores the padding bits, so equivalence holds
+    for every padding value.
     """
-    if not 0 <= gate_id < c.n:
-        raise ValueError(f"gate id {gate_id} does not exist")
-    target = c.gates[gate_id]
-    if target.type is GateType.INPUT:
-        raise ValueError(f"cannot LUT-replace input {target.name!r}")
-    if target.type is GateType.LUT:
-        raise ValueError(f"gate {target.name!r} is already a LUT")
-    if not 1 <= arity_k <= LUT_MAX_ARITY:
-        raise ValueError(f"LUT arity must be in [1, {LUT_MAX_ARITY}], got {arity_k}")
-    m = len(target.fanin)
-    if m > arity_k:
-        raise ValueError(f"gate {target.name!r} has fanin {m} > LUT arity {arity_k}")
+    inst = apply_at_locations(c, ObfuscationKind("lut", arity_k), (gate_id,))
+    return inst.obfuscated, inst.key_truth
 
-    pads = _padding_nets(c, gate_id, set(target.fanin) | {gate_id}, arity_k - m)
-    fanin = target.fanin + tuple(pads)
-    # truth table of the gate alone over its own fanins (MSB-first), each
-    # row repeated across the padding bits, which are the low index bits
-    ins = [Gate(i, f"{target.name}$f{i}", GateType.INPUT) for i in range(m)]
-    alone = Circuit(tuple(ins) + (Gate(m, target.name, target.type, tuple(range(m))),),
-                    tuple(range(m)), (m,))
-    own = simulate_many(alone, all_input_vectors(m))[:, 0]
-    table = tuple(int(b) for b in np.repeat(own, 2 ** (arity_k - m)))
 
-    gates = list(c.gates)
-    gates[gate_id] = Gate(gate_id, target.name, GateType.LUT, fanin, table)
-    return Circuit(tuple(gates), c.primary_inputs, c.primary_outputs, c.key_inputs), table
+def _eligible(g: Gate, kind: ObfuscationKind) -> bool:
+    """No inputs, no nesting, and a LUT at least as wide as the gate's fanin."""
+    return (g.type not in (GateType.INPUT, GateType.LUT)
+            and not (kind.scheme == "lut" and len(g.fanin) > kind.lut_k))
 
 
 def eligible_gates(c: Circuit, kind: ObfuscationKind) -> tuple[int, ...]:
     """Gate ids that may be locked with ``kind`` (no inputs, no nesting)."""
-    out = []
-    for g in c.gates:
-        if g.type in (GateType.INPUT, GateType.LUT):
-            continue
-        if kind.scheme == "lut" and len(g.fanin) > kind.lut_k:
-            continue
-        out.append(g.id)
-    return tuple(out)
+    return tuple(g.id for g in c.gates if _eligible(g, kind))
 
 
 def apply_at_locations(base: Circuit, kind: ObfuscationKind,
                        locations, seed=None) -> ObfuscationInstance:
-    """Lock ``base`` at the given gate ids (in order); deterministic."""
+    """Lock ``base`` at the given gate ids (in order); deterministic.
+
+    Every location is spliced into one copy of the gate list and one
+    circuit is built at the end, so validation and the topological sort
+    run once per instance.  A LUT's padding nets follow the Kahn order of
+    the circuit as locked so far, since earlier padding edges can move
+    later gates; :func:`netlist.topo_order` recomputes it per LUT.
+    Generated names never collide with an existing net: a key input is
+    ``keyinput<i>`` with i counting up from the number of key inputs, and
+    the gate a key-gate displaces is ``<name>$in``, else ``<name>$in1``,
+    ``<name>$in2``, ...
+    """
     locations = tuple(int(g) for g in locations)
     seen = set()
     for g in locations:
         if g in seen:
             raise ValueError(f"duplicate obfuscation location {g}")
         seen.add(g)
-    elig = set(eligible_gates(base, kind))
     for g in locations:
-        if g not in elig:
+        if not (0 <= g < base.n and _eligible(base.gates[g], kind)):
             name = base.gates[g].name if 0 <= g < base.n else g
             raise ValueError(f"gate {name!r} is not eligible for {kind}")
 
-    cur = base
-    key_truth: list[int] = []
-    if kind.scheme in ("xor", "xnor"):
-        bit = 0 if kind.scheme == "xor" else 1
-        for g in locations:
-            cur = insert_keygate(cur, g, kind.scheme)
-            key_truth.append(bit)
-    else:
-        for g in locations:
-            cur, table = replace_with_lut(cur, g, kind.lut_k)
-            key_truth.extend(table)
+    gates = list(base.gates)
+    keys = list(base.key_inputs)
+    if kind.scheme == "lut":
+        key_set = set(keys)
+        tables = {}
+        for i, g in enumerate(locations):
+            target = gates[g]
+            order = topo_order(gates) if i else base.topo_order
+            pads = _padding_nets(gates, order, key_set, g, kind.lut_k - len(target.fanin))
+            tables[g] = _lut_table(target, kind.lut_k)
+            gates[g] = Gate(g, target.name, GateType.LUT, target.fanin + tuple(pads), tables[g])
         # key layout orders LUT blocks by ascending gate id; match it
-        order = sorted(range(len(locations)), key=lambda i: locations[i])
-        blocks = [key_truth[i * 2 ** kind.lut_k:(i + 1) * 2 ** kind.lut_k]
-                  for i in range(len(locations))]
-        key_truth = [b for i in order for b in blocks[i]]
+        key_truth = [b for g in sorted(locations) for b in tables[g]]
+    else:
+        gtype = GateType.XOR if kind.scheme == "xor" else GateType.XNOR
+        taken = set(base.name_to_id)
+        for g in locations:
+            target = gates[g]
+            inner_id, key_id = len(gates), len(gates) + 1
+            stem = f"{target.name}$in"
+            inner = _first_free(taken, chain([stem], (f"{stem}{i}" for i in count(1))))
+            key = _first_free(taken, (f"{KEY_INPUT_PREFIX}{i}" for i in count(len(keys))))
+            gates[g] = Gate(g, target.name, gtype, (inner_id, key_id))
+            gates.append(Gate(inner_id, inner, target.type, target.fanin, target.lut_bits))
+            gates.append(Gate(key_id, key, GateType.INPUT))
+            keys.append(key_id)
+        key_truth = [0 if kind.scheme == "xor" else 1] * len(locations)
 
-    mask = [0] * cur.n
+    obfuscated = Circuit(tuple(gates), base.primary_inputs, base.primary_outputs, tuple(keys))
+    mask = [0] * obfuscated.n
     for g in locations:
         mask[g] = 1
-    return ObfuscationInstance(base, cur, kind, locations, tuple(key_truth),
+    return ObfuscationInstance(base, obfuscated, kind, locations, tuple(key_truth),
                                tuple(mask), seed)
 
 

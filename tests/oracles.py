@@ -8,11 +8,14 @@ obviously correct.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 
-from locktime.netlist import Circuit, Gate, GateType
+from locktime.netlist import (KEY_INPUT_PREFIX, Circuit, Gate, GateType, all_input_vectors,
+                              parse_bench, simulate_many)
 
 _BOOL_FUNCS = {
     GateType.AND: lambda vs: all(vs),
@@ -150,6 +153,71 @@ def random_circuit(rng: random.Random, n_inputs=None, n_gates=None) -> Circuit:
     n_pos = rng.randint(1, min(3, n_gates))
     pos = tuple(rng.sample(range(n_inputs, n_inputs + n_gates), n_pos))
     return Circuit(tuple(gates), tuple(range(n_inputs)), pos)
+
+
+def layered_dag(n_gates: int) -> Circuit:
+    """A seeded layered random DAG from the benchmark's generator."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "randdag.py"
+    spec = importlib.util.spec_from_file_location("randdag", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return parse_bench(mod.layered_dag_bench(seed=3, n_gates=n_gates))
+
+
+# --- sequential locking: one validated Circuit per location ---
+
+def _seq_keygate(c: Circuit, gate_id: int, gtype: GateType) -> Circuit:
+    used = {c.gates[g].name for g in c.key_inputs}
+    i = len(used)
+    while f"{KEY_INPUT_PREFIX}{i}" in used:
+        i += 1
+    target = c.gates[gate_id]
+    inner_id, key_id = c.n, c.n + 1
+    gates = list(c.gates)
+    gates[gate_id] = Gate(gate_id, target.name, gtype, (inner_id, key_id))
+    gates.append(Gate(inner_id, f"{target.name}$in", target.type, target.fanin, target.lut_bits))
+    gates.append(Gate(key_id, f"{KEY_INPUT_PREFIX}{i}", GateType.INPUT))
+    return Circuit(tuple(gates), c.primary_inputs, c.primary_outputs,
+                   c.key_inputs + (key_id,))
+
+
+def _seq_lut(c: Circuit, gate_id: int, arity_k: int):
+    target = c.gates[gate_id]
+    m = len(target.fanin)
+    pos = {g: i for i, g in enumerate(c.topo_order)}
+    exclude = set(target.fanin) | {gate_id}
+    before = [g for g in c.topo_order[: pos[gate_id]]
+              if g not in exclude and g not in c.key_inputs]
+    before.sort(key=lambda g: -pos[g])
+    if len(before) < arity_k - m:
+        raise ValueError(f"not enough nets to pad LUT at gate {target.name!r}: "
+                         f"need {arity_k - m}, found {len(before)}")
+    fanin = target.fanin + tuple(before[:arity_k - m])
+    ins = [Gate(i, f"{target.name}$f{i}", GateType.INPUT) for i in range(m)]
+    alone = Circuit(tuple(ins) + (Gate(m, target.name, target.type, tuple(range(m))),),
+                    tuple(range(m)), (m,))
+    own = simulate_many(alone, all_input_vectors(m))[:, 0]
+    table = tuple(int(b) for b in np.repeat(own, 2 ** (arity_k - m)))
+    gates = list(c.gates)
+    gates[gate_id] = Gate(gate_id, target.name, GateType.LUT, fanin, table)
+    return Circuit(tuple(gates), c.primary_inputs, c.primary_outputs, c.key_inputs), table
+
+
+def sequential_lock(base: Circuit, kind: str, locations):
+    """Lock one location at a time, each step a whole new Circuit whose
+    topological order pads the next LUT; returns (circuit, key_truth, mask)."""
+    cur = base
+    if kind in ("xor", "xnor"):
+        for g in locations:
+            cur = _seq_keygate(cur, g, GateType.XOR if kind == "xor" else GateType.XNOR)
+        key_truth = [0 if kind == "xor" else 1] * len(locations)
+    else:
+        tables = {}
+        for g in locations:
+            cur, tables[g] = _seq_lut(cur, g, int(kind[3:]))
+        key_truth = [b for g in sorted(locations) for b in tables[g]]
+    mask = [1 if g in locations else 0 for g in range(cur.n)]
+    return cur, tuple(key_truth), tuple(mask)
 
 
 def random_3sat(rng: random.Random, n_vars, n_clauses):

@@ -388,7 +388,7 @@ def test_c10_determinism(capsys, c17, tmp_path):
     for name in ("m1.json", "m2.json"):
         samples = records_to_samples(records, cfg, "conflicts")
         res = train(samples, cfg)
-        save_checkpoint(res.model, tmp_path / name)
+        save_checkpoint(res.model, tmp_path / name, "conflicts")
         checkpoints.append((tmp_path / name).read_bytes())
         subset = [samples[i] for i in res.test_indices]
         metrics.append(json.dumps(evaluate(res.model, subset).to_dict(),

@@ -245,6 +245,23 @@ def test_train_test_metrics_equal_eval_test_split(capsys, tmp_path, c17):
         trained["test_metrics"]
 
 
+def test_eval_scores_the_label_kind_the_model_was_trained_on(pipeline, capsys, tmp_path):
+    ds, _, _, cfg = pipeline
+    model = tmp_path / "model.json"
+    trained = run_json(capsys, "train", "--dataset", str(ds), "--label-kind",
+                       "wall_seconds", "--config", str(cfg), "--out", str(model))
+    assert json.loads(model.read_text())["label_kind"] == "wall_seconds"
+    evaluated = run_json(capsys, "eval", "--dataset", str(ds), "--model", str(model))
+    assert evaluated["label_kind"] == "wall_seconds"
+    assert evaluated["mse"] == trained["test_metrics"]["mse"]
+    code, out, err = run_cli(capsys, "eval", "--dataset", str(ds), "--model",
+                             str(model), "--label-kind", "conflicts")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "model was trained on label kind 'wall_seconds', not 'conflicts'"}
+
+
 def test_train_rejects_unknown_config_keys(pipeline, capsys, tmp_path):
     ds, *_ = pipeline
     bad = tmp_path / "bad.json"

@@ -2,9 +2,7 @@
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +31,7 @@ from locktime.icnet import (
 from locktime.netlist import ONE_HOT_INDEX, graph_matrix, parse_bench
 from locktime.numerics import NonFiniteError, ParamStore, params_to_doc
 from locktime.obfuscate import ObfuscationKind, random_obfuscate
-from oracles import densify, edge_list, random_structure
+from oracles import densify, edge_list, layered_dag, random_structure
 
 
 def make_samples(rng, n_samples, n=6, f=1, label_fn=None):
@@ -255,18 +253,9 @@ def test_propagate_equals_edge_order_accumulation(mid12, kind, empty_rows, width
         assert got.tobytes() == _propagate_by_edges(edges, h).tobytes()
 
 
-def _layered_dag(n_gates):
-    """A seeded layered random DAG from the benchmark's generator."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "randdag.py"
-    spec = importlib.util.spec_from_file_location("randdag", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return parse_bench(mod.layered_dag_bench(seed=3, n_gates=n_gates))
-
-
 @pytest.mark.parametrize("circuit", ["c17", "mid12", "dag600"])
 def test_one_hot_columns_equal_the_per_gate_loop(request, circuit):
-    base = _layered_dag(600) if circuit == "dag600" else request.getfixturevalue(circuit)
+    base = layered_dag(600) if circuit == "dag600" else request.getfixturevalue(circuit)
     for kind in ("xor", "lut2"):
         inst = random_obfuscate(base, 3, ObfuscationKind.parse(kind), seed=1)
         _, x = build_graph_input(inst, ModelConfig())
@@ -556,9 +545,10 @@ def test_checkpoint_round_trip(tmp_path, c17):
     cfg = ModelConfig(hidden_dims=(6, 3), seed=11, feat_agg="attention")
     model = new_model(cfg)
     path = tmp_path / "model.json"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
+    save_checkpoint(model, path, "wall_seconds")
+    loaded, label_kind = load_checkpoint(path)
     assert loaded.config == cfg
+    assert label_kind == "wall_seconds"
     for k in model.params.names():
         assert np.array_equal(loaded.params[k], model.params[k])
     assert predict(loaded, inst).z == predict(model, inst).z
@@ -576,13 +566,14 @@ def test_checkpoint_rejects_foreign_documents(tmp_path):
 
 
 def test_checkpoint_rejects_version_1(tmp_path):
-    # version 1 configs carry two fields ModelConfig no longer has, and
-    # version 2 ones three more (self_loops, directed, output_head)
+    # version 1 configs carry two fields ModelConfig no longer has,
+    # version 2 ones three more (self_loops, directed, output_head), and
+    # version 3 ones no label kind
     path = tmp_path / "old.json"
-    save_checkpoint(new_model(SMALL), path)
+    save_checkpoint(new_model(SMALL), path, "conflicts")
     doc = json.loads(path.read_text())
-    assert doc["version"] == CHECKPOINT_VERSION == 3
-    for old in (1, 2):
+    assert doc["version"] == CHECKPOINT_VERSION == 4
+    for old in (1, 2, 3):
         doc["version"] = old
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"unsupported checkpoint version {old}"):

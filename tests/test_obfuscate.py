@@ -1,9 +1,13 @@
 import dataclasses
+import hashlib
+import json
+import random
 
 import numpy as np
 import pytest
 
-from locktime.netlist import GateType, all_input_vectors, parse_bench, simulate_many
+from locktime.netlist import (Circuit, CircuitError, Gate, GateType, all_input_vectors,
+                              emit_bench, parse_bench, simulate_many, topo_order)
 from locktime.obfuscate import (
     ObfuscationKind,
     apply_at_locations,
@@ -14,6 +18,7 @@ from locktime.obfuscate import (
     random_obfuscate,
     replace_with_lut,
 )
+from oracles import layered_dag, random_circuit, sequential_lock
 
 XOR = ObfuscationKind("xor")
 XNOR = ObfuscationKind("xnor")
@@ -199,3 +204,115 @@ def test_multi_keygate_layout(c17):
     assert [obf.gates[k].name for k in obf.key_inputs] == ["keyinput0", "keyinput1"]
     assert obf.key_bits == 2
     assert equivalent(c17, obf, inst.key_truth)
+
+
+# --- one pass over every location ---
+
+KINDS = ("xor", "xnor", "lut1", "lut2", "lut3", "lut4")
+
+
+def test_one_pass_locking_equals_the_sequential_chain(c17, mid12):
+    rng = random.Random(14)
+    bases = [c17, mid12, layered_dag(200)]
+    bases += [random_circuit(rng, n_gates=rng.randint(2, 12)) for _ in range(40)]
+    compared = failed = 0
+    for base in bases:
+        for text in KINDS:
+            kind = ObfuscationKind.parse(text)
+            elig = eligible_gates(base, kind)
+            for _ in range(3 if elig else 0):
+                # unsorted, as instance_from_json replays serialized order
+                locs = rng.sample(elig, rng.randint(1, min(len(elig), 8)))
+                try:
+                    ref, ref_truth, ref_mask = sequential_lock(base, text, locs)
+                except ValueError as exc:  # too few nets to pad a LUT
+                    with pytest.raises(ValueError, match=f"^{exc}$"):
+                        apply_at_locations(base, kind, locs)
+                    failed += 1
+                    continue
+                inst = apply_at_locations(base, kind, locs)
+                obf = inst.obfuscated
+                assert obf.gates == ref.gates
+                assert obf.key_inputs == ref.key_inputs
+                assert obf.topo_order == ref.topo_order
+                assert (inst.key_truth, inst.mask) == (ref_truth, ref_mask)
+                compared += 1
+    assert compared > 400 and failed > 0
+
+
+def test_topo_order_cycle_error_matches_circuit():
+    gates = (Gate(0, "a", GateType.INPUT), Gate(1, "x", GateType.AND, (0, 2)),
+             Gate(2, "y", GateType.OR, (0, 1)), Gate(3, "z", GateType.NOT, (2,)))
+    with pytest.raises(CircuitError) as from_circuit:
+        Circuit(gates, (0,), (3,))
+    with pytest.raises(CircuitError) as from_function:
+        topo_order(gates)
+    assert str(from_function.value) == str(from_circuit.value) == \
+        "circuit contains a cycle through: x, y, z"
+
+
+@pytest.mark.parametrize("text, kind, names", [
+    # a net named like the next key input is skipped over
+    ("INPUT(a)\nINPUT(b)\nOUTPUT(keyinput0)\nkeyinput0 = AND(a, b)\n",
+     "xor", ["keyinput0$in", "keyinput1"]),
+    # so is a net named like the displaced gate, and its numbered successor
+    ("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz$in = OR(a, b)\nz$in1 = NOT(a)\n"
+     "z = NAND(z$in, z$in1, b)\n", "xnor", ["z$in2", "keyinput0"]),
+])
+def test_generated_names_skip_existing_nets(text, kind, names):
+    base = parse_bench(text)
+    inst = random_obfuscate(base, 1, ObfuscationKind.parse(kind), seed=0)
+    obf = inst.obfuscated
+    assert inst.location_names == (names[0].split("$")[0],)
+    assert [g.name for g in obf.gates[base.n:]] == names
+    assert obf.key_inputs == (base.n + 1,)
+    assert equivalent(base, obf, inst.key_truth)
+    back = instance_from_json(instance_to_json(inst, "base.bench"), base)
+    assert back.obfuscated.gates == obf.gates
+    assert back.obfuscated.key_inputs == obf.key_inputs
+
+
+def test_generated_key_names_count_up_past_every_used_name():
+    base = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(keyinput1)\nOUTPUT(y)\n"
+                       "keyinput1 = AND(a, b)\ny = OR(a, keyinput1)\n")
+    inst = apply_at_locations(base, XOR, [3, 2])
+    obf = inst.obfuscated
+    assert [obf.gates[k].name for k in obf.key_inputs] == ["keyinput0", "keyinput2"]
+    assert equivalent(base, obf, inst.key_truth)
+
+
+# sha256 of emit_bench(obfuscated) + instance_to_json text, recorded with
+# the one-circuit-per-location locker this one replaced
+LOCKING_PINS = {
+    ("mid12", "xor", 8, 0): "c5fada64596b7e6bae59fee5d76b97760ea56d9347a145dba480bbf39e21fbe0",
+    ("mid12", "lut2", 4, 4): "541c21b1b4acf9f68de0ea2e36ec21e7e8946f0327d601e9045b8bdd86b264d7",
+    ("mid12", "lut3", 2, 5): "5fa57bb8ae5871aa380939e9afdb8eba4c6905e432ee7822ce54cdd0a2b07fdd",
+    ("dag600", "xor", 8, 0): "2df87d7d6499e29a04ec742c271441f6c5284cc1c278cf305ee63dd1175ba554",
+}
+
+
+def test_locking_output_is_pinned(mid12):
+    bases = {"mid12": mid12, "dag600": layered_dag(600)}
+    for (name, kind, m, seed), pin in LOCKING_PINS.items():
+        inst = random_obfuscate(bases[name], m, ObfuscationKind.parse(kind), seed)
+        text = emit_bench(inst.obfuscated) + json.dumps(instance_to_json(inst, name),
+                                                        sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == pin, (name, kind, m, seed)
+
+
+@pytest.mark.parametrize("kind", ["xor", "lut2"])
+def test_one_circuit_build_per_instance(monkeypatch, mid12, kind):
+    # a LUT's truth-table circuit is smaller than the base, so it is not counted
+    builds = []
+    validate = Circuit._validate
+
+    def counting(self):
+        if len(self.gates) >= mid12.n:
+            builds.append(len(self.gates))
+        validate(self)
+
+    monkeypatch.setattr(Circuit, "_validate", counting)
+    for m in (1, 4, 8):
+        builds.clear()
+        random_obfuscate(mid12, m, ObfuscationKind.parse(kind), seed=m)
+        assert len(builds) == 1
