@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -80,7 +81,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        for name in ("conv_layers", "batch_size", "max_epochs", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "hidden_dims",
+                           tuple(_integer("hidden_dims entry", d) for d in self.hidden_dims))
         if len(self.hidden_dims) != self.conv_layers:
             raise ValueError(f"hidden_dims length {len(self.hidden_dims)} != "
                              f"conv_layers {self.conv_layers}")
@@ -95,6 +99,8 @@ class ModelConfig:
         for name in ("conv_layers", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if min(self.hidden_dims) < 1:
             raise ValueError(f"every hidden_dims entry must be >= 1, got {self.hidden_dims}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -109,6 +115,16 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden_dims": list(self.hidden_dims)}
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int: numpy integers pass, bools and floats do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def baseline_gcn_config(cfg: ModelConfig) -> ModelConfig:
@@ -309,6 +325,37 @@ def _backward(model: Model, a: tuple, ax: np.ndarray, cache: _Cache,
     grads["conv0"] += ax.T @ relu_grad(cache.ps[0], dp)
 
 
+def _sweep(model: Model, samples: list, grad_idx) -> tuple[float, float, ParamStore]:
+    """One forward pass per sample, and backward on the positions grad_idx.
+
+    The samples at grad_idx are visited first, in that order, and run
+    backward too: the gradients of their mean squared residual accumulate
+    in that order into a fresh store, and their squared residuals sum in
+    that order to sq_grad.  The other samples then run forward only.
+    sq_all sums every squared residual in samples order, whatever
+    grad_idx is.  Returns (sq_grad, sq_all, grads).
+    """
+    grads = model.params.zeros_like()
+    inv_b = 1.0 / len(grad_idx) if len(grad_idx) else 0.0
+    sqs = [None] * len(samples)
+    sq_grad = 0.0
+    for i in grad_idx:
+        smp = samples[i]
+        cache = _forward(model, smp.a, smp.ax)
+        r = cache.z - target_value(smp.label)
+        sqs[i] = r * r
+        sq_grad += sqs[i]
+        _backward(model, smp.a, smp.ax, cache, 2.0 * r * inv_b, grads.arrays)
+    for i, smp in enumerate(samples):
+        if sqs[i] is None:
+            r = _forward(model, smp.a, smp.ax).z - target_value(smp.label)
+            sqs[i] = r * r
+    sq_all = 0.0
+    for sq in sqs:  # in order: a compensated sum() would round differently
+        sq_all += sq
+    return sq_grad, sq_all, grads
+
+
 def loss_and_grads(model: Model, samples: list) -> tuple[float, ParamStore]:
     """Batch MSE in the log domain plus exact parameter grads.
 
@@ -316,26 +363,15 @@ def loss_and_grads(model: Model, samples: list) -> tuple[float, ParamStore]:
     """
     if not samples:
         raise ValueError("empty batch")
-    total = model.params.zeros_like()
-    sq = 0.0
-    inv_b = 1.0 / len(samples)
-    for smp in samples:
-        cache = _forward(model, smp.a, smp.ax)
-        r = cache.z - target_value(smp.label)
-        sq += r * r
-        _backward(model, smp.a, smp.ax, cache, 2.0 * r * inv_b, total.arrays)
-    mse = sq * inv_b
+    sq, _, grads = _sweep(model, samples, range(len(samples)))
+    mse = sq * (1.0 / len(samples))
     if not np.isfinite(mse):
         raise NonFiniteError("batch loss")
-    return mse, total
+    return mse, grads
 
 
 def batch_mse(model: Model, samples: list) -> float:
-    sq = 0.0
-    for smp in samples:
-        cache = _forward(model, smp.a, smp.ax)
-        r = cache.z - target_value(smp.label)
-        sq += r * r
+    _, sq, _ = _sweep(model, samples, ())
     return sq / len(samples)
 
 
@@ -374,6 +410,14 @@ def train(dataset: list, config: ModelConfig) -> TrainResult:
     Censored samples are left out.  Stopping uses the train loss only;
     the held-out split's mse is logged per epoch as val_mse for
     reporting.
+
+    Each epoch's train-loss pass runs at the parameters the next epoch
+    starts from, so it also yields the next epoch's first minibatch
+    gradients: the next permutation is drawn before the pass, whose
+    first samples run backward too, and the next epoch steps on those
+    held gradients.  Logs, parameters and stopping are those of a loop
+    that recomputes them; only the order in which samples are visited
+    differs, so a diverging run may report another sample's stage.
     """
     usable = [s for s in dataset if not s.censored]
     if not usable:
@@ -389,15 +433,27 @@ def train(dataset: list, config: ModelConfig) -> TrainResult:
     shuffle_rng = np.random.default_rng(config.seed + 1)
     log = []
     history: list[float] = []
+    held = None  # (squared-residual sum, grads) of the epoch's first minibatch
+    order = shuffle_rng.permutation(len(train_set))
     t0 = time.perf_counter()
     for epoch in range(config.max_epochs):
-        order = shuffle_rng.permutation(len(train_set))
         for lo in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
-            _, grads = loss_and_grads(model, batch)
+            if held is None:
+                batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
+                _, grads = loss_and_grads(model, batch)
+            else:
+                (first_sq, grads), held = held, None
+                if not np.isfinite(first_sq):  # checked on use, as loss_and_grads does
+                    raise NonFiniteError("batch loss")
             new_params, state = adam_step(model.params, grads, state)
             model = Model(model.config, new_params)
-        train_mse = batch_mse(model, train_set)
+        first = ()  # the next epoch's first minibatch, if there is a next epoch
+        if epoch + 1 < config.max_epochs:
+            order = shuffle_rng.permutation(len(train_set))
+            first = order[:config.batch_size]
+        first_sq, sq, grads = _sweep(model, train_set, first)
+        held = first_sq, grads
+        train_mse = sq / len(train_set)
         val_mse = batch_mse(model, test_set)
         log.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse,
                     "wall_seconds": time.perf_counter() - t0})

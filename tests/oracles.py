@@ -14,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from locktime.icnet import Model, batch_mse, loss_and_grads, new_model, split_indices
 from locktime.netlist import (KEY_INPUT_PREFIX, Circuit, Gate, GateType, all_input_vectors,
                               parse_bench, simulate_many)
+from locktime.numerics import adam_step, init_adam
 
 _BOOL_FUNCS = {
     GateType.AND: lambda vs: all(vs),
@@ -271,3 +273,38 @@ def random_structure(rng: np.random.Generator, n: int, p: float) -> tuple:
     w = np.maximum(w, w.T)
     np.fill_diagonal(w, 1.0)
     return edge_list(w)
+
+
+# --- training ---
+
+def reference_train(dataset: list, config):
+    """The plain epoch loop ``icnet.train`` must match bit for bit.
+
+    Each epoch draws its permutation first, steps ADAM on every
+    minibatch's ``loss_and_grads``, then recomputes the train and
+    held-out MSE: the first minibatch of the next epoch repeats forward
+    passes the train MSE already ran.  Returns (log rows without
+    wall_seconds, params, train indices, test indices, epochs run).
+    """
+    usable = [s for s in dataset if not s.censored]
+    train_idx, test_idx = split_indices(len(usable), config.seed)
+    train_set = [usable[i] for i in train_idx]
+    test_set = [usable[i] for i in test_idx]
+    model = new_model(config)
+    state = init_adam(model.params, lr=config.learning_rate)
+    shuffle_rng = np.random.default_rng(config.seed + 1)
+    log = []
+    for epoch in range(config.max_epochs):
+        order = shuffle_rng.permutation(len(train_set))
+        for lo in range(0, len(order), config.batch_size):
+            batch = [train_set[i] for i in order[lo:lo + config.batch_size]]
+            _, grads = loss_and_grads(model, batch)
+            new_params, state = adam_step(model.params, grads, state)
+            model = Model(model.config, new_params)
+        log.append({"epoch": epoch, "train_mse": batch_mse(model, train_set),
+                    "val_mse": batch_mse(model, test_set)})
+        if len(log) > 10:
+            prev, last = log[-11]["train_mse"], log[-1]["train_mse"]
+            if abs(prev - last) / max(prev, 1e-12) < config.convergence_tol:
+                break
+    return log, model.params, train_idx, test_idx, len(log)

@@ -304,6 +304,12 @@ def test_train_divergence_is_json_error(pipeline, capsys, tmp_path):
     ({"hidden_dims": [0, 16]}, "hidden_dims"),
     ({"learning_rate": -1}, "learning_rate"),
     ({"convergence_tol": -0.5}, "convergence_tol"),
+    ({"batch_size": 2.5}, "batch_size"),
+    ({"batch_size": True}, "batch_size"),
+    ({"max_epochs": 1.5}, "max_epochs"),
+    ({"conv_layers": 2.0}, "conv_layers"),
+    ({"hidden_dims": [8.5, 4]}, "hidden_dims"),
+    ({"seed": 1.5}, "seed"),
 ])
 def test_train_rejects_bad_config_values(pipeline, capsys, tmp_path, fields, name):
     ds, *_ = pipeline

@@ -3,10 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from locktime import icnet
 from locktime.icnet import (
     CHECKPOINT_VERSION,
     GraphSample,
@@ -31,7 +33,7 @@ from locktime.icnet import (
 from locktime.netlist import ONE_HOT_INDEX, graph_matrix, parse_bench
 from locktime.numerics import NonFiniteError, ParamStore, params_to_doc
 from locktime.obfuscate import ObfuscationKind, random_obfuscate
-from oracles import densify, edge_list, layered_dag, random_structure
+from oracles import densify, edge_list, layered_dag, random_structure, reference_train
 
 
 def make_samples(rng, n_samples, n=6, f=1, label_fn=None):
@@ -73,7 +75,17 @@ def test_config_validation():
            ({"learning_rate": float("inf")}, "learning_rate"),
            ({"learning_rate": float("nan")}, "learning_rate"),
            ({"convergence_tol": -1e-9}, "convergence_tol"),
-           ({"convergence_tol": float("nan")}, "convergence_tol")]
+           ({"convergence_tol": float("nan")}, "convergence_tol"),
+           # sizes and seeds are integers: bools and integral floats too are refused
+           ({"conv_layers": 2.0}, "conv_layers"),
+           ({"batch_size": 2.5}, "batch_size"),
+           ({"batch_size": True}, "batch_size"),
+           ({"max_epochs": 1.5}, "max_epochs"),
+           ({"seed": 1.5}, "seed"),
+           ({"seed": False}, "seed"),
+           ({"seed": -1}, "seed"),
+           ({"hidden_dims": (8.5, 4)}, "hidden_dims"),
+           ({"hidden_dims": (8, np.True_)}, "hidden_dims")]
     for fields, name in bad:
         with pytest.raises(ValueError, match=name):
             ModelConfig(**fields)
@@ -85,6 +97,12 @@ def test_config_validation():
     assert ModelConfig(feature_set="location_only").feature_dim == 1
     assert ModelConfig(feature_set="all_features").feature_dim == 11
     assert ModelConfig(**cfg.to_dict()) == cfg
+    # numpy integers are stored as Python ints, so the config stays JSON
+    cfg = ModelConfig(conv_layers=np.int64(2), hidden_dims=np.array([8, 4]),
+                      batch_size=np.int32(4), max_epochs=np.uint16(3), seed=np.int64(7))
+    doc = cfg.to_dict()
+    assert doc == ModelConfig(hidden_dims=(8, 4), batch_size=4, max_epochs=3, seed=7).to_dict()
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_baseline_gcn_config_swaps_only_structure_fields():
@@ -465,6 +483,99 @@ def test_training_numerics_are_pinned(mid12, overrides, mse_repr, params_sha):
     doc = json.dumps(params_to_doc(res.model.params), sort_keys=True)
     assert (repr(res.log[-1]["train_mse"]),
             hashlib.sha256(doc.encode()).hexdigest()) == (mse_repr, params_sha)
+
+
+def _mid12_samples(mid12, cfg, n, censored=()):
+    samples = []
+    for i in range(n):
+        m = 1 + i % 4
+        inst = random_obfuscate(mid12, m, ObfuscationKind.parse(("xor", "lut2")[i % 2]),
+                                seed=i)
+        samples.append(GraphSample(*build_graph_input(inst, cfg), float(np.expm1(0.3 * m)),
+                                   censored=i in censored))
+    return samples
+
+
+def _assert_same_run(res, ref):
+    log, params, train_idx, test_idx, epochs_run = ref
+    assert [{k: v for k, v in row.items() if k != "wall_seconds"} for row in res.log] == log
+    assert params_to_doc(res.model.params) == params_to_doc(params)
+    assert (res.train_indices, res.test_indices, res.epochs_run) == \
+        (train_idx, test_idx, epochs_run)
+
+
+TRAIN_BASE = ModelConfig(hidden_dims=(8, 4), learning_rate=0.01, max_epochs=4,
+                         convergence_tol=0.0, seed=5)
+GCN = {"graph_repr": "laplacian", "feat_agg": "mean", "gate_agg": "mean"}
+# (samples, censored positions, config overrides): single, exact and ragged
+# minibatches, one epoch only, and a convergence stop
+TRAIN_GRID = {
+    "b1-n5": (5, (2,), {"batch_size": 1}),
+    "b3-ragged-n10": (10, (3,), {"batch_size": 3}),
+    "b4-n10": (10, (), {"batch_size": 4}),
+    "b7-ragged-n23": (23, (4, 11), {"batch_size": 7}),
+    "b32-single-n23": (23, (0,), {"batch_size": 32}),
+    "gcn-b4-n10": (10, (), {"batch_size": 4, **GCN}),
+    "gcn-b7-ragged-n23": (23, (5,), {"batch_size": 7, **GCN}),
+    "one-epoch": (10, (1,), {"batch_size": 3, "max_epochs": 1}),
+    "gcn-one-epoch-single": (5, (), {"batch_size": 32, "max_epochs": 1, **GCN}),
+    "convergence-stop": (10, (), {"batch_size": 3, "max_epochs": 30,
+                                  "convergence_tol": 1e9}),
+    "location-only-seed-9": (10, (7,), {"batch_size": 4, "feature_set": "location_only",
+                                         "seed": 9}),
+}
+
+
+@pytest.mark.parametrize("n,censored,overrides", TRAIN_GRID.values(), ids=TRAIN_GRID)
+def test_train_equals_the_reference_loop(mid12, n, censored, overrides):
+    # the held first-batch gradients change which pass computes what, not the result
+    cfg = dataclasses.replace(TRAIN_BASE, **overrides)
+    samples = _mid12_samples(mid12, cfg, n, censored)
+    res = train(samples, cfg)
+    if cfg.convergence_tol:
+        assert res.epochs_run == 11 < cfg.max_epochs
+    _assert_same_run(res, reference_train(samples, cfg))
+
+
+def test_train_equals_the_reference_loop_through_skipped_steps(mid12):
+    # a gate whose score overflows when squared, on a sample the negative
+    # gate logit ignores: the loss stays finite, the gate gradient is
+    # 0 * inf, and ADAM skips each step that sample's batch takes
+    cfg = dataclasses.replace(TRAIN_BASE, feature_set="location_only", batch_size=3,
+                              max_epochs=3, seed=0)
+    samples = _mid12_samples(mid12, cfg, 10)
+    samples[0] = GraphSample(samples[0].a, samples[0].x * 1e160, samples[0].label)
+    runs = []
+    for fit in (lambda: train(samples, cfg), lambda: reference_train(samples, cfg)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append(fit())
+        runs.append(sum("ADAM step skipped" in str(w.message) for w in caught))
+    res, skips, ref, ref_skips = runs
+    assert skips == ref_skips == cfg.max_epochs
+    _assert_same_run(res, ref)
+
+
+@pytest.mark.parametrize("batch_size", [3, 32], ids=["ragged", "single-batch"])
+def test_train_runs_no_forward_pass_twice(monkeypatch, batch_size):
+    # each epoch's train-loss pass also yields the next epoch's first
+    # minibatch, so only epoch 0 runs all N minibatch forwards; a loop
+    # that recomputes that batch runs E * (2N + V).  Backward passes stay
+    # one per sample and epoch: none is run ahead of an epoch that never comes
+    rng = np.random.default_rng(35)
+    samples = make_samples(rng, 12, n=5)
+    cfg = dataclasses.replace(SMALL, max_epochs=5, batch_size=batch_size)
+    calls = {"_forward": 0, "_backward": 0}
+    for name in calls:
+        def counting(*args, real=getattr(icnet, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(icnet, name, counting)
+    res = train(samples, cfg)
+    e, n, v = res.epochs_run, len(res.train_indices), len(res.test_indices)
+    b = min(batch_size, n)
+    assert (e, n, v) == (5, 10, 2)
+    assert calls == {"_forward": e * (n + v) + n + (e - 1) * (n - b), "_backward": e * n}
 
 
 def test_train_log_and_convergence_stop():

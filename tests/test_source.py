@@ -64,7 +64,7 @@ def test_every_import_is_used():
 KNOB_EXEMPT = {
     "main(argv)": "the CLI entry point; tests pass argv, the console script does not",
     "simulate(key)": "the key is data, not a setting: unlocked circuits take none",
-    "fit_linear": "test-only baseline helper, to move out of the package",
+    "fit_linear(ridge_lambda)": "only tests fit ridge; experiments.evaluate fits least squares",
     "baseline_aggregate_features": "test-only baseline helper, to move out of the package",
     "synthetic_mask_records": "test-only data helper, to move out of the package",
 }
