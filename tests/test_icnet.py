@@ -453,6 +453,18 @@ def test_train_determinism():
     assert r1.train_indices == r2.train_indices
 
 
+def _mid12_samples(mid12, cfg, n, censored=()):
+    """n locked mid12 instances, 1-4 xor or lut2 locations, label expm1(0.3 m)."""
+    samples = []
+    for i in range(n):
+        m = 1 + i % 4
+        inst = random_obfuscate(mid12, m, ObfuscationKind.parse(("xor", "lut2")[i % 2]),
+                                seed=i)
+        samples.append(GraphSample(*build_graph_input(inst, cfg), float(np.expm1(0.3 * m)),
+                                   censored=i in censored))
+    return samples
+
+
 # (config overrides, repr of the final train mse, sha256 of the params doc),
 # recorded with numpy 2.4 and OpenBLAS 0.3 on x86-64: a different BLAS
 # build may round the dense products differently
@@ -473,27 +485,10 @@ def test_training_numerics_are_pinned(mid12, overrides, mse_repr, params_sha):
     cfg = dataclasses.replace(
         ModelConfig(hidden_dims=(8, 4), learning_rate=0.01, batch_size=4,
                     max_epochs=4, convergence_tol=0.0, seed=5), **overrides)
-    samples = []
-    for i in range(10):
-        m = 1 + i % 4
-        inst = random_obfuscate(mid12, m, ObfuscationKind.parse(("xor", "lut2")[i % 2]),
-                                seed=i)
-        samples.append(GraphSample(*build_graph_input(inst, cfg), float(np.expm1(0.3 * m))))
-    res = train(samples, cfg)
+    res = train(_mid12_samples(mid12, cfg, 10), cfg)
     doc = json.dumps(params_to_doc(res.model.params), sort_keys=True)
     assert (repr(res.log[-1]["train_mse"]),
             hashlib.sha256(doc.encode()).hexdigest()) == (mse_repr, params_sha)
-
-
-def _mid12_samples(mid12, cfg, n, censored=()):
-    samples = []
-    for i in range(n):
-        m = 1 + i % 4
-        inst = random_obfuscate(mid12, m, ObfuscationKind.parse(("xor", "lut2")[i % 2]),
-                                seed=i)
-        samples.append(GraphSample(*build_graph_input(inst, cfg), float(np.expm1(0.3 * m)),
-                                   censored=i in censored))
-    return samples
 
 
 def _assert_same_run(res, ref):
