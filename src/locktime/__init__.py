@@ -18,11 +18,9 @@ from .netlist import (
 from .obfuscate import (
     ObfuscationInstance,
     ObfuscationKind,
-    insert_keygate,
     random_obfuscate,
-    replace_with_lut,
 )
-from .cnf import CnfFormula, build_miter, parse_dimacs, to_dimacs, tseitin
+from .cnf import CnfFormula, build_miter, to_dimacs, tseitin
 from .satsolve import SolveResult, SolveStatus, solve
 from .attack import AttackResult, AttackStatus, runtime_labels, sat_attack
 from .icnet import (

@@ -76,7 +76,7 @@ def sat_attack(inst: ObfuscationInstance,
     status TIMEOUT is returned when exceeded.  It must be > 0 (``inf``
     allowed); anything else, nan included, raises ValueError before any
     solving.  The wall clock covers miter construction through key
-    extraction.
+    extraction and the functional-equivalence check of the recovered key.
     """
     if timeout_seconds is not None and not timeout_seconds > 0:
         raise ValueError(f"timeout must be > 0 seconds, got {timeout_seconds!r}")

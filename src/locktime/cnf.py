@@ -1,6 +1,6 @@
 """CNF machinery for the oracle-guided attack: Tseitin encoding of
 circuits, the append-only two-key miter with its per-DIP constraint
-copies, and DIMACS i/o.
+copies, and DIMACS output.
 
 Literals follow the DIMACS convention: a nonzero int whose absolute value
 is the variable index (>= 1) and whose sign is the polarity.  Variable
@@ -172,7 +172,6 @@ class MiterContext:
     key1_vars: list[int]
     key2_vars: list[int]
     out1_vars: list[int]
-    out2_vars: list[int]
 
     @property
     def formula(self) -> CnfFormula:
@@ -200,7 +199,7 @@ def build_miter(obf: Circuit) -> MiterContext:
     for a, b, d in zip(y1, y2, dvars):
         _xor2(a, b, d, diff)
     diff.append(tuple(dvars))  # at least one output differs
-    return MiterContext(obf, alloc.n, clauses, diff, input_vars, k1, k2, y1, y2)
+    return MiterContext(obf, alloc.n, clauses, diff, input_vars, k1, k2, y1)
 
 
 def add_dip_constraint(m: MiterContext, dip, oracle_out) -> None:
@@ -234,30 +233,3 @@ def to_dimacs(f: CnfFormula) -> str:
         lines.append(" ".join(str(lit) for lit in cl) + " 0")
     return "\n".join(lines) + "\n"
 
-
-def parse_dimacs(text: str) -> CnfFormula:
-    n_vars = None
-    clauses = []
-    cur: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line: {line!r}")
-            n_vars = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(tuple(cur))
-                cur = []
-            else:
-                cur.append(lit)
-    if cur:
-        raise ValueError("unterminated clause at end of DIMACS input")
-    if n_vars is None:
-        raise ValueError("missing 'p cnf' header")
-    return CnfFormula(clauses, n_vars)

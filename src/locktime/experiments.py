@@ -370,41 +370,3 @@ def dataset_report(records) -> dict:
         report["spearman_locations_conflicts"] = float("nan")
     return report
 
-
-# --- synthetic circuits and datasets ---
-
-def chain_circuit(n_gates: int = 120) -> Circuit:
-    """An inverter chain: src -> n0 -> ... -> n<k-1> (output)."""
-    if n_gates < 1:
-        raise ValueError("need at least one gate")
-    lines = ["INPUT(src)"]
-    prev = "src"
-    for i in range(n_gates):
-        lines.append(f"n{i} = NOT({prev})")
-        prev = f"n{i}"
-    lines.append(f"OUTPUT({prev})")
-    return parse_bench("\n".join(lines) + "\n")
-
-
-def synthetic_mask_records(count: int = 300, seed: int = 0,
-                           n_gates: int = 120, coeff: float = 0.05,
-                           noise: float = 0.01, m_range=(1, 8)):
-    """Inverter-chain instances whose log label is linear in the mask count.
-
-    Each instance replaces m random chain gates with 1-input LUTs and
-    gets the label expm1(coeff * m + N(0, noise^2)), i.e. a log1p-scale
-    label of coeff * m plus Gaussian noise.  Returns (base, records).
-    """
-    base = chain_circuit(n_gates)
-    kind = ObfuscationKind.parse("lut1")
-    rng = np.random.default_rng(seed)
-    lo, hi = m_range
-    records = []
-    for i in range(count):
-        m = int(rng.integers(lo, hi + 1))
-        inst = random_obfuscate(base, m, kind, int(rng.integers(0, 2**31 - 1)))
-        g = coeff * m + rng.normal(0.0, noise)
-        labels = {"synthetic": float(np.expm1(g))}
-        records.append(DatasetRecord(f"syn-{i:05d}", inst, labels, False, 0,
-                                     "SYNTHETIC"))
-    return base, records

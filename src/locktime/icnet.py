@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -83,6 +84,14 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("conv_layers", "batch_size", "max_epochs", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("learning_rate", "convergence_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        dims = self.hidden_dims
+        if not (isinstance(dims, (list, tuple))
+                or isinstance(dims, np.ndarray) and dims.ndim == 1):
+            raise ValueError(f"hidden_dims must be a list of integers, got {dims!r}")
         object.__setattr__(self, "hidden_dims",
                            tuple(_integer("hidden_dims entry", d) for d in self.hidden_dims))
         if len(self.hidden_dims) != self.conv_layers:
@@ -526,10 +535,27 @@ def save_checkpoint(model: Model, path, label_kind: str) -> None:
 
 
 def load_checkpoint(path) -> tuple[Model, str]:
-    """The model and the label kind it was trained on."""
+    """The model and the label kind it was trained on.
+
+    The stored parameters must carry exactly the names and shapes that
+    the stored config builds, compared name by name (the file's order is
+    sorted, not the model's).
+    """
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    return Model(ModelConfig(**doc["config"]), params_from_doc(doc["params"])), doc["label_kind"]
+    config = ModelConfig(**doc["config"])
+    params = params_from_doc(doc["params"])
+    want = {k: v.shape for k, v in new_model(config).params.arrays.items()}
+    got = {k: v.shape for k, v in params.arrays.items()}
+    for name in sorted(want.keys() | got.keys()):
+        if name not in got:
+            raise ValueError(f"checkpoint lacks parameter {name!r}")
+        if name not in want:
+            raise ValueError(f"checkpoint has unknown parameter {name!r}")
+        if got[name] != want[name]:
+            raise ValueError(f"checkpoint parameter {name!r} has shape {got[name]}, "
+                             f"its config needs {want[name]}")
+    return Model(config, params), doc["label_kind"]

@@ -88,14 +88,6 @@ def _first_free(taken: set, names) -> str:
     return name
 
 
-def insert_keygate(c: Circuit, gate_id: int, kind: str) -> Circuit:
-    """Splice an XOR/XNOR key-gate after ``gate_id``, transparent under key
-    bit 0 for XOR and 1 for XNOR: one-location :func:`apply_at_locations`."""
-    if kind not in ("xor", "xnor"):
-        raise ValueError(f"key-gate kind must be 'xor' or 'xnor', got {kind!r}")
-    return apply_at_locations(c, ObfuscationKind(kind), (gate_id,)).obfuscated
-
-
 def _padding_nets(gates, order, keys: set, gate_id: int, need: int) -> list:
     """Nearest predecessors of gate_id in ``order``, then any earlier nets."""
     fanin = set(gates[gate_id].fanin)
@@ -116,18 +108,6 @@ def _lut_table(target: Gate, arity_k: int) -> tuple[int, ...]:
                     tuple(range(m)), (m,))
     own = simulate_many(alone, all_input_vectors(m))[:, 0]
     return tuple(int(b) for b in np.repeat(own, 2 ** (arity_k - m)))
-
-
-def replace_with_lut(c: Circuit, gate_id: int, arity_k: int) -> tuple[Circuit, tuple[int, ...]]:
-    """Replace a logic gate with a k-input LUT; returns (circuit, table).
-
-    One-location :func:`apply_at_locations`.  The LUT's fanins are the
-    gate's own fanins followed by padding nets; the table reproduces the
-    original function and ignores the padding bits, so equivalence holds
-    for every padding value.
-    """
-    inst = apply_at_locations(c, ObfuscationKind("lut", arity_k), (gate_id,))
-    return inst.obfuscated, inst.key_truth
 
 
 def _eligible(g: Gate, kind: ObfuscationKind) -> bool:

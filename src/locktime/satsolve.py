@@ -22,8 +22,8 @@ at level 0.  A call without assumptions searches exactly as before.
 
 Determinism contract: identical call sequences of (clauses, assumptions)
 give identical statuses, models and effort counters across runs and
-machines.  ``wall_seconds`` is the single nondeterministic field.
-Stats are per call.
+machines, unless a call times out: the clock decides only whether and
+where a search stops.  Stats are per call and hold counters only.
 
 Counter semantics: ``decisions`` counts branch assignments (assumption
 levels are not decisions), ``propagations`` counts literals enqueued
@@ -59,13 +59,11 @@ class SolverStats:
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0
-    wall_seconds: float = 0.0
 
     def merged(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(self.decisions + other.decisions,
                            self.propagations + other.propagations,
-                           self.conflicts + other.conflicts,
-                           self.wall_seconds + other.wall_seconds)
+                           self.conflicts + other.conflicts)
 
 
 @dataclass
@@ -208,17 +206,13 @@ class Solver:
     def _run(self, f: CnfFormula, timeout_seconds: float | None,
              assumptions: tuple[int, ...]) -> SolveResult:
         """Load ``f``, then search under ``assumptions``; stats cover this call only."""
-        t0 = time.perf_counter()
-        deadline = None if timeout_seconds is None else t0 + timeout_seconds
+        deadline = None if timeout_seconds is None else time.perf_counter() + timeout_seconds
         self.stats = SolverStats()
         n = max(self.n, f.n_vars)
         if not all(0 < abs(lit) <= n for lit in assumptions):
             raise ValueError(f"assumptions {assumptions} outside variables 1..{n}")
-        try:
-            self._load(f)
-            status, model = self._search(deadline, assumptions)
-        finally:
-            self.stats.wall_seconds = time.perf_counter() - t0
+        self._load(f)
+        status, model = self._search(deadline, assumptions)
         return SolveResult(status, model, self.stats)
 
     def _search(self, deadline, assumptions):

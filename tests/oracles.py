@@ -1,4 +1,5 @@
-"""Independent reference implementations used to cross-check the package.
+"""Independent reference implementations used to cross-check the package,
+and the test-only circuits, datasets and DIMACS reader built on it.
 
 Everything here is deliberately written in a different style from the
 library code: event-driven scalar simulation instead of vectorized
@@ -14,10 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from locktime.cnf import CnfFormula
+from locktime.experiments import DatasetRecord
 from locktime.icnet import Model, batch_mse, loss_and_grads, new_model, split_indices
 from locktime.netlist import (KEY_INPUT_PREFIX, Circuit, Gate, GateType, all_input_vectors,
                               parse_bench, simulate_many)
 from locktime.numerics import adam_step, init_adam
+from locktime.obfuscate import ObfuscationKind, random_obfuscate
 
 _BOOL_FUNCS = {
     GateType.AND: lambda vs: all(vs),
@@ -139,6 +143,14 @@ _RAND_TYPES = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
                GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUFF]
 
 
+def parse_dimacs(text: str) -> CnfFormula:
+    """Read what ``cnf.to_dimacs`` writes: a ``p cnf`` header, then one
+    0-terminated clause per line."""
+    header, *lines = text.splitlines()
+    n_vars = int(header.split()[2])
+    return CnfFormula([tuple(map(int, line.split()[:-1])) for line in lines], n_vars)
+
+
 def random_circuit(rng: random.Random, n_inputs=None, n_gates=None) -> Circuit:
     """Random small DAG over the eight standard gate types."""
     n_inputs = n_inputs if n_inputs is not None else rng.randint(1, 4)
@@ -164,6 +176,42 @@ def layered_dag(n_gates: int) -> Circuit:
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return parse_bench(mod.layered_dag_bench(seed=3, n_gates=n_gates))
+
+
+def chain_circuit(n_gates: int) -> Circuit:
+    """An inverter chain: src -> n0 -> ... -> n<k-1> (output)."""
+    if n_gates < 1:
+        raise ValueError("need at least one gate")
+    lines = ["INPUT(src)"]
+    prev = "src"
+    for i in range(n_gates):
+        lines.append(f"n{i} = NOT({prev})")
+        prev = f"n{i}"
+    lines.append(f"OUTPUT({prev})")
+    return parse_bench("\n".join(lines) + "\n")
+
+
+def synthetic_mask_records(count: int, seed: int, n_gates: int, coeff: float,
+                           noise: float, m_range):
+    """Inverter-chain instances whose log label is linear in the mask count.
+
+    Each instance replaces m random chain gates with 1-input LUTs and
+    gets the label expm1(coeff * m + N(0, noise^2)), i.e. a log1p-scale
+    label of coeff * m plus Gaussian noise.  Returns (base, records).
+    """
+    base = chain_circuit(n_gates)
+    kind = ObfuscationKind.parse("lut1")
+    rng = np.random.default_rng(seed)
+    lo, hi = m_range
+    records = []
+    for i in range(count):
+        m = int(rng.integers(lo, hi + 1))
+        inst = random_obfuscate(base, m, kind, int(rng.integers(0, 2**31 - 1)))
+        g = coeff * m + rng.normal(0.0, noise)
+        labels = {"synthetic": float(np.expm1(g))}
+        records.append(DatasetRecord(f"syn-{i:05d}", inst, labels, False, 0,
+                                     "SYNTHETIC"))
+    return base, records
 
 
 # --- sequential locking: one validated Circuit per location ---

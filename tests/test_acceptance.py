@@ -24,7 +24,6 @@ from locktime.experiments import (
     mean_predictor_mse,
     records_to_samples,
     spearman,
-    synthetic_mask_records,
 )
 from locktime.icnet import (
     Model,
@@ -49,6 +48,7 @@ from oracles import (
     random_3sat,
     random_circuit,
     random_structure,
+    synthetic_mask_records,
 )
 
 

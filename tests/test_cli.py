@@ -262,6 +262,23 @@ def test_eval_scores_the_label_kind_the_model_was_trained_on(pipeline, capsys, t
         "message": "model was trained on label kind 'wall_seconds', not 'conflicts'"}
 
 
+@pytest.mark.parametrize("name,edit", [
+    ("conv0", lambda params: params.pop("conv0")),
+    ("feat", lambda params: params.update(feat={"shape": [2], "data": [0.5, 0.5]})),
+], ids=["missing", "misshapen"])
+def test_eval_rejects_checkpoint_params_that_do_not_fit_the_config(
+        pipeline, capsys, tmp_path, name, edit):
+    ds, model, *_ = pipeline
+    doc = json.loads(model.read_text())
+    edit(doc["params"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eval", "--dataset", str(ds), "--model", str(bad))
+    assert code == 1 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "ValueError" and repr(name) in err["message"]
+
+
 def test_train_rejects_unknown_config_keys(pipeline, capsys, tmp_path):
     ds, *_ = pipeline
     bad = tmp_path / "bad.json"
@@ -310,6 +327,7 @@ def test_train_divergence_is_json_error(pipeline, capsys, tmp_path):
     ({"conv_layers": 2.0}, "conv_layers"),
     ({"hidden_dims": [8.5, 4]}, "hidden_dims"),
     ({"seed": 1.5}, "seed"),
+    ({"hidden_dims": None}, "hidden_dims"),
 ])
 def test_train_rejects_bad_config_values(pipeline, capsys, tmp_path, fields, name):
     ds, *_ = pipeline

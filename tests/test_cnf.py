@@ -7,13 +7,12 @@ from locktime.cnf import (
     CnfFormula,
     add_dip_constraint,
     build_miter,
-    parse_dimacs,
     to_dimacs,
     tseitin,
 )
 from locktime.netlist import GateType, parse_bench, simulate
-from locktime.obfuscate import ObfuscationKind, insert_keygate, random_obfuscate
-from oracles import enumerate_cnf, enumerate_models_np, random_circuit
+from locktime.obfuscate import ObfuscationKind, apply_at_locations, random_obfuscate
+from oracles import enumerate_cnf, enumerate_models_np, parse_dimacs, random_circuit
 
 
 def test_single_and_clause_set():
@@ -133,7 +132,8 @@ def test_cnf_formula_validation():
 
 def _tiny_locked():
     base = parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
-    return base, insert_keygate(base, base.name_to_id["z"], "xor")
+    return base, apply_at_locations(base, ObfuscationKind("xor"),
+                                    (base.name_to_id["z"],)).obfuscated
 
 
 def test_miter_requires_keys(c17):
@@ -190,7 +190,7 @@ def test_miter_shares_inputs_between_copies(c17):
     m = build_miter(inst.obfuscated)
     assert len(m.input_vars) == 5
     assert len(m.key1_vars) == len(m.key2_vars) == 8
-    assert len(m.out1_vars) == len(m.out2_vars) == 2
+    assert len(m.out1_vars) == 2
     assert set(m.key1_vars).isdisjoint(m.key2_vars)
 
 
@@ -212,9 +212,11 @@ def test_miter_variable_layout(c17):
         v = abs(lit) + k if abs(lit) > n_pi + k else abs(lit)
         return v if lit > 0 else -v
     assert m.clauses[:len(t.clauses)] == [tuple(map(shift, cl)) for cl in t.clauses]
-    assert min(m.out2_vars) > t.n_vars + k
-    # one difference variable per output, numbered last
+    # each output's xor difference opens with (-d, y1, y2); copy 2 follows copy 1
     n_po = len(obf.primary_outputs)
+    assert [m.diff_clauses[4 * i][1] for i in range(n_po)] == m.out1_vars
+    assert min(m.diff_clauses[4 * i][2] for i in range(n_po)) > t.n_vars + k
+    # one difference variable per output, numbered last
     assert m.diff_clauses[-1] == tuple(range(m.n_vars - n_po + 1, m.n_vars + 1))
 
 
@@ -245,13 +247,6 @@ def test_dimacs_roundtrip(c17):
     back = parse_dimacs(to_dimacs(f))
     assert back.n_vars == f.n_vars
     assert sorted(back.clauses) == sorted(f.clauses)
-
-
-def test_dimacs_parse_errors():
-    with pytest.raises(ValueError):
-        parse_dimacs("1 -2 0\n")  # no header
-    with pytest.raises(ValueError):
-        parse_dimacs("p cnf 2 1\n1 -2\n")  # unterminated
 
 
 def test_enumerators_agree():

@@ -13,7 +13,6 @@ from locktime.experiments import (
     DATASET_VERSION,
     attention_report,
     average_ranks,
-    chain_circuit,
     dataset_report,
     evaluate,
     generate_dataset,
@@ -24,12 +23,12 @@ from locktime.experiments import (
     pearson,
     records_to_samples,
     spearman,
-    synthetic_mask_records,
     write_dataset,
 )
 from locktime.icnet import Model, ModelConfig, forward, new_model, train
 from locktime.netlist import GateType, simulate
 from locktime.obfuscate import ObfuscationKind
+from oracles import chain_circuit, synthetic_mask_records
 
 
 # --- metrics ---

@@ -105,6 +105,17 @@ def test_config_validation():
     assert json.loads(json.dumps(doc)) == doc
 
 
+@pytest.mark.parametrize("fields", [
+    {"learning_rate": True}, {"convergence_tol": True},
+    {"learning_rate": "0.1"}, {"convergence_tol": "x"},
+    {"hidden_dims": 8}, {"hidden_dims": None},
+])
+def test_config_rejects_wrong_types_by_field(fields):
+    [name] = fields
+    with pytest.raises(ValueError, match=name):
+        ModelConfig(**fields)
+
+
 def test_baseline_gcn_config_swaps_only_structure_fields():
     cfg = ModelConfig(hidden_dims=(8, 4), seed=7, learning_rate=0.01)
     ref = baseline_gcn_config(cfg)

@@ -12,11 +12,9 @@ from locktime.obfuscate import (
     ObfuscationKind,
     apply_at_locations,
     eligible_gates,
-    insert_keygate,
     instance_from_json,
     instance_to_json,
     random_obfuscate,
-    replace_with_lut,
 )
 from oracles import layered_dag, random_circuit, sequential_lock
 
@@ -42,7 +40,7 @@ def test_kind_parse_roundtrip():
 
 def test_xor_keygate_transparent(c17):
     gid = c17.name_to_id["11"]
-    locked = insert_keygate(c17, gid, "xor")
+    locked = apply_at_locations(c17, XOR, (gid,)).obfuscated
     assert len(locked.key_inputs) == 1
     assert locked.gates[gid].type is GateType.XOR
     assert locked.gates[gid].name == "11"  # key-gate takes over the net name
@@ -50,43 +48,44 @@ def test_xor_keygate_transparent(c17):
 
 
 def test_xnor_keygate_transparent(c17):
-    locked = insert_keygate(c17, c17.name_to_id["22"], "xnor")
+    locked = apply_at_locations(c17, XNOR, (c17.name_to_id["22"],)).obfuscated
     assert equivalent(c17, locked, [1])
 
 
 def test_wrong_key_flips_some_output(c17):
     for name in ("10", "11", "16", "19", "22", "23"):
-        locked = insert_keygate(c17, c17.name_to_id[name], "xor")
+        locked = apply_at_locations(c17, XOR, (c17.name_to_id[name],)).obfuscated
         assert not equivalent(c17, locked, [1]), f"wrong key undetected at {name}"
 
 
 def test_keygate_rejects_inputs_and_bad_ids(c17):
     with pytest.raises(ValueError):
-        insert_keygate(c17, c17.primary_inputs[0], "xor")
+        apply_at_locations(c17, XOR, (c17.primary_inputs[0],))
     with pytest.raises(ValueError):
-        insert_keygate(c17, 999, "xor")
+        apply_at_locations(c17, XOR, (999,))
 
 
 def test_keygate_on_primary_output(c17):
     gid = c17.name_to_id["23"]
-    locked = insert_keygate(c17, gid, "xor")
+    locked = apply_at_locations(c17, XOR, (gid,)).obfuscated
     assert locked.primary_outputs == c17.primary_outputs  # same ids still valid
     assert equivalent(c17, locked, [0])
 
 
 def test_lut_truth_tables():
     c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n")
-    _, table = replace_with_lut(c, c.name_to_id["z"], 2)
+    table = apply_at_locations(c, ObfuscationKind("lut", 2), (c.name_to_id["z"],)).key_truth
     assert table == (0, 0, 0, 1)
     c = parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
-    _, table = replace_with_lut(c, c.name_to_id["z"], 1)
+    table = apply_at_locations(c, ObfuscationKind("lut", 1), (c.name_to_id["z"],)).key_truth
     assert table == (1, 0)
 
 
 def test_lut_padding_preserves_function(c17):
     # 2-input NAND inflated to a 4-input LUT: padding bits are don't-cares
     gid = c17.name_to_id["16"]
-    locked, table = replace_with_lut(c17, gid, 4)
+    inst = apply_at_locations(c17, ObfuscationKind("lut", 4), (gid,))
+    locked, table = inst.obfuscated, inst.key_truth
     assert len(table) == 16
     assert len(locked.gates[gid].fanin) == 4
     assert locked.gates[gid].fanin[:2] == c17.gates[gid].fanin
@@ -97,28 +96,30 @@ def test_lut_padding_nearest_predecessors():
     c = parse_bench(
         "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n"
         "m = AND(a, b)\nn = OR(m, a)\nz = NOT(n)\n")
-    locked, _ = replace_with_lut(c, c.name_to_id["z"], 3)
+    locked = apply_at_locations(c, ObfuscationKind("lut", 3), (c.name_to_id["z"],)).obfuscated
     pads = [c.gates[f].name for f in locked.gates[c.name_to_id["z"]].fanin[1:]]
     assert pads == ["m", "a"] or pads == ["m", "b"]  # m is the nearest non-fanin net
 
 
 def test_lut_errors(c17):
+    gid, lut2 = c17.name_to_id["16"], ObfuscationKind("lut", 2)
     with pytest.raises(ValueError):
-        replace_with_lut(c17, c17.name_to_id["16"], 1)  # fanin 2 > arity 1
+        apply_at_locations(c17, ObfuscationKind("lut", 1), (gid,))  # fanin 2 > arity 1
     with pytest.raises(ValueError):
-        replace_with_lut(c17, c17.primary_inputs[0], 2)
+        apply_at_locations(c17, lut2, (c17.primary_inputs[0],))
     with pytest.raises(ValueError):
-        replace_with_lut(c17, c17.name_to_id["16"], 5)
-    locked, _ = replace_with_lut(c17, c17.name_to_id["16"], 2)
+        apply_at_locations(c17, ObfuscationKind("lut", 5), (gid,))
+    locked = apply_at_locations(c17, lut2, (gid,)).obfuscated
     with pytest.raises(ValueError):
-        replace_with_lut(locked, c17.name_to_id["16"], 2)  # no nesting
+        apply_at_locations(locked, lut2, (gid,))  # no nesting
 
 
 def test_eligible_gates(c17):
     assert set(eligible_gates(c17, XOR)) == {c17.name_to_id[n]
                                              for n in ("10", "11", "16", "19", "22", "23")}
-    locked, _ = replace_with_lut(c17, c17.name_to_id["16"], 2)
-    assert c17.name_to_id["16"] not in eligible_gates(locked, ObfuscationKind("lut", 2))
+    gid, lut2 = c17.name_to_id["16"], ObfuscationKind("lut", 2)
+    locked = apply_at_locations(c17, lut2, (gid,)).obfuscated
+    assert gid not in eligible_gates(locked, lut2)
 
 
 def test_random_obfuscate_bounds(c17):

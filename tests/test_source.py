@@ -66,7 +66,6 @@ KNOB_EXEMPT = {
     "simulate(key)": "the key is data, not a setting: unlocked circuits take none",
     "fit_linear(ridge_lambda)": "only tests fit ridge; experiments.evaluate fits least squares",
     "baseline_aggregate_features": "test-only baseline helper, to move out of the package",
-    "synthetic_mask_records": "test-only data helper, to move out of the package",
 }
 
 
@@ -122,3 +121,33 @@ def test_every_defaulted_parameter_is_passed():
                     passed(c, arg.arg, index) for c in calls.get(name, ()))):
                 found.append(f"{path.name}:{arg.lineno} {knob}")
     assert not found, f"defaulted parameters no call sets: {found}"
+
+
+# top-level package names that no package or benchmark code refers to, kept on purpose
+CALLER_EXEMPT = {
+    "baseline_gcn_config": "the GCN baseline row of the planned `compare` command",
+    "baseline_aggregate_features": "the aggregate-feature rows of the planned `compare` command",
+    "linear_predict": "scores the linear rows of the planned `compare` command",
+    "mean_predictor_mse": "the mean-predictor row of the planned `compare` command",
+}
+
+
+def test_every_package_function_has_a_package_caller():
+    # a function or class that only tests use is test code shipped in the package
+    benchmarks = PACKAGE.parent.parent / "benchmarks"
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(benchmarks.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in used and node.name not in CALLER_EXEMPT):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, f"package names that only tests use: {found}"
