@@ -265,7 +265,7 @@ def evaluate(model: Model, samples) -> MetricsReport:
         raise ValueError("no samples to evaluate")
     zs, ts = [], []
     for smp in samples:
-        zs.append(_forward(model, smp.a, smp.ax).z)
+        zs.append(_forward(model, smp.layout, smp.ax).z)
         ts.append(target_value(smp.label))
     z = np.asarray(zs)
     t = np.asarray(ts)
@@ -320,7 +320,7 @@ def attention_report(model: Model, samples) -> AttentionReport:
     cfg = model.config
     a_feats, entropies = [], []
     for smp in samples:
-        cache = _forward(model, smp.a, smp.ax)
+        cache = _forward(model, smp.layout, smp.ax)
         if cache.a_feat is not None:
             a_feats.append(cache.a_feat)
         if cache.a_gate is not None and cache.a_gate.size > 1:

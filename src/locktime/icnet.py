@@ -7,14 +7,18 @@ gates to one scalar z, and an exp output head.
 
 The structure A is an edge list ``(rows, cols, vals)`` (see
 ``netlist.graph_matrix``), so each product with A costs O(edges · width)
-instead of O(n² · width).  ``_propagate`` sums the edge terms
-``vals[e] * h[cols[e], j]`` into their rows one column j at a time with
-``np.bincount``, in edge order from 0.0, so the unsorted transpose
-``(cols, rows, vals)`` needs no sorting; a temporary for all columns at
-once would be big enough to cost fresh memory pages on every call.  A
-and X never change, so the first layer's A·X is computed once per sample
-(``GraphSample.ax``) and the first convolution is (A·X)·Θ_0; later ones
-are A·(P·Θ_l), propagating the narrower product.
+instead of O(n² · width).  ``_propagate`` multiplies by A in
+jagged-diagonal storage (``_jagged``; Saad, *Iterative Methods for
+Sparse Linear Systems*, §3.4): rows sorted by falling degree, so the
+rows with a k-th edge form a prefix, and step k adds the k-th edge's
+term of every row in that prefix, for all columns at once.  Each row
+still sums its terms ``vals[e] * h[cols[e]]`` in edge order from 0.0, as
+a one-edge-at-a-time loop would, whatever order the edge list gives its
+rows.  A and X never change, so a sample's layouts of A and of Aᵀ (one
+object when they are equal, as for every ``graph_matrix`` output) and
+its first-layer A·X are built once (``GraphSample``); the first
+convolution is (A·X)·Θ_0 and later ones are A·(P·Θ_l), propagating the
+narrower product.
 
 Aggregations come in attention / mean variants.  Attention scoring
 is built so the whole network is invariant to gate reordering:
@@ -88,6 +92,7 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))  # numpy floats are not JSON
         dims = self.hidden_dims
         if not (isinstance(dims, (list, tuple))
                 or isinstance(dims, np.ndarray) and dims.ndim == 1):
@@ -160,8 +165,10 @@ class Model:
 class GraphSample:
     """One training example: structure edge list, features, raw label.
 
-    ``ax`` is the propagated input A·X, computed once here because
-    neither A nor X changes during training.
+    ``layout`` and ``layout_t`` are the jagged layouts of A and of Aᵀ
+    (the same object when they are equal), and ``ax`` is the propagated
+    input A·X, all computed once here because neither A nor X changes
+    during training.
     """
 
     a: tuple  # (rows, cols, vals) of the n x n structure matrix
@@ -169,12 +176,19 @@ class GraphSample:
     label: float
     instance_id: str = ""
     censored: bool = False
+    layout: tuple = field(init=False, repr=False)
+    layout_t: tuple = field(init=False, repr=False)
     ax: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        self.a = _as_structure(self.a, self.x.shape[0])
-        self.ax = _propagate(self.a, self.x)
+        n = self.x.shape[0]
+        self.a = _as_structure(self.a, n)
+        self.layout = _jagged(self.a, n)
+        at = (self.a[1], self.a[0], self.a[2])
+        self.layout_t = (self.layout if _same_rows_in_edge_order(self.a, at)
+                         else _jagged(at, n))
+        self.ax = _propagate(self.layout, self.x)
 
 
 def _as_structure(a, n: int) -> tuple:
@@ -190,16 +204,49 @@ def _as_structure(a, n: int) -> tuple:
     return rows, cols, vals
 
 
-def _propagate(a: tuple, h: np.ndarray) -> np.ndarray:
-    """A @ h for the edge list A; rows of A with no entries give zero rows."""
+def _same_rows_in_edge_order(a: tuple, b: tuple) -> bool:
+    """Whether every row of a and b holds the same (col, val) terms in edge order."""
+    ia, ib = np.argsort(a[0], kind="stable"), np.argsort(b[0], kind="stable")
+    return all(np.array_equal(p[ia], q[ib]) for p, q in zip(a, b))
+
+
+def _jagged(a: tuple, n: int) -> tuple:
+    """Jagged-diagonal layout ``(perm, steps)`` of the n-row edge list a.
+
+    perm lists the rows by falling degree, ties by index, so the rows
+    with a k-th edge are a prefix of perm.  steps[k] is (cols, vals) for
+    that prefix: the column of each row's k-th edge in edge order, and its
+    value as a column vector, or None when every value of a is 1.0
+    (h * 1.0 is h).
+    """
     rows, cols, vals = a
-    n, width = h.shape
-    out = np.empty((n, width))
-    for j in range(width):
-        terms = h[:, j].take(cols)
-        terms *= vals
-        out[:, j] = np.bincount(rows, terms, minlength=n)
-    return out
+    by_row = np.argsort(rows, kind="stable")
+    deg = np.bincount(rows, minlength=n)
+    perm = np.argsort(-deg, kind="stable")
+    first = (np.cumsum(deg) - deg)[perm]  # position of each row's first edge in by_row
+    cols = cols[by_row]
+    vals = None if (vals == 1.0).all() else vals[by_row, None]
+    steps = []  # m counts the rows with more than k edges
+    for k, m in enumerate((n - np.cumsum(np.bincount(deg)))[:-1].tolist()):
+        e = first[:m] + k
+        steps.append((cols[e], None if vals is None else vals[e]))
+    return perm, tuple(steps)
+
+
+def _propagate(layout: tuple, h: np.ndarray) -> np.ndarray:
+    """A @ h for A's jagged layout; rows of A with no entries give zero rows."""
+    perm, steps = layout
+    acc = np.zeros((perm.size, h.shape[1]))
+    terms = np.empty_like(acc)
+    for cols, vals in steps:
+        m = cols.size
+        # indices were checked against n; "clip" lets take write into out unbuffered
+        t = h.take(cols, axis=0, out=terms[:m], mode="clip")
+        if vals is not None:
+            t *= vals
+        acc[:m] += t
+    terms[perm] = acc
+    return terms
 
 
 def new_model(config: ModelConfig) -> Model:
@@ -235,7 +282,7 @@ class _Cache:
     z: float
 
 
-def _forward(model: Model, a: tuple, ax: np.ndarray) -> _Cache:
+def _forward(model: Model, layout: tuple, ax: np.ndarray) -> _Cache:
     cfg = model.config
     p = model.params
     n = ax.shape[0]
@@ -246,7 +293,7 @@ def _forward(model: Model, a: tuple, ax: np.ndarray) -> _Cache:
     # non-finite values are reported via NonFiniteError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(cfg.conv_layers):
-            z = ax @ p["conv0"] if l == 0 else _propagate(a, ps[-1] @ p[f"conv{l}"])
+            z = ax @ p["conv0"] if l == 0 else _propagate(layout, ps[-1] @ p[f"conv{l}"])
             check_finite(f"conv{l} pre-activation", z)
             ps.append(np.maximum(z, 0.0, out=z))
     h = ps[-1]
@@ -275,7 +322,8 @@ def forward(model: Model, a, x) -> Prediction:
     x = np.asarray(x, dtype=np.float64)
     a = _as_structure(a, x.shape[0])
     t0 = time.perf_counter()
-    cache = _forward(model, a, _propagate(a, x))
+    layout = _jagged(a, x.shape[0])
+    cache = _forward(model, layout, _propagate(layout, x))
     with np.errstate(over="ignore"):
         yhat = float(np.exp(cache.z))
     check_finite("output head", np.asarray([yhat]))
@@ -292,13 +340,13 @@ def target_value(label: float) -> float:
     return float(np.log1p(label))
 
 
-def _backward(model: Model, a: tuple, ax: np.ndarray, cache: _Cache,
+def _backward(model: Model, layout_t: tuple, ax: np.ndarray, cache: _Cache,
               dz: float, grads: dict) -> None:
     """Add the closed-form gradients of dz * z w.r.t. each parameter to grads.
 
     For l >= 1, U = A^T dZ_l gives dTheta_l = P_{l-1}^T U and
     dP_{l-1} = U Theta_l^T; dTheta_0 = (A X)^T dZ_0.  The gradient with
-    respect to X is never formed.
+    respect to X is never formed.  layout_t is the jagged layout of A^T.
     """
     cfg = model.config
     p = model.params
@@ -325,10 +373,9 @@ def _backward(model: Model, a: tuple, ax: np.ndarray, cache: _Cache,
     else:
         dp = np.repeat(ds[:, None], hw, axis=1) / hw
 
-    at = (a[1], a[0], a[2])  # A^T
     # P_l > 0 exactly where Z_l > 0, so P_l masks the relu gradient
     for l in range(cfg.conv_layers - 1, 0, -1):
-        u = _propagate(at, relu_grad(cache.ps[l], dp))
+        u = _propagate(layout_t, relu_grad(cache.ps[l], dp))
         grads[f"conv{l}"] += cache.ps[l - 1].T @ u
         dp = u @ p[f"conv{l}"].T
     grads["conv0"] += ax.T @ relu_grad(cache.ps[0], dp)
@@ -350,14 +397,14 @@ def _sweep(model: Model, samples: list, grad_idx) -> tuple[float, float, ParamSt
     sq_grad = 0.0
     for i in grad_idx:
         smp = samples[i]
-        cache = _forward(model, smp.a, smp.ax)
+        cache = _forward(model, smp.layout, smp.ax)
         r = cache.z - target_value(smp.label)
         sqs[i] = r * r
         sq_grad += sqs[i]
-        _backward(model, smp.a, smp.ax, cache, 2.0 * r * inv_b, grads.arrays)
+        _backward(model, smp.layout_t, smp.ax, cache, 2.0 * r * inv_b, grads.arrays)
     for i, smp in enumerate(samples):
         if sqs[i] is None:
-            r = _forward(model, smp.a, smp.ax).z - target_value(smp.label)
+            r = _forward(model, smp.layout, smp.ax).z - target_value(smp.label)
             sqs[i] = r * r
     sq_all = 0.0
     for sq in sqs:  # in order: a compensated sum() would round differently

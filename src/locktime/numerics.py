@@ -9,6 +9,7 @@ return fresh arrays and never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -148,5 +149,10 @@ def params_to_doc(params: ParamStore) -> dict:
 def params_from_doc(doc: dict) -> ParamStore:
     arrays = {}
     for k, spec in doc.items():
-        arrays[k] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        data = np.asarray(spec["data"], dtype=np.float64)
+        size = math.prod(spec["shape"])
+        if data.size != size:
+            raise ValueError(f"parameter {k!r} has {data.size} values, "
+                             f"its shape {spec['shape']} needs {size}")
+        arrays[k] = data.reshape(spec["shape"])
     return ParamStore(arrays)

@@ -279,6 +279,22 @@ def test_eval_rejects_checkpoint_params_that_do_not_fit_the_config(
     assert err["error"] == "ValueError" and repr(name) in err["message"]
 
 
+def test_eval_names_a_checkpoint_parameter_whose_data_misses_its_shape(
+        pipeline, capsys, tmp_path):
+    ds, model, *_ = pipeline
+    doc = json.loads(model.read_text())
+    size = len(doc["params"]["feat"]["data"])
+    doc["params"]["feat"]["shape"] = [size + 1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eval", "--dataset", str(ds), "--model", str(bad))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"parameter 'feat' has {size} values, its shape [{size + 1}] "
+                   f"needs {size + 1}"}
+
+
 def test_train_rejects_unknown_config_keys(pipeline, capsys, tmp_path):
     ds, *_ = pipeline
     bad = tmp_path / "bad.json"

@@ -14,6 +14,7 @@ from locktime.icnet import (
     GraphSample,
     Model,
     ModelConfig,
+    _jagged,
     _propagate,
     baseline_aggregate_features,
     baseline_gcn_config,
@@ -277,9 +278,36 @@ def test_propagate_equals_edge_order_accumulation(mid12, kind, empty_rows, width
     transposed = (a[1], a[0], a[2])  # unsorted rows
     assert np.any(np.diff(transposed[0]) < 0)
     for edges in (a, transposed):
-        got = _propagate(edges, h)
+        got = _propagate(_jagged(edges, n), h)
         assert got.flags.c_contiguous
         assert got.tobytes() == _propagate_by_edges(edges, h).tobytes()
+    # no edges at all, and one row whose repeated terms sum in edge order
+    none = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
+    one = (np.zeros(3, np.intp), np.zeros(3, np.intp), np.array([1.0, -2.5, 1.0]))
+    for edges, part in ((none, h), (one, h[2:3])):
+        got = _propagate(_jagged(edges, part.shape[0]), part)
+        assert got.tobytes() == _propagate_by_edges(edges, part).tobytes()
+
+
+def _layout_arrays(layout):
+    perm, steps = layout
+    return [perm, *(arr for step in steps for arr in step if arr is not None)]
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+def test_sample_layouts_reproduce_edge_order_products(mid12, kind):
+    # graph_matrix gives symmetric structures, whose A^T layout is A's
+    inst = random_obfuscate(mid12, 3, ObfuscationKind.parse("lut2"), seed=4)
+    a, x = build_graph_input(inst, ModelConfig(graph_repr=kind))
+    h = np.random.default_rng(9).standard_normal((x.shape[0], 5))
+    for edges, shared in ((a, True), (_without_input_rows(inst.obfuscated, a), False)):
+        smp = GraphSample(edges, x, 1.0)
+        assert (smp.layout_t is smp.layout) is shared
+        assert smp.ax.tobytes() == _propagate_by_edges(smp.a, x).tobytes()
+        at = (smp.a[1], smp.a[0], smp.a[2])
+        for layout, structure in ((smp.layout, smp.a), (smp.layout_t, at)):
+            got = _propagate(layout, h)
+            assert got.tobytes() == _propagate_by_edges(structure, h).tobytes()
 
 
 @pytest.mark.parametrize("circuit", ["c17", "mid12", "dag600"])
@@ -313,7 +341,10 @@ def test_large_circuit_structure_stays_small():
     inst = random_obfuscate(c, 3, ObfuscationKind.parse("xor"), seed=0)
     cfg = ModelConfig(hidden_dims=(8, 4), feature_set="location_only")
     smp = GraphSample(*build_graph_input(inst, cfg), label=1.0)
-    assert sum(arr.nbytes for arr in (*smp.a, smp.x, smp.ax)) < 1 << 20
+    arrays = [*smp.a, smp.x, smp.ax, *_layout_arrays(smp.layout)]
+    if smp.layout_t is not smp.layout:
+        arrays += _layout_arrays(smp.layout_t)
+    assert sum(arr.nbytes for arr in arrays) < 1 << 20
     assert np.isfinite(forward(new_model(cfg), smp.a, smp.x).yhat)
 
 
@@ -669,6 +700,17 @@ def test_checkpoint_round_trip(tmp_path, c17):
     for k in model.params.names():
         assert np.array_equal(loaded.params[k], model.params[k])
     assert predict(loaded, inst).z == predict(model, inst).z
+
+
+def test_checkpoint_round_trips_numpy_float_fields(tmp_path):
+    cfg = dataclasses.replace(SMALL, learning_rate=np.float32(0.01),
+                              convergence_tol=np.float64(1e-4))
+    assert type(cfg.learning_rate) is type(cfg.convergence_tol) is float
+    assert cfg.learning_rate == float(np.float32(0.01))
+    path = tmp_path / "model.json"
+    save_checkpoint(new_model(cfg), path, "conflicts")
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config == cfg
 
 
 def test_checkpoint_rejects_foreign_documents(tmp_path):
