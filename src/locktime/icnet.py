@@ -16,9 +16,9 @@ still sums its terms ``vals[e] * h[cols[e]]`` in edge order from 0.0, as
 a one-edge-at-a-time loop would, whatever order the edge list gives its
 rows.  A and X never change, so a sample's layouts of A and of Aᵀ (one
 object when they are equal, as for every ``graph_matrix`` output) and
-its first-layer A·X are built once (``GraphSample``); the first
-convolution is (A·X)·Θ_0 and later ones are A·(P·Θ_l), propagating the
-narrower product.
+its first-layer A·X are built once (``GraphSample``), and the sample
+keeps only those three, not A or X; the first convolution is (A·X)·Θ_0
+and later ones are A·(P·Θ_l), propagating the narrower product.
 
 Aggregations come in attention / mean variants.  Attention scoring
 is built so the whole network is invariant to gate reordering:
@@ -41,7 +41,7 @@ import math
 import numbers
 import operator
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -163,16 +163,18 @@ class Model:
 
 @dataclass
 class GraphSample:
-    """One training example: structure edge list, features, raw label.
+    """One training example: what training reads of its graph, and its raw label.
 
-    ``layout`` and ``layout_t`` are the jagged layouts of A and of Aᵀ
+    The structure edge list ``a`` and the features ``x`` are constructor
+    inputs only, not stored.  ``layout`` and ``layout_t`` are the jagged layouts of A and of Aᵀ
     (the same object when they are equal), and ``ax`` is the propagated
     input A·X, all computed once here because neither A nor X changes
-    during training.
+    during training.  The label is raw attack effort, so it must be
+    finite and >= 0.
     """
 
-    a: tuple  # (rows, cols, vals) of the n x n structure matrix
-    x: np.ndarray
+    a: InitVar[tuple]  # (rows, cols, vals) of the n x n structure matrix
+    x: InitVar[np.ndarray]
     label: float
     instance_id: str = ""
     censored: bool = False
@@ -180,19 +182,25 @@ class GraphSample:
     layout_t: tuple = field(init=False, repr=False)
     ax: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        n = self.x.shape[0]
-        self.a = _as_structure(self.a, n)
-        self.layout = _jagged(self.a, n)
-        at = (self.a[1], self.a[0], self.a[2])
-        self.layout_t = (self.layout if _same_rows_in_edge_order(self.a, at)
-                         else _jagged(at, n))
-        self.ax = _propagate(self.layout, self.x)
+    def __post_init__(self, a, x):
+        if not (math.isfinite(self.label) and self.label >= 0):
+            raise ValueError(f"sample {self.instance_id!r} has label {self.label!r}; "
+                             f"labels are raw effort, finite and >= 0")
+        a, x = _graph_input(a, x)
+        n = x.shape[0]
+        self.layout = _jagged(a, n)
+        self.layout_t = (self.layout if _transpose_has_same_rows(a)
+                         else _jagged((a[1], a[0], a[2]), n))
+        self.ax = _propagate(self.layout, x)
 
 
-def _as_structure(a, n: int) -> tuple:
-    """(rows, cols, vals) as index and float64 arrays, indices checked against n."""
+def _graph_input(a, x) -> tuple[tuple, np.ndarray]:
+    """(A, X) as index and float64 arrays, X one row per gate, A's indices checked."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"features must be a 2-d (gates, features) matrix, "
+                         f"got shape {x.shape}")
+    n = x.shape[0]
     rows, cols, vals = (np.asarray(a[0], dtype=np.intp), np.asarray(a[1], dtype=np.intp),
                         np.asarray(a[2], dtype=np.float64))
     if not rows.shape == cols.shape == vals.shape or rows.ndim != 1:
@@ -201,13 +209,23 @@ def _as_structure(a, n: int) -> tuple:
     if rows.size and (min(rows.min(), cols.min()) < 0
                       or max(rows.max(), cols.max()) >= n):
         raise ValueError(f"structure index out of range for {n} gates")
-    return rows, cols, vals
+    return (rows, cols, vals), x
 
 
-def _same_rows_in_edge_order(a: tuple, b: tuple) -> bool:
-    """Whether every row of a and b holds the same (col, val) terms in edge order."""
-    ia, ib = np.argsort(a[0], kind="stable"), np.argsort(b[0], kind="stable")
-    return all(np.array_equal(p[ia], q[ib]) for p, q in zip(a, b))
+def _transpose_has_same_rows(a: tuple) -> bool:
+    """Whether every row of Aᵀ holds A's (col, val) terms in A's edge order.
+
+    Then the jagged layout of Aᵀ is A's.  Both sides' edges are put in
+    row order, ties in edge order, and compared.  The distinct keys
+    ``row · E + edge`` (E edges) order them as a stable sort by row does;
+    numpy sorts distinct integers faster than it stably sorts an array
+    with many ties, such as the column array.
+    """
+    rows, cols, vals = a
+    e = np.arange(rows.size)
+    by_row, by_col = np.argsort(rows * e.size + e), np.argsort(cols * e.size + e)
+    return all(np.array_equal(p[by_row], q[by_col])
+               for p, q in ((rows, cols), (cols, rows), (vals, vals)))
 
 
 def _jagged(a: tuple, n: int) -> tuple:
@@ -319,8 +337,7 @@ def _forward(model: Model, layout: tuple, ax: np.ndarray) -> _Cache:
 
 def forward(model: Model, a, x) -> Prediction:
     """Predict from a structure edge list ``a`` and features ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    a = _as_structure(a, x.shape[0])
+    a, x = _graph_input(a, x)
     t0 = time.perf_counter()
     layout = _jagged(a, x.shape[0])
     cache = _forward(model, layout, _propagate(layout, x))
@@ -528,9 +545,8 @@ def baseline_aggregate_features(a, x, mode: str = "sum") -> np.ndarray:
 
     The A part is the column sums (or means) of the structure matrix.
     """
-    x = np.asarray(x, dtype=np.float64)
+    (_, cols, vals), x = _graph_input(a, x)
     n = x.shape[0]
-    _, cols, vals = _as_structure(a, n)
     col_sums = np.bincount(cols, vals, minlength=n)
     if mode == "sum":
         return np.concatenate([col_sums, x.sum(axis=0)])

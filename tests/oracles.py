@@ -323,6 +323,12 @@ def random_structure(rng: np.random.Generator, n: int, p: float) -> tuple:
     return edge_list(w)
 
 
+def same_rows_in_edge_order(a: tuple, b: tuple) -> bool:
+    """Whether every row of a and b holds the same (col, val) terms in edge order."""
+    ia, ib = np.argsort(a[0], kind="stable"), np.argsort(b[0], kind="stable")
+    return all(np.array_equal(p[ia], q[ib]) for p, q in zip(a, b))
+
+
 # --- training ---
 
 def reference_train(dataset: list, config):

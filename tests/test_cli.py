@@ -245,6 +245,22 @@ def test_train_test_metrics_equal_eval_test_split(capsys, tmp_path, c17):
         trained["test_metrics"]
 
 
+@pytest.mark.parametrize("label", [-3.0, float("nan")])
+def test_train_names_the_record_whose_label_is_no_effort(capsys, tmp_path, c17, label):
+    records, logs = generate_records(c17, 12, ObfuscationKind.parse("lut2"),
+                                     (1, 3), seed=1)
+    records[0] = replace(records[0], labels={**records[0].labels, "conflicts": label})
+    ds = tmp_path / "ds"
+    write_dataset(ds, c17, records, logs)
+    code, out, err = run_cli(capsys, "train", "--dataset", str(ds),
+                             "--out", str(tmp_path / "m.json"))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError"
+    assert f"{records[0].instance_id!r} has label {label!r}" in doc["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_scores_the_label_kind_the_model_was_trained_on(pipeline, capsys, tmp_path):
     ds, _, _, cfg = pipeline
     model = tmp_path / "model.json"

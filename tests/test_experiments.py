@@ -25,7 +25,15 @@ from locktime.experiments import (
     spearman,
     write_dataset,
 )
-from locktime.icnet import Model, ModelConfig, forward, new_model, train
+from locktime.icnet import (
+    GraphSample,
+    Model,
+    ModelConfig,
+    build_graph_input,
+    forward,
+    new_model,
+    train,
+)
 from locktime.netlist import GateType, simulate
 from locktime.obfuscate import ObfuscationKind
 from oracles import chain_circuit, synthetic_mask_records
@@ -259,10 +267,12 @@ def test_records_to_samples(small_records, c17):
     samples = records_to_samples(records, cfg, "conflicts")
     assert len(samples) == 6
     for rec, smp in zip(records, samples):
+        a, x = build_graph_input(rec.instance, cfg)
+        assert smp.ax.tobytes() == GraphSample(a, x, smp.label).ax.tobytes()
         assert smp.label == rec.labels["conflicts"]
-        assert smp.x[:, 0].sum() == rec.n_locations
+        assert x[:, 0].sum() == rec.n_locations
         assert smp.instance_id == rec.instance_id
-        assert smp.x.shape[1] == 11
+        assert x.shape[1] == 11
         assert smp.ax.shape == (rec.instance.obfuscated.n, 11)
 
 
@@ -308,11 +318,11 @@ def test_reports_bit_identical_to_public_forward(monkeypatch, small_records):
     model = train(samples, cfg).model
     cached = (evaluate(model, samples).to_dict(),
               attention_report(model, samples).to_dict())
-    by_ax = {id(smp.ax): smp for smp in samples}
+    inputs = {id(smp.ax): build_graph_input(rec.instance, cfg)
+              for rec, smp in zip(records, samples)}
 
-    def public_forward(model, a, ax):
-        smp = by_ax[id(ax)]
-        return forward(model, smp.a, smp.x)
+    def public_forward(model, layout, ax):
+        return forward(model, *inputs[id(ax)])
 
     monkeypatch.setattr(locktime.experiments, "_forward", public_forward)
     recomputed = (evaluate(model, samples).to_dict(),

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -34,18 +35,31 @@ from locktime.icnet import (
 from locktime.netlist import ONE_HOT_INDEX, graph_matrix, parse_bench
 from locktime.numerics import NonFiniteError, ParamStore, params_to_doc
 from locktime.obfuscate import ObfuscationKind, random_obfuscate
-from oracles import densify, edge_list, layered_dag, random_structure, reference_train
+from oracles import (
+    densify,
+    edge_list,
+    layered_dag,
+    random_structure,
+    reference_train,
+    same_rows_in_edge_order,
+)
+
+
+def make_graph(rng, n=6, f=1):
+    """A random small graph (a, x) with a {0,1} mask column."""
+    a = random_structure(rng, n, 0.35)
+    x = rng.random((n, f))
+    x[:, 0] = (rng.random(n) < 0.4).astype(float)
+    if x[:, 0].sum() == 0:  # locked instances always mark >= 1 gate
+        x[int(rng.integers(n)), 0] = 1.0
+    return a, x
 
 
 def make_samples(rng, n_samples, n=6, f=1, label_fn=None):
     """Random small graphs with {0,1} mask column and positive labels."""
     out = []
     for _ in range(n_samples):
-        a = random_structure(rng, n, 0.35)
-        x = rng.random((n, f))
-        x[:, 0] = (rng.random(n) < 0.4).astype(float)
-        if x[:, 0].sum() == 0:  # locked instances always mark >= 1 gate
-            x[int(rng.integers(n)), 0] = 1.0
+        a, x = make_graph(rng, n, f)
         label = float(rng.uniform(0.5, 20.0)) if label_fn is None else label_fn(x)
         out.append(GraphSample(a, x, label))
     return out
@@ -137,23 +151,23 @@ def test_attention_identical_slices_uniform():
 
 def test_attention_zero_theta_is_mean():
     rng = np.random.default_rng(0)
-    (smp,) = make_samples(rng, 1, n=5)
+    a, x = make_graph(rng, n=5)
     model = new_model(SMALL)
     model.params.arrays["feat"][:] = 0.0
     model.params.arrays["gate"][:] = 0.0
-    pred = forward(model, smp.a, smp.x)
+    pred = forward(model, a, x)
     assert np.allclose(pred.a_feat, 1 / SMALL.hidden_dims[-1])
     assert np.allclose(pred.a_gate, 1 / 5)
 
 
 def test_attention_hand_computed():
     rng = np.random.default_rng(1)
-    (smp,) = make_samples(rng, 1, n=6)
+    a, x = make_graph(rng, n=6)
     model = new_model(SMALL)
-    h = smp.x
-    a = densify(smp.a, 6)
+    h = x
+    w = densify(a, 6)
     for l in range(SMALL.conv_layers):
-        h = np.maximum(a @ h @ model.params[f"conv{l}"], 0.0)
+        h = np.maximum(w @ h @ model.params[f"conv{l}"], 0.0)
     assert h.any()
 
     def softmax(v):
@@ -163,7 +177,7 @@ def test_attention_hand_computed():
     a_feat = softmax(model.params["feat"] * h.mean(axis=0))
     s = h @ a_feat
     a_gate = softmax(model.params["gate"][0] * s)
-    pred = forward(model, smp.a, smp.x)
+    pred = forward(model, a, x)
     assert np.allclose(pred.a_feat, a_feat)
     assert np.allclose(pred.a_gate, a_gate)
     assert np.isclose(pred.z, a_gate @ s)
@@ -186,15 +200,15 @@ def test_prediction_fields_on_real_instance(c17):
 
 def test_permutation_invariance():
     rng = np.random.default_rng(3)
-    (smp,) = make_samples(rng, 1, n=9)
+    a, x = make_graph(rng, n=9)
     model = new_model(SMALL)
-    base = forward(model, smp.a, smp.x)
-    rows, cols, vals = smp.a
+    base = forward(model, a, x)
+    rows, cols, vals = a
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(9)
         inv = np.argsort(perm)  # gate perm[i] becomes gate i
         a_p = (inv[rows], inv[cols], vals)
-        x_p = smp.x[perm]
+        x_p = x[perm]
         got = forward(model, a_p, x_p)
         assert abs(got.z - base.z) <= 1e-10
         assert abs(got.yhat - base.yhat) <= 1e-10
@@ -204,15 +218,15 @@ def test_permutation_invariance():
 
 def test_zero_attention_logits_equal_mean_aggregation():
     rng = np.random.default_rng(4)
-    (smp,) = make_samples(rng, 1, n=7)
+    a, x = make_graph(rng, n=7)
     att_model = new_model(SMALL)
     att_model.params.arrays["feat"][:] = 0.0
     att_model.params.arrays["gate"][:] = 0.0
     mean_model = Model(
         dataclasses.replace(SMALL, feat_agg="mean", gate_agg="mean"),
         att_model.params)
-    za = forward(att_model, smp.a, smp.x).z
-    zm = forward(mean_model, smp.a, smp.x).z
+    za = forward(att_model, a, x).z
+    zm = forward(mean_model, a, x).z
     assert abs(za - zm) <= 1e-12
 
 
@@ -289,9 +303,17 @@ def test_propagate_equals_edge_order_accumulation(mid12, kind, empty_rows, width
         assert got.tobytes() == _propagate_by_edges(edges, part).tobytes()
 
 
-def _layout_arrays(layout):
-    perm, steps = layout
-    return [perm, *(arr for step in steps for arr in step if arr is not None)]
+def _reachable_arrays(obj):
+    """Every ndarray reachable from obj's attributes, through tuples, lists and bases, once."""
+    found, todo = {}, list(vars(obj).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray) and id(item) not in found:
+            found[id(item)] = item
+            todo.append(item.base)
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+    return list(found.values())
 
 
 @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
@@ -303,11 +325,44 @@ def test_sample_layouts_reproduce_edge_order_products(mid12, kind):
     for edges, shared in ((a, True), (_without_input_rows(inst.obfuscated, a), False)):
         smp = GraphSample(edges, x, 1.0)
         assert (smp.layout_t is smp.layout) is shared
-        assert smp.ax.tobytes() == _propagate_by_edges(smp.a, x).tobytes()
-        at = (smp.a[1], smp.a[0], smp.a[2])
-        for layout, structure in ((smp.layout, smp.a), (smp.layout_t, at)):
+        assert smp.ax.tobytes() == _propagate_by_edges(edges, x).tobytes()
+        at = (edges[1], edges[0], edges[2])
+        for layout, structure in ((smp.layout, edges), (smp.layout_t, at)):
             got = _propagate(layout, h)
             assert got.tobytes() == _propagate_by_edges(structure, h).tobytes()
+
+
+def _edge_lists(rng, n):
+    """Edge lists in and out of (row, col) order, symmetric or not, some with repeats."""
+    w = (rng.random((n, n)) < 0.3) * rng.integers(1, 3, (n, n)).astype(float)
+    w_sym = np.maximum(w, w.T)
+    sym = edge_list(w_sym)
+    order = rng.permutation(sym[0].size)
+    pairs = rng.integers(0, n, (2, 3 * n))
+    return [edge_list(w), sym,
+            edge_list(w_sym + np.triu(w_sym, 1)),  # symmetric pattern, asymmetric values
+            (sym[1], sym[0], sym[2]),  # in (col, row) order: rows of A^T still match
+            tuple(arr[order] for arr in sym),
+            tuple(np.concatenate([p, q]) for p, q in zip(sym, (sym[1], sym[0], sym[2]))),
+            (pairs[0], pairs[1], rng.integers(1, 3, 3 * n).astype(float)),
+            (pairs[0], pairs[0], np.ones(3 * n))]
+
+
+@pytest.mark.parametrize("circuit", ["c17", "mid12", "dag600"])
+def test_transpose_sharing_decision_equals_the_oracle(request, circuit):
+    # ordering by distinct (row, edge) keys decides as the stable sort by row does
+    base = layered_dag(600) if circuit == "dag600" else request.getfixturevalue(circuit)
+    inst = random_obfuscate(base, 3, ObfuscationKind.parse("lut2"), seed=2)
+    structures = []
+    for kind in ("adjacency", "laplacian"):
+        a = graph_matrix(inst.obfuscated, kind)
+        structures += [a, _without_input_rows(inst.obfuscated, a)]
+    rng = np.random.default_rng(inst.obfuscated.n)
+    structures += _edge_lists(rng, 7) + _edge_lists(rng, 40)
+    decisions = [icnet._transpose_has_same_rows(a) for a in structures]
+    assert decisions == [same_rows_in_edge_order(a, (a[1], a[0], a[2])) for a in structures]
+    assert decisions[:4] == [True, False, True, False]
+    assert set(decisions[4:]) == {True, False}
 
 
 @pytest.mark.parametrize("circuit", ["c17", "mid12", "dag600"])
@@ -340,12 +395,14 @@ def test_large_circuit_structure_stays_small():
     assert c.n == 5999
     inst = random_obfuscate(c, 3, ObfuscationKind.parse("xor"), seed=0)
     cfg = ModelConfig(hidden_dims=(8, 4), feature_set="location_only")
-    smp = GraphSample(*build_graph_input(inst, cfg), label=1.0)
-    arrays = [*smp.a, smp.x, smp.ax, *_layout_arrays(smp.layout)]
-    if smp.layout_t is not smp.layout:
-        arrays += _layout_arrays(smp.layout_t)
-    assert sum(arr.nbytes for arr in arrays) < 1 << 20
-    assert np.isfinite(forward(new_model(cfg), smp.a, smp.x).yhat)
+    a, x = build_graph_input(inst, cfg)
+    smp = GraphSample(a, x, label=1.0)
+    assert set(vars(smp)) == {"label", "instance_id", "censored", "layout", "layout_t", "ax"}
+    # the layouts (one object: graph_matrix is symmetric) and A·X; A and X
+    # themselves would add another 480 kB
+    kept = sum(arr.nbytes for arr in _reachable_arrays(smp))
+    assert kept < 320 << 10, kept
+    assert np.isfinite(forward(new_model(cfg), a, x).yhat)
 
 
 def test_forward_rejects_wrong_feature_width():
@@ -354,6 +411,24 @@ def test_forward_rejects_wrong_feature_width():
         forward(model, edge_list(np.eye(4)), np.ones((4, 1)))
     with pytest.raises(ValueError, match="out of range"):
         forward(model, ([0, 4], [0, 0], [1.0, 1.0]), np.ones((4, 11)))
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 1, 1)])
+def test_features_must_be_one_row_per_gate(shape):
+    # checked before any product, by forward and by GraphSample alike
+    a, x = edge_list(np.eye(2)), np.ones(shape)
+    for build in (lambda: forward(new_model(SMALL), a, x), lambda: GraphSample(a, x, 1.0)):
+        with pytest.raises(ValueError, match=r"2-d \(gates, features\) matrix, "
+                                             rf"got shape {re.escape(str(shape))}"):
+            build()
+
+
+@pytest.mark.parametrize("label", [-3.0, -5e-324, float("nan"), float("inf"), float("-inf")])
+def test_sample_rejects_a_label_that_is_no_effort(label):
+    a, x = edge_list(np.eye(3)), np.ones((3, 1))
+    with pytest.raises(ValueError, match=re.escape(f"'inst-7' has label {label!r}")):
+        GraphSample(a, x, label, "inst-7")
+    assert GraphSample(a, x, 0.0, "inst-7").label == 0.0  # an attack that needed no conflict
 
 
 def test_nonfinite_intermediates_reported_by_stage():
@@ -495,16 +570,20 @@ def test_train_determinism():
     assert r1.train_indices == r2.train_indices
 
 
+def _mid12_input(mid12, cfg, i):
+    """(a, x, label) of locked mid12 instance i.
+
+    It has m = 1-4 xor or lut2 locations and the label expm1(0.3 m).
+    """
+    m = 1 + i % 4
+    inst = random_obfuscate(mid12, m, ObfuscationKind.parse(("xor", "lut2")[i % 2]), seed=i)
+    return (*build_graph_input(inst, cfg), float(np.expm1(0.3 * m)))
+
+
 def _mid12_samples(mid12, cfg, n, censored=()):
-    """n locked mid12 instances, 1-4 xor or lut2 locations, label expm1(0.3 m)."""
-    samples = []
-    for i in range(n):
-        m = 1 + i % 4
-        inst = random_obfuscate(mid12, m, ObfuscationKind.parse(("xor", "lut2")[i % 2]),
-                                seed=i)
-        samples.append(GraphSample(*build_graph_input(inst, cfg), float(np.expm1(0.3 * m)),
-                                   censored=i in censored))
-    return samples
+    """Samples of the first n locked mid12 instances."""
+    return [GraphSample(*_mid12_input(mid12, cfg, i), censored=i in censored)
+            for i in range(n)]
 
 
 # (config overrides, repr of the final train mse, sha256 of the params doc),
@@ -581,7 +660,8 @@ def test_train_equals_the_reference_loop_through_skipped_steps(mid12):
     cfg = dataclasses.replace(TRAIN_BASE, feature_set="location_only", batch_size=3,
                               max_epochs=3, seed=0)
     samples = _mid12_samples(mid12, cfg, 10)
-    samples[0] = GraphSample(samples[0].a, samples[0].x * 1e160, samples[0].label)
+    a, x, label = _mid12_input(mid12, cfg, 0)
+    samples[0] = GraphSample(a, x * 1e160, label)
     runs = []
     for fit in (lambda: train(samples, cfg), lambda: reference_train(samples, cfg)):
         with warnings.catch_warnings(record=True) as caught:
