@@ -3,8 +3,8 @@
 The attack owns a miter with two independent key copies, and one solver
 that lives for the whole attack: it loads the miter once, then only each
 DIP's two new constrained copies, and keeps its learnt clauses from call
-to call.  Each DIP call assumes an activation variable ``act`` that
-switches the at-least-one-difference clause on.  While the miter is
+to call.  Each DIP call assumes the miter's activation literal ``act``,
+which switches the at-least-one-difference clause on.  While the miter is
 satisfiable, the model yields a distinguishing input pattern (DIP): an
 input on which the two keys disagree.  The oracle — simulation of the
 unlocked base circuit — labels the DIP, and both key copies are
@@ -96,12 +96,12 @@ def sat_attack(inst: ObfuscationInstance,
                             total, status)
 
     miter = build_miter(inst.obfuscated)
-    act = miter.n_vars = miter.n_vars + 1  # guards the difference clause
     solver = Solver()
-    batch = CnfFormula(miter.clauses + miter.diff_clauses[:-1]
-                       + [miter.diff_clauses[-1] + (-act,)], miter.n_vars)
+    loaded = 0  # clauses of the miter the solver holds
     while True:
-        res = solve(batch, remaining(), solver, (act,))
+        batch = CnfFormula(miter.clauses[loaded:], miter.n_vars)
+        loaded = len(miter.clauses)
+        res = solve(batch, remaining(), solver, (miter.act,))
         total = total.merged(res.stats)
         if res.status is SolveStatus.TIMEOUT:
             return done(None, AttackStatus.TIMEOUT)
@@ -110,11 +110,9 @@ def sat_attack(inst: ObfuscationInstance,
         dip = tuple(int(res.model[v]) for v in miter.input_vars)
         oracle_out = simulate(inst.base, dip)
         dips.append(dip)
-        loaded = len(miter.clauses)
         add_dip_constraint(miter, dip, oracle_out)
-        batch = CnfFormula(miter.clauses[loaded:], miter.n_vars)
 
-    res = solve(CnfFormula([(-act,)], miter.n_vars), remaining(), solver)
+    res = solve(CnfFormula([(-miter.act,)], miter.n_vars), remaining(), solver)
     total = total.merged(res.stats)
     if res.status is SolveStatus.TIMEOUT:
         return done(None, AttackStatus.TIMEOUT)

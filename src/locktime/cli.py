@@ -38,7 +38,7 @@ from .icnet import (
     ModelConfig,
     load_checkpoint,
     save_checkpoint,
-    split_indices,
+    split_samples,
     train as train_model,
 )
 from .netlist import CircuitError, GateType, emit_bench, parse_bench
@@ -178,6 +178,8 @@ def _model_config(args) -> ModelConfig:
     doc = {}
     if args.config:
         doc = json.loads(Path(args.config).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"model config must be a JSON object, got {doc!r:.80}")
         allowed = set(ModelConfig().to_dict())
         unknown = set(doc) - allowed
         if unknown:
@@ -185,14 +187,6 @@ def _model_config(args) -> ModelConfig:
     if args.seed is not None:
         doc["seed"] = args.seed
     return ModelConfig(**doc)
-
-
-def _split_samples(samples, seed: int, split: str):
-    """The uncensored samples of ``split`` under train's seeded split."""
-    usable = [s for s in samples if not s.censored]
-    tr, te = split_indices(len(usable), seed)
-    picks = {"train": tr, "test": te, "all": tuple(range(len(usable)))}[split]
-    return [usable[i] for i in picks]
 
 
 def _cmd_train(args) -> None:
@@ -203,7 +197,8 @@ def _cmd_train(args) -> None:
     save_checkpoint(res.model, args.out, args.label_kind)
     if args.log_csv:
         Path(args.log_csv).write_text(res.log_csv())
-    test = _split_samples(samples, config.seed, "test")
+    usable, _, test_idx = split_samples(samples, config.seed)
+    test = [usable[i] for i in test_idx]
     doc = {
         "model": str(args.out),
         "label_kind": args.label_kind,
@@ -225,8 +220,9 @@ def _cmd_eval(args) -> None:
                          f"not {args.label_kind!r}")
     _, records, _ = load_dataset(args.dataset)
     samples = records_to_samples(records, model.config, label_kind)
-    subset = _split_samples(samples, model.config.seed, args.split)
-    rep = evaluate(model, subset)
+    usable, train_idx, test_idx = split_samples(samples, model.config.seed)
+    picks = {"train": train_idx, "test": test_idx, "all": range(len(usable))}
+    rep = evaluate(model, [usable[i] for i in picks[args.split]])
     doc = rep.to_dict()
     doc.update({"split": args.split, "label_kind": label_kind})
     _emit(doc, args.out)

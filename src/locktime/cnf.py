@@ -155,34 +155,33 @@ def tseitin(c: Circuit) -> CnfFormula:
 class MiterContext:
     """Two-key miter; :func:`add_dip_constraint` appends to it in place.
 
-    ``clauses`` holds gate semantics for both key copies and all DIP
-    copies; ``diff_clauses`` holds the difference assertion (per-output
-    xor-difference definitions plus the at-least-one-difference clause).
-    The attack's solver loads clauses + diff_clauses once, the last one
-    guarded by an activation literal, then what each
-    :func:`add_dip_constraint` appends; a key is extracted from the same
-    solver with that literal false, where ``clauses`` alone constrain it.
+    ``clauses`` holds gate semantics for both key copies, per-output
+    xor-difference definitions, the at-least-one-difference clause guarded
+    by the activation literal ``act``, then all DIP copies.  The attack
+    loads ``clauses`` and decides each DIP under the assumption ``act``;
+    with ``act`` false only the key constraints bind.  ``formula`` writes
+    that assumption as a unit clause.
     """
 
     obf: Circuit
     n_vars: int
     clauses: list[Clause]
-    diff_clauses: list[Clause]
     input_vars: list[int]
     key1_vars: list[int]
     key2_vars: list[int]
-    out1_vars: list[int]
+    act: int
 
     @property
     def formula(self) -> CnfFormula:
-        return CnfFormula(self.clauses + self.diff_clauses, self.n_vars)
+        return CnfFormula(self.clauses + [(self.act,)], self.n_vars)
 
 
 def build_miter(obf: Circuit) -> MiterContext:
     """Build the two-key difference miter for an obfuscated circuit.
 
     Variables: inputs ``1..|PI|``, key copy 1, key copy 2, the nets and
-    auxiliaries of copy 1, then of copy 2, then one difference per output.
+    auxiliaries of copy 1, then of copy 2, one difference per output, and
+    last the activation literal.
     """
     if obf.key_bits == 0:
         raise ValueError("circuit has no key bits; nothing to attack")
@@ -194,12 +193,12 @@ def build_miter(obf: Circuit) -> MiterContext:
     nets = [_encode_copy(obf, alloc, input_vars, k, clauses) for k in (k1, k2)]
     y1, y2 = ([net[g] for g in obf.primary_outputs] for net in nets)
 
-    diff: list[Clause] = []
     dvars = alloc.new(len(y1))
     for a, b, d in zip(y1, y2, dvars):
-        _xor2(a, b, d, diff)
-    diff.append(tuple(dvars))  # at least one output differs
-    return MiterContext(obf, alloc.n, clauses, diff, input_vars, k1, k2, y1)
+        _xor2(a, b, d, clauses)
+    (act,) = alloc.new()
+    clauses.append(tuple(dvars) + (-act,))  # act -> some output differs
+    return MiterContext(obf, alloc.n, clauses, input_vars, k1, k2, act)
 
 
 def add_dip_constraint(m: MiterContext, dip, oracle_out) -> None:
@@ -213,9 +212,10 @@ def add_dip_constraint(m: MiterContext, dip, oracle_out) -> None:
     oracle_out = [int(b) for b in oracle_out]
     if len(dip) != len(m.input_vars):
         raise ValueError(f"dip has {len(dip)} bits, circuit has {len(m.input_vars)} inputs")
-    if len(oracle_out) != len(m.out1_vars):
+    n_po = len(m.obf.primary_outputs)
+    if len(oracle_out) != n_po:
         raise ValueError(f"oracle output has {len(oracle_out)} bits, "
-                         f"circuit has {len(m.out1_vars)} outputs")
+                         f"circuit has {n_po} outputs")
 
     alloc = _Alloc(m.n_vars)
     for kvars in (m.key1_vars, m.key2_vars):

@@ -16,6 +16,7 @@ dataset read back can never drift from its ground truth.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -221,18 +222,39 @@ def generate_dataset(base: Circuit, out_dir, count: int,
     return records, manifest
 
 
+def _check_labels(rec_id: str, labels) -> None:
+    """Raw effort: every ``LABEL_KINDS`` entry a finite real >= 0."""
+    if not isinstance(labels, dict):
+        raise ValueError(f"dataset record {rec_id!r}: labels must be a JSON object")
+    for kind in LABEL_KINDS:
+        if kind not in labels:
+            raise ValueError(f"dataset record {rec_id!r} has no {kind!r} label")
+        v = labels[kind]
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) and v >= 0):
+            raise ValueError(f"dataset record {rec_id!r} has label {v!r} for "
+                             f"{kind!r}; labels are raw effort, finite numbers >= 0")
+
+
 def load_dataset(dataset_dir):
     """Read a dataset directory; returns (base, records, manifest)."""
     root = Path(dataset_dir)
     manifest = json.loads((root / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"dataset manifest must be a JSON object: {dataset_dir}")
     if manifest.get("format") != DATASET_FORMAT:
         raise ValueError(f"not a dataset directory: {dataset_dir}")
     if manifest.get("version") != DATASET_VERSION:
         raise ValueError(f"unsupported dataset version {manifest.get('version')}")
+    ids = manifest.get("instances")
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+        raise ValueError(f"dataset manifest: 'instances' must be a list of "
+                         f"record ids (strings), got {ids!r:.80}")
     base = parse_bench((root / manifest["base"]).read_text())
     records = []
-    for rec_id in manifest["instances"]:
+    for rec_id in ids:
         doc = json.loads((root / "instances" / f"{rec_id}.json").read_text())
+        _check_labels(rec_id, doc["labels"])
         inst = instance_from_json(doc["obfuscation"], base)
         records.append(DatasetRecord(doc["id"], inst, doc["labels"],
                                      doc["censored"], doc["iterations"],

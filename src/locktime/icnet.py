@@ -477,6 +477,15 @@ def split_indices(n: int, seed: int):
     return train, test
 
 
+def split_samples(samples, seed: int) -> tuple[list, tuple, tuple]:
+    """The held-out split that :func:`train` uses: ``(usable, train_idx,
+    test_idx)``.  ``usable`` keeps the uncensored samples in dataset order
+    (a censored label is only a lower bound) and the index tuples are
+    :func:`split_indices` over it."""
+    usable = [s for s in samples if not s.censored]
+    return (usable, *split_indices(len(usable), seed))
+
+
 def train(dataset: list, config: ModelConfig) -> TrainResult:
     """Alg.-style loop: split, shuffle, batch, ADAM, stop on convergence.
 
@@ -492,10 +501,9 @@ def train(dataset: list, config: ModelConfig) -> TrainResult:
     that recomputes them; only the order in which samples are visited
     differs, so a diverging run may report another sample's stage.
     """
-    usable = [s for s in dataset if not s.censored]
+    usable, train_idx, test_idx = split_samples(dataset, config.seed)
     if not usable:
         raise ValueError("dataset is empty (or fully censored)")
-    train_idx, test_idx = split_indices(len(usable), config.seed)
     train_set = [usable[i] for i in train_idx]
     test_set = [usable[i] for i in test_idx]
     if len(train_set) < 2:

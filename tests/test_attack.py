@@ -81,7 +81,27 @@ def test_every_solve_is_observable(monkeypatch, request, circuit, kind, n_loc, s
     m = build_miter(inst.obfuscated)
     for dip in r.dips:
         add_dip_constraint(m, dip, simulate(inst.base, dip))
-    assert sum(n for n, *_ in calls) == len(m.clauses) + len(m.diff_clauses) + 1
+    assert sum(n for n, *_ in calls) == len(m.clauses) + 1
+
+
+def test_attack_loads_the_miter_formula(monkeypatch, c17):
+    calls = []
+    real = locktime.attack.solve
+
+    def capturing(f, timeout_seconds=None, solver=None, assumptions=()):
+        calls.append((list(f.clauses), f.n_vars, assumptions))
+        return real(f, timeout_seconds, solver, assumptions)
+
+    monkeypatch.setattr(locktime.attack, "solve", capturing)
+    inst = random_obfuscate(c17, 3, LUT2, seed=2)
+    assert sat_attack(inst).status == AttackStatus.SOLVED
+    m = build_miter(inst.obfuscated)
+    # the first call decides the exported miter: its clauses, with the
+    # formula's closing unit (act,) held as the assumption
+    assert calls[0] == (m.clauses, m.n_vars, (m.act,))
+    assert m.formula.clauses == calls[0][0] + [calls[0][2]]
+    # the key is extracted under -act, numbered as in the miter
+    assert calls[-1][0] == [(-m.act,)] and calls[-1][2] == ()
 
 
 def test_redundant_keygate_attack_zero_iterations():

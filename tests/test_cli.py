@@ -155,7 +155,10 @@ def test_export_dimacs_readme_miter_example(locked_dir, capsys):
     code, out, _ = run_cli(capsys, "export-dimacs",
                            str(outdir / "instance.json"), "--what", "miter")
     assert code == 0
-    assert out.splitlines()[:2] == ["p cnf 27 61", "10 1 0"]
+    assert out.splitlines()[:2] == ["p cnf 28 62", "10 1 0"]
+    # the export is the formula the attack decides: its last clause is the
+    # unit holding the activation literal, numbered last
+    assert out.splitlines()[-1] == "28 0"
 
 
 # --- dataset / train / eval / report pipeline ---
@@ -259,6 +262,64 @@ def test_train_names_the_record_whose_label_is_no_effort(capsys, tmp_path, c17, 
     assert doc["error"] == "ValueError"
     assert f"{records[0].instance_id!r} has label {label!r}" in doc["message"]
     assert not (tmp_path / "m.json").exists()
+
+
+def _edit_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _edit_manifest(edit):
+    return lambda root: _edit_json(root / "ds" / "manifest.json", edit)
+
+
+def _edit_first_labels(edit):
+    def apply(root):
+        ds = root / "ds"
+        first = json.loads((ds / "manifest.json").read_text())["instances"][0]
+        _edit_json(ds / "instances" / f"{first}.json",
+                   lambda doc: {**doc, "labels": edit(doc["labels"])})
+    return apply
+
+
+def _write_config(doc):
+    return lambda root: (root / "config.json").write_text(json.dumps(doc))
+
+
+# command, edit of a copy of the pipeline dataset (or a config), message part
+MALFORMED_INPUTS = {
+    "manifest-list": ("report", _edit_manifest(lambda m: [m]),
+                      "manifest must be a JSON object"),
+    "instances-string": ("report", _edit_manifest(
+        lambda m: {**m, "instances": m["instances"][0]}),
+        "'instances' must be a list of record ids"),
+    "label-negative": ("report", _edit_first_labels(
+        lambda lab: {**lab, "conflicts": -3.0}), "has label -3.0 for 'conflicts'"),
+    "label-missing": ("report", _edit_first_labels(
+        lambda lab: {"conflicts": lab["conflicts"]}), "has no 'wall_seconds' label"),
+    "label-string": ("report", _edit_first_labels(
+        lambda lab: {**lab, "conflicts": "many"}), "has label 'many' for 'conflicts'"),
+    "config-list": ("train", _write_config([1, 2]),
+                    "model config must be a JSON object"),
+    "config-string": ("train", _write_config("x"),
+                      "model config must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("command, edit, message", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS)
+def test_malformed_dataset_or_config_is_one_json_error(pipeline, capsys, tmp_path,
+                                                       command, edit, message):
+    shutil.copytree(pipeline[0], tmp_path / "ds")
+    edit(tmp_path)
+    argv = [command, "--dataset", str(tmp_path / "ds")]
+    if command == "train":
+        argv += ["--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "m.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    (line,) = err.splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "ValueError" and message in doc["message"]
 
 
 def test_eval_scores_the_label_kind_the_model_was_trained_on(pipeline, capsys, tmp_path):

@@ -169,7 +169,8 @@ def test_dip_constraint_prunes_and_extracts_key():
     assert add_dip_constraint(m, [0], oracle_out) is None  # grows m in place
     f = m.formula
     assert enumerate_models_np([list(cl) for cl in f.clauses], f.n_vars).shape[0] == 0
-    # without the difference assertion, only the key constraints remain
+    # without the unit (act,) the difference clause can be switched off,
+    # so only the key constraints remain
     models = enumerate_models_np([list(cl) for cl in m.clauses], m.n_vars)
     assert models.shape[0] > 0
     assert np.all(models[:, m.key1_vars[0] - 1] == 0)  # only the correct key remains
@@ -190,7 +191,6 @@ def test_miter_shares_inputs_between_copies(c17):
     m = build_miter(inst.obfuscated)
     assert len(m.input_vars) == 5
     assert len(m.key1_vars) == len(m.key2_vars) == 8
-    assert len(m.out1_vars) == 2
     assert set(m.key1_vars).isdisjoint(m.key2_vars)
 
 
@@ -204,7 +204,7 @@ def test_miter_variable_layout(c17):
     # copy 1's nets follow as one block, in topological order
     gates = [g for g in obf.topo_order if obf.gates[g].type is not GateType.INPUT]
     block = dict(zip(gates, range(n_pi + 2 * k + 1, n_pi + 2 * k + len(gates) + 1)))
-    assert m.out1_vars == [block[g] for g in obf.primary_outputs]
+    out1 = [block[g] for g in obf.primary_outputs]
     # copy 1 is the single-key encoding with key 2 spliced in before its nets
     t = tseitin(obf)
 
@@ -212,27 +212,33 @@ def test_miter_variable_layout(c17):
         v = abs(lit) + k if abs(lit) > n_pi + k else abs(lit)
         return v if lit > 0 else -v
     assert m.clauses[:len(t.clauses)] == [tuple(map(shift, cl)) for cl in t.clauses]
-    # each output's xor difference opens with (-d, y1, y2); copy 2 follows copy 1
+    # the difference clauses close the miter: each output's xor difference
+    # opens with (-d, y1, y2), copy 2 following copy 1
     n_po = len(obf.primary_outputs)
-    assert [m.diff_clauses[4 * i][1] for i in range(n_po)] == m.out1_vars
-    assert min(m.diff_clauses[4 * i][2] for i in range(n_po)) > t.n_vars + k
-    # one difference variable per output, numbered last
-    assert m.diff_clauses[-1] == tuple(range(m.n_vars - n_po + 1, m.n_vars + 1))
+    diff = m.clauses[-4 * n_po - 1:]
+    assert [diff[4 * i][1] for i in range(n_po)] == out1
+    assert min(diff[4 * i][2] for i in range(n_po)) > t.n_vars + k
+    # one difference variable per output, then the activation literal last,
+    # which guards the at-least-one-difference clause
+    assert m.act == m.n_vars
+    assert diff[-1] == tuple(range(m.n_vars - n_po, m.n_vars)) + (-m.act,)
+    assert m.formula.clauses == m.clauses + [(m.act,)]
 
 
 def test_add_dip_constraint_is_append_only(c17):
     inst = random_obfuscate(c17, 2, ObfuscationKind("xor"), seed=1)
     m = build_miter(inst.obfuscated)
     keys = set(m.key1_vars) | set(m.key2_vars)
-    diff = list(m.diff_clauses)
+    act = m.act
     for dip in ([0, 1, 1, 0, 1], [1, 1, 0, 0, 0]):
         before, n_before = list(m.clauses), m.n_vars
         add_dip_constraint(m, dip, simulate(inst.base, dip))
         assert m.clauses[:len(before)] == before
         new_vars = {abs(lit) for cl in m.clauses[len(before):] for lit in cl}
         assert new_vars and all(v in keys or n_before < v <= m.n_vars for v in new_vars)
-        assert m.diff_clauses == diff
+        assert m.act == act
     assert m.formula.n_vars == m.n_vars
+    assert m.formula.clauses[-1] == (act,)
 
 
 # --- dimacs ---

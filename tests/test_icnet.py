@@ -30,6 +30,7 @@ from locktime.icnet import (
     predict,
     save_checkpoint,
     split_indices,
+    split_samples,
     train,
 )
 from locktime.netlist import ONE_HOT_INDEX, graph_matrix, parse_bench
@@ -733,6 +734,10 @@ def test_censored_samples_excluded_by_default():
     cfg = dataclasses.replace(SMALL, max_epochs=3)
     res = train(samples, cfg)
     assert len(res.train_indices) + len(res.test_indices) == 9
+    # train's split is split_samples': indices into the uncensored samples
+    usable, train_idx, test_idx = split_samples(samples, cfg.seed)
+    assert len(usable) == 9 and all(u is s for u, s in zip(usable, samples[1:]))
+    assert (train_idx, test_idx) == (res.train_indices, res.test_indices)
 
 
 # --- baselines ---
