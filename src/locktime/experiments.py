@@ -253,13 +253,42 @@ def load_dataset(dataset_dir):
     base = parse_bench((root / manifest["base"]).read_text())
     records = []
     for rec_id in ids:
-        doc = json.loads((root / "instances" / f"{rec_id}.json").read_text())
-        _check_labels(rec_id, doc["labels"])
-        inst = instance_from_json(doc["obfuscation"], base)
-        records.append(DatasetRecord(doc["id"], inst, doc["labels"],
-                                     doc["censored"], doc["iterations"],
-                                     doc["status"]))
+        path = f"instances/{rec_id}.json"
+        try:
+            records.append(_read_record(rec_id, json.loads((root / path).read_text()), base))
+        except ValueError as exc:
+            raise ValueError(f"{exc} ({path})") from exc
     return base, records, manifest
+
+
+_RECORD_FIELDS = ("id", "obfuscation", "labels", "censored", "iterations", "status")
+
+
+def _read_record(rec_id: str, doc, base: Circuit) -> DatasetRecord:
+    """One instance document, checked field by field before the replay."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"dataset record {rec_id!r} must be a JSON object")
+    missing = [k for k in _RECORD_FIELDS if k not in doc]
+    if missing:
+        raise ValueError(f"dataset record {rec_id!r} has no {missing[0]!r} field")
+    if doc["id"] != rec_id:
+        raise ValueError(f"dataset record {rec_id!r} has id {doc['id']!r:.40}")
+    censored, iterations, status = doc["censored"], doc["iterations"], doc["status"]
+    if not isinstance(censored, bool):
+        raise ValueError(f"dataset record {rec_id!r} has censored {censored!r:.40}; "
+                         f"expected true or false")
+    if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 0:
+        raise ValueError(f"dataset record {rec_id!r} has iterations {iterations!r:.40}; "
+                         f"expected an integer >= 0")
+    if not isinstance(status, str):
+        raise ValueError(f"dataset record {rec_id!r} has status {status!r:.40}; "
+                         f"expected a string")
+    _check_labels(rec_id, doc["labels"])
+    try:
+        inst = instance_from_json(doc["obfuscation"], base)
+    except ValueError as exc:
+        raise ValueError(f"dataset record {rec_id!r}: {exc}") from exc
+    return DatasetRecord(rec_id, inst, doc["labels"], censored, iterations, status)
 
 
 # --- model evaluation ---

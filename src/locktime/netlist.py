@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from operator import ne
 
 import numpy as np
 
@@ -96,6 +97,31 @@ def topo_order(gates) -> tuple[int, ...]:
     return tuple(queue)
 
 
+def _shape_error(t: GateType, k: int, lut_bits, name: str) -> str | None:
+    """Why a ``t`` gate with ``k`` fanins and table ``lut_bits`` is malformed, or None."""
+    if t is GateType.INPUT:
+        if k != 0:
+            return f"INPUT {name!r} must have no fanin"
+    elif t in (GateType.NOT, GateType.BUFF):
+        if k != 1:
+            return f"{t.value} {name!r} needs exactly 1 fanin, got {k}"
+    elif t is GateType.LUT:
+        if k < 1:
+            return f"LUT {name!r} needs at least 1 fanin"
+        if lut_bits is not None and len(lut_bits) != 2 ** k:
+            return f"LUT {name!r} has {len(lut_bits)} table bits, expected {2 ** k}"
+    elif k < 2:
+        return f"{t.value} {name!r} needs at least 2 fanins, got {k}"
+    return None
+
+
+def _check_ids(what: str, gids: tuple, n: int) -> None:
+    """Every id in ``gids`` names one of ``n`` gates."""
+    if gids and (min(gids) < 0 or max(gids) >= n):
+        gid = next(gid for gid in gids if not 0 <= gid < n)
+        raise CircuitError(f"{what} id {gid} does not exist")
+
+
 @dataclass
 class Circuit:
     """Immutable-by-convention gate-level netlist.
@@ -123,6 +149,47 @@ class Circuit:
         return len(self.gates)
 
     def _validate(self):
+        """Check the gate and id lists whole; build ``name_to_id`` and
+        ``topo_order``.  On a failure, :meth:`_raise_first_gate_error`
+        finds the first offending gate, so the message is the one a walk
+        over the gates in id order would give."""
+        gates = self.gates
+        n = len(gates)
+        ids = [g.id for g in gates]
+        types = [g.type._name_ for g in gates]  # Enum hashing runs in Python
+        fanins = [g.fanin for g in gates]
+        fanin_ids = list(chain.from_iterable(fanins))
+        self.name_to_id = dict(zip([g.name for g in gates], ids))
+        shapes = set(zip(types, map(len, fanins), [g.lut_bits for g in gates]))
+        # ne over a range: a list(range(n)) would allocate n fresh ints
+        if (any(map(ne, ids, range(n))) or len(self.name_to_id) != n
+                or fanin_ids and (min(fanin_ids) < 0 or max(fanin_ids) >= n)
+                or any(_shape_error(GateType[t], k, bits, "") for t, k, bits in shapes)):
+            self._raise_first_gate_error()
+
+        pis, keys = self.primary_inputs, self.key_inputs
+        pi_set, key_set = set(pis), set(keys)
+        if pi_set & key_set:
+            raise CircuitError("a node cannot be both primary input and key input")
+        _check_ids("primary input", pis, n)
+        _check_ids("key input", keys, n)
+        not_inputs = [gid for gid in pis + keys if types[gid] != "INPUT"]
+        if not_inputs:
+            g = gates[not_inputs[0]]
+            raise CircuitError(f"node {g.name!r} listed as input but is {g.type.value}")
+        listed = pi_set | key_set
+        if types.count("INPUT") != len(listed):
+            g = next(g for g in gates if g.type is GateType.INPUT and g.id not in listed)
+            raise CircuitError(f"INPUT gate {g.name!r} not listed in primary_inputs or key_inputs")
+        for what, gids, unique in (("primary input", pis, pi_set), ("key input", keys, key_set)):
+            if len(unique) != len(gids):
+                gid = next(gid for i, gid in enumerate(gids) if gid in gids[:i])
+                raise CircuitError(f"{what} id {gid} is listed twice")
+        _check_ids("primary output", self.primary_outputs, n)
+        self.topo_order = topo_order(gates)
+
+    def _raise_first_gate_error(self):
+        """Raise the error of the first gate, in id order, that fails a check."""
         n = len(self.gates)
         names = set()
         for i, g in enumerate(self.gates):
@@ -134,42 +201,9 @@ class Circuit:
             for f in g.fanin:
                 if not 0 <= f < n:
                     raise CircuitError(f"gate {g.name!r} references missing gate id {f}")
-            self._check_arity(g)
-        self.name_to_id = {g.name: g.id for g in self.gates}
-
-        pi_set = set(self.primary_inputs)
-        key_set = set(self.key_inputs)
-        if pi_set & key_set:
-            raise CircuitError("a node cannot be both primary input and key input")
-        for gid in list(self.primary_inputs) + list(self.key_inputs):
-            if self.gates[gid].type is not GateType.INPUT:
-                raise CircuitError(f"node {self.gates[gid].name!r} listed as input but is {self.gates[gid].type.value}")
-        for g in self.gates:
-            if g.type is GateType.INPUT and g.id not in pi_set and g.id not in key_set:
-                raise CircuitError(f"INPUT gate {g.name!r} not listed in primary_inputs or key_inputs")
-        for gid in self.primary_outputs:
-            if not 0 <= gid < n:
-                raise CircuitError(f"primary output id {gid} does not exist")
-        self.topo_order = topo_order(self.gates)
-
-    @staticmethod
-    def _check_arity(g: Gate):
-        k = len(g.fanin)
-        t = g.type
-        if t is GateType.INPUT:
-            if k != 0:
-                raise CircuitError(f"INPUT {g.name!r} must have no fanin")
-        elif t in (GateType.NOT, GateType.BUFF):
-            if k != 1:
-                raise CircuitError(f"{t.value} {g.name!r} needs exactly 1 fanin, got {k}")
-        elif t is GateType.LUT:
-            if k < 1:
-                raise CircuitError(f"LUT {g.name!r} needs at least 1 fanin")
-            if g.lut_bits is not None and len(g.lut_bits) != 2 ** k:
-                raise CircuitError(f"LUT {g.name!r} has {len(g.lut_bits)} table bits, expected {2 ** k}")
-        else:
-            if k < 2:
-                raise CircuitError(f"{t.value} {g.name!r} needs at least 2 fanins, got {k}")
+            message = _shape_error(g.type, len(g.fanin), g.lut_bits, g.name)
+            if message:
+                raise CircuitError(message)
 
     def key_layout(self):
         """Ordered key slots: (gate_id, n_bits) per key input, then per LUT.
@@ -372,6 +406,35 @@ def key_slices(c: Circuit):
     return slices, pos
 
 
+def gate_values(t: GateType, fin: list, table) -> np.ndarray:
+    """One logic gate's values over a batch: ``fin`` holds its fanins' bool
+    arrays, ``table`` a LUT's truth table as a bool array (first fanin is
+    the most significant index bit) and is None for every other type."""
+    if t is GateType.AND:
+        return np.logical_and.reduce(fin)
+    if t is GateType.NAND:
+        return ~np.logical_and.reduce(fin)
+    if t is GateType.OR:
+        return np.logical_or.reduce(fin)
+    if t is GateType.NOR:
+        return ~np.logical_or.reduce(fin)
+    if t is GateType.XOR:
+        return np.logical_xor.reduce(fin)
+    if t is GateType.XNOR:
+        return ~np.logical_xor.reduce(fin)
+    if t is GateType.NOT:
+        return ~fin[0]
+    if t is GateType.BUFF:
+        return fin[0]
+    if t is GateType.LUT:
+        k = len(fin)
+        idx = np.zeros(len(fin[0]), dtype=np.int64)
+        for i, f in enumerate(fin):
+            idx |= f.astype(np.int64) << (k - 1 - i)
+        return table[idx]
+    raise CircuitError(f"cannot simulate gate type {t}")  # pragma: no cover
+
+
 def simulate_many(c: Circuit, inputs: np.ndarray, key=()) -> np.ndarray:
     """Evaluate the circuit on a batch of input vectors.
 
@@ -396,36 +459,10 @@ def simulate_many(c: Circuit, inputs: np.ndarray, key=()) -> np.ndarray:
 
     for gid in c.topo_order:
         g = c.gates[gid]
-        if g.type is GateType.INPUT:
-            continue
-        fin = [vals[f] for f in g.fanin]
-        t = g.type
-        if t is GateType.AND:
-            v = np.logical_and.reduce(fin)
-        elif t is GateType.NAND:
-            v = ~np.logical_and.reduce(fin)
-        elif t is GateType.OR:
-            v = np.logical_or.reduce(fin)
-        elif t is GateType.NOR:
-            v = ~np.logical_or.reduce(fin)
-        elif t is GateType.XOR:
-            v = np.logical_xor.reduce(fin)
-        elif t is GateType.XNOR:
-            v = ~np.logical_xor.reduce(fin)
-        elif t is GateType.NOT:
-            v = ~fin[0]
-        elif t is GateType.BUFF:
-            v = fin[0]
-        elif t is GateType.LUT:
-            k = len(fin)
-            idx = np.zeros(batch, dtype=np.int64)
-            for i, f in enumerate(fin):  # first fanin is the most significant bit
-                idx |= f.astype(np.int64) << (k - 1 - i)
-            table = key[slices[gid]].astype(bool)
-            v = table[idx]
-        else:  # pragma: no cover
-            raise CircuitError(f"cannot simulate gate type {t}")
-        vals[gid] = v
+        if g.type is not GateType.INPUT:
+            s = slices.get(gid)  # of the logic gates, only a LUT has a key slot
+            vals[gid] = gate_values(g.type, [vals[f] for f in g.fanin],
+                                    None if s is None else key[s].astype(bool))
 
     out = np.empty((batch, len(c.primary_outputs)), dtype=np.uint8)
     for j, gid in enumerate(c.primary_outputs):

@@ -14,9 +14,11 @@ identified by the same gate id in the base and obfuscated circuits.
 
 :func:`apply_at_locations` is the one locking path: it splices every
 location into one gate list and builds one :class:`Circuit` per
-instance.  A LUT is padded from the topological order of the circuit as
-locked so far, and generated names (``keyinput<i>``, ``<name>$in``)
-count up past any net already present.
+instance.  A LUT wider than its gate's fanin is padded from the
+topological order of the circuit as locked so far; its truth table comes
+from the simulator's gate step, :func:`netlist.gate_values`, with no
+circuit of its own.  Generated names (``keyinput<i>``, ``<name>$in``) count up past
+any net already present.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import chain, count, islice
 import numpy as np
 
 from .netlist import (KEY_INPUT_PREFIX, Circuit, Gate, GateType,
-                      all_input_vectors, simulate_many, topo_order)
+                      all_input_vectors, gate_values, topo_order)
 
 LUT_MAX_ARITY = 4
 
@@ -90,6 +92,8 @@ def _first_free(taken: set, names) -> str:
 
 def _padding_nets(gates, order, keys: set, gate_id: int, need: int) -> list:
     """Nearest predecessors of gate_id in ``order``, then any earlier nets."""
+    if not need:
+        return []
     fanin = set(gates[gate_id].fanin)
     before = order[:order.index(gate_id)]
     pads = list(islice((g for g in reversed(before) if g not in fanin and g not in keys), need))
@@ -103,16 +107,17 @@ def _lut_table(target: Gate, arity_k: int) -> tuple[int, ...]:
     """Truth table of ``target`` alone over its own fanins (MSB-first), each
     row repeated across the padding bits, which are the low index bits."""
     m = len(target.fanin)
-    ins = [Gate(i, f"{target.name}$f{i}", GateType.INPUT) for i in range(m)]
-    alone = Circuit(tuple(ins) + (Gate(m, target.name, target.type, tuple(range(m))),),
-                    tuple(range(m)), (m,))
-    own = simulate_many(alone, all_input_vectors(m))[:, 0]
+    own = gate_values(target.type, list(all_input_vectors(m).T.astype(bool)), None)
     return tuple(int(b) for b in np.repeat(own, 2 ** (arity_k - m)))
+
+
+# looked up once: reading a member off an Enum class costs more than the test
+_UNLOCKABLE = (GateType.INPUT, GateType.LUT)
 
 
 def _eligible(g: Gate, kind: ObfuscationKind) -> bool:
     """No inputs, no nesting, and a LUT at least as wide as the gate's fanin."""
-    return (g.type not in (GateType.INPUT, GateType.LUT)
+    return (g.type not in _UNLOCKABLE
             and not (kind.scheme == "lut" and len(g.fanin) > kind.lut_k))
 
 
@@ -129,7 +134,9 @@ def apply_at_locations(base: Circuit, kind: ObfuscationKind,
     circuit is built at the end, so validation and the topological sort
     run once per instance.  A LUT's padding nets follow the Kahn order of
     the circuit as locked so far, since earlier padding edges can move
-    later gates; :func:`netlist.topo_order` recomputes it per LUT.
+    later gates; the first LUT reads the base's order and each later one
+    that needs padding recomputes it with :func:`netlist.topo_order`.  A
+    LUT as wide as its gate's fanin takes no padding and sorts nothing.
     Generated names never collide with an existing net: a key input is
     ``keyinput<i>`` with i counting up from the number of key inputs, and
     the gate a key-gate displaces is ``<name>$in``, else ``<name>$in1``,
@@ -153,8 +160,9 @@ def apply_at_locations(base: Circuit, kind: ObfuscationKind,
         tables = {}
         for i, g in enumerate(locations):
             target = gates[g]
-            order = topo_order(gates) if i else base.topo_order
-            pads = _padding_nets(gates, order, key_set, g, kind.lut_k - len(target.fanin))
+            need = kind.lut_k - len(target.fanin)
+            order = (topo_order(gates) if i else base.topo_order) if need else ()
+            pads = _padding_nets(gates, order, key_set, g, need)
             tables[g] = _lut_table(target, kind.lut_k)
             gates[g] = Gate(g, target.name, GateType.LUT, target.fanin + tuple(pads), tables[g])
         # key layout orders LUT blocks by ascending gate id; match it
@@ -214,9 +222,25 @@ def instance_to_json(inst: ObfuscationInstance, base_file: str) -> dict:
 
 
 def instance_from_json(doc: dict, base: Circuit) -> ObfuscationInstance:
+    """Replay a serialized instance on ``base``.  A missing or mistyped
+    field, a location that is not a net of ``base`` or a replay that
+    differs from the document raises ``ValueError``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"obfuscation record must be a JSON object, got {doc!r:.40}")
+    for key, typ, what in (("kind", str, "a string"), ("locations", list, "a list"),
+                           ("key_truth", str, "a string"), ("mask", str, "a string")):
+        if not isinstance(doc.get(key), typ):
+            raise ValueError(f"obfuscation record needs {key!r} as {what}, "
+                             f"got {doc.get(key)!r:.40}")
+    seed = doc.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ValueError(f"obfuscation record has seed {seed!r:.40}; expected an integer or null")
+    unknown = [n for n in doc["locations"] if not (isinstance(n, str) and n in base.name_to_id)]
+    if unknown:
+        raise ValueError(f"obfuscation location {unknown[0]!r:.40} is not a net of the base circuit")
     kind = ObfuscationKind.parse(doc["kind"])
     locations = [base.name_to_id[name] for name in doc["locations"]]
-    inst = apply_at_locations(base, kind, locations, doc.get("seed"))
+    inst = apply_at_locations(base, kind, locations, seed)
     if "".join(str(b) for b in inst.key_truth) != doc["key_truth"]:
         raise ValueError("replayed key_truth does not match serialized instance")
     if "".join(str(b) for b in inst.mask) != doc["mask"]:

@@ -231,6 +231,17 @@ def _seq_keygate(c: Circuit, gate_id: int, gtype: GateType) -> Circuit:
                    c.key_inputs + (key_id,))
 
 
+def reference_lut_table(target: Gate, arity_k: int) -> tuple[int, ...]:
+    """LUT key for ``target``: simulate a throwaway circuit of the gate alone
+    over fresh inputs, then repeat each row across the padding bits."""
+    m = len(target.fanin)
+    ins = [Gate(i, f"{target.name}$f{i}", GateType.INPUT) for i in range(m)]
+    alone = Circuit(tuple(ins) + (Gate(m, target.name, target.type, tuple(range(m))),),
+                    tuple(range(m)), (m,))
+    own = simulate_many(alone, all_input_vectors(m))[:, 0]
+    return tuple(int(b) for b in np.repeat(own, 2 ** (arity_k - m)))
+
+
 def _seq_lut(c: Circuit, gate_id: int, arity_k: int):
     target = c.gates[gate_id]
     m = len(target.fanin)
@@ -243,11 +254,7 @@ def _seq_lut(c: Circuit, gate_id: int, arity_k: int):
         raise ValueError(f"not enough nets to pad LUT at gate {target.name!r}: "
                          f"need {arity_k - m}, found {len(before)}")
     fanin = target.fanin + tuple(before[:arity_k - m])
-    ins = [Gate(i, f"{target.name}$f{i}", GateType.INPUT) for i in range(m)]
-    alone = Circuit(tuple(ins) + (Gate(m, target.name, target.type, tuple(range(m))),),
-                    tuple(range(m)), (m,))
-    own = simulate_many(alone, all_input_vectors(m))[:, 0]
-    table = tuple(int(b) for b in np.repeat(own, 2 ** (arity_k - m)))
+    table = reference_lut_table(target, arity_k)
     gates = list(c.gates)
     gates[gate_id] = Gate(gate_id, target.name, GateType.LUT, fanin, table)
     return Circuit(tuple(gates), c.primary_inputs, c.primary_outputs, c.key_inputs), table

@@ -272,13 +272,24 @@ def _edit_manifest(edit):
     return lambda root: _edit_json(root / "ds" / "manifest.json", edit)
 
 
-def _edit_first_labels(edit):
+def _edit_first_record(edit):
     def apply(root):
         ds = root / "ds"
         first = json.loads((ds / "manifest.json").read_text())["instances"][0]
-        _edit_json(ds / "instances" / f"{first}.json",
-                   lambda doc: {**doc, "labels": edit(doc["labels"])})
+        _edit_json(ds / "instances" / f"{first}.json", edit)
     return apply
+
+
+def _edit_first_labels(edit):
+    return _edit_first_record(lambda doc: {**doc, "labels": edit(doc["labels"])})
+
+
+def _edit_first_obfuscation(edit):
+    return _edit_first_record(lambda doc: {**doc, "obfuscation": edit(doc["obfuscation"])})
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
 def _write_config(doc):
@@ -298,6 +309,23 @@ MALFORMED_INPUTS = {
         lambda lab: {"conflicts": lab["conflicts"]}), "has no 'wall_seconds' label"),
     "label-string": ("report", _edit_first_labels(
         lambda lab: {**lab, "conflicts": "many"}), "has label 'many' for 'conflicts'"),
+    "censored-missing": ("report", _edit_first_record(_without("censored")),
+                         "dataset record 'inst-00000' has no 'censored' field "
+                         "(instances/inst-00000.json)"),
+    "censored-string": ("report", _edit_first_record(lambda doc: {**doc, "censored": "no"}),
+                        "has censored 'no'; expected true or false"),
+    "iterations-negative": ("report", _edit_first_record(
+        lambda doc: {**doc, "iterations": -1}), "has iterations -1; expected an integer >= 0"),
+    "iterations-bool": ("report", _edit_first_record(
+        lambda doc: {**doc, "iterations": True}), "has iterations True; expected an integer"),
+    "id-mismatch": ("report", _edit_first_record(lambda doc: {**doc, "id": "other"}),
+                    "dataset record 'inst-00000' has id 'other'"),
+    "key-truth-missing": ("report", _edit_first_obfuscation(_without("key_truth")),
+                          "dataset record 'inst-00000': obfuscation record needs "
+                          "'key_truth' as a string, got None (instances/inst-00000.json)"),
+    "location-unknown": ("report", _edit_first_obfuscation(
+        lambda ob: {**ob, "locations": ["nope"]}),
+        "obfuscation location 'nope' is not a net of the base circuit"),
     "config-list": ("train", _write_config([1, 2]),
                     "model config must be a JSON object"),
     "config-string": ("train", _write_config("x"),

@@ -142,6 +142,80 @@ def test_cycle_detection():
             (0,), (2,))
 
 
+# --- structural validation: one case per check, with its exact message ---
+
+A, B = Gate(0, "a", GateType.INPUT), Gate(1, "b", GateType.INPUT)
+T = GateType
+
+
+def _z(gtype, fanin, lut_bits=None):
+    return Gate(2, "z", gtype, fanin, lut_bits)
+
+
+# gates, primary inputs, primary outputs, key inputs, message
+INVALID_CIRCUITS = {
+    "non-dense-id": ((A, Gate(2, "b", T.INPUT), _z(T.AND, (0, 1))), (0, 1), (2,), (),
+                     "gate ids must be dense: gate at index 1 has id 2"),
+    "duplicate-name": ((A, Gate(1, "a", T.INPUT), _z(T.AND, (0, 1))), (0, 1), (2,), (),
+                       "duplicate gate name 'a'"),
+    "fanin-above-range": ((A, B, _z(T.AND, (0, 3))), (0, 1), (2,), (),
+                          "gate 'z' references missing gate id 3"),
+    "fanin-negative": ((A, B, _z(T.AND, (-1, 1))), (0, 1), (2,), (),
+                       "gate 'z' references missing gate id -1"),
+    "input-with-fanin": ((A, Gate(1, "b", T.INPUT, (0,)), _z(T.AND, (0, 1))), (0, 1), (2,),
+                         (), "INPUT 'b' must have no fanin"),
+    "not-two-fanins": ((A, B, _z(T.NOT, (0, 1))), (0, 1), (2,), (),
+                       "NOT 'z' needs exactly 1 fanin, got 2"),
+    "buff-no-fanin": ((A, B, _z(T.BUFF, ())), (0, 1), (2,), (),
+                      "BUFF 'z' needs exactly 1 fanin, got 0"),
+    "lut-no-fanin": ((A, B, _z(T.LUT, ())), (0, 1), (2,), (),
+                     "LUT 'z' needs at least 1 fanin"),
+    "and-one-fanin": ((A, B, _z(T.AND, (0,))), (0, 1), (2,), (),
+                      "AND 'z' needs at least 2 fanins, got 1"),
+    "lut-table-length": ((A, B, _z(T.LUT, (0, 1), (0, 1, 1))), (0, 1), (2,), (),
+                         "LUT 'z' has 3 table bits, expected 4"),
+    "input-and-key": ((A, B, _z(T.AND, (0, 1))), (0, 1), (2,), (1,),
+                      "a node cannot be both primary input and key input"),
+    "logic-gate-as-input": ((A, B, _z(T.AND, (0, 1))), (0, 1, 2), (2,), (),
+                            "node 'z' listed as input but is AND"),
+    "logic-gate-as-key": ((A, B, _z(T.AND, (0, 1))), (0,), (2,), (1, 2),
+                          "node 'z' listed as input but is AND"),
+    "unlisted-input": ((A, B, _z(T.AND, (0, 1))), (0,), (2,), (),
+                       "INPUT gate 'b' not listed in primary_inputs or key_inputs"),
+    "output-above-range": ((A, B, _z(T.AND, (0, 1))), (0, 1), (2, 3), (),
+                           "primary output id 3 does not exist"),
+    "cycle": ((A, Gate(1, "x", T.AND, (0, 2)), Gate(2, "y", T.OR, (0, 1))), (0,), (2,), (),
+              "circuit contains a cycle through: x, y"),
+    # the first check a gate fails names it: a repeated name before its arity
+    "two-checks-one-gate": ((A, B, Gate(2, "a", T.AND, (0,))), (0, 1), (2,), (),
+                            "duplicate gate name 'a'"),
+    # the first offending gate names the error, whichever checks later gates fail
+    "first-gate-wins": ((A, B, _z(T.NOT, (0, 1)), Gate(4, "w", T.AND, (0, 9))), (0, 1),
+                        (2,), (), "NOT 'z' needs exactly 1 fanin, got 2"),
+}
+
+
+@pytest.mark.parametrize("gates, pis, pos, keys, message", INVALID_CIRCUITS.values(),
+                         ids=INVALID_CIRCUITS)
+def test_circuit_validation_messages(gates, pis, pos, keys, message):
+    with pytest.raises(CircuitError) as exc:
+        Circuit(gates, pis, pos, keys)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("pis, keys, message", [
+    ((0, 5), (), "primary input id 5 does not exist"),
+    ((0, 1, -2), (), "primary input id -2 does not exist"),
+    ((0, 1, 1), (), "primary input id 1 is listed twice"),
+    ((0,), (1, 5), "key input id 5 does not exist"),
+    ((0,), (1, 1), "key input id 1 is listed twice"),
+])
+def test_circuit_checks_input_ids(pis, keys, message):
+    with pytest.raises(CircuitError) as exc:
+        Circuit((A, B, _z(T.AND, (0, 1))), pis, (2,), keys)
+    assert str(exc.value) == message
+
+
 def _parse_shuffled(rng, c):
     """Re-parse ``c`` with its gate definitions in random line order."""
     lines = emit_bench(c).splitlines()

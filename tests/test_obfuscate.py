@@ -2,21 +2,24 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
+from locktime import netlist, obfuscate
 from locktime.netlist import (Circuit, CircuitError, Gate, GateType, all_input_vectors,
                               emit_bench, parse_bench, simulate_many, topo_order)
 from locktime.obfuscate import (
     ObfuscationKind,
+    _lut_table,
     apply_at_locations,
     eligible_gates,
     instance_from_json,
     instance_to_json,
     random_obfuscate,
 )
-from oracles import layered_dag, random_circuit, sequential_lock
+from oracles import layered_dag, random_circuit, reference_lut_table, sequential_lock
 
 XOR = ObfuscationKind("xor")
 XNOR = ObfuscationKind("xnor")
@@ -303,13 +306,12 @@ def test_locking_output_is_pinned(mid12):
 
 @pytest.mark.parametrize("kind", ["xor", "lut2"])
 def test_one_circuit_build_per_instance(monkeypatch, mid12, kind):
-    # a LUT's truth-table circuit is smaller than the base, so it is not counted
+    # every Circuit built counts: a LUT's truth table needs no circuit of its own
     builds = []
     validate = Circuit._validate
 
     def counting(self):
-        if len(self.gates) >= mid12.n:
-            builds.append(len(self.gates))
+        builds.append(len(self.gates))
         validate(self)
 
     monkeypatch.setattr(Circuit, "_validate", counting)
@@ -317,3 +319,54 @@ def test_one_circuit_build_per_instance(monkeypatch, mid12, kind):
         builds.clear()
         random_obfuscate(mid12, m, ObfuscationKind.parse(kind), seed=m)
         assert len(builds) == 1
+
+
+def test_lut_tables_equal_the_throwaway_circuit_tables():
+    arities = {GateType.NOT: (1,), GateType.BUFF: (1,)}
+    compared = 0
+    for gtype in GateType:
+        if gtype in (GateType.INPUT, GateType.LUT):
+            continue
+        for m in arities.get(gtype, (2, 3)):
+            target = Gate(m, "t", gtype, tuple(range(m)))
+            for k in range(m, min(3, m + 2) + 1):  # arities 1-3, 0-2 padding bits
+                assert _lut_table(target, k) == reference_lut_table(target, k), (gtype, m, k)
+                compared += 1
+    assert compared == 2 * 3 + 6 * (2 + 1)
+
+
+@pytest.mark.parametrize("kind", ["lut2", "lut3", "lut4"])
+def test_later_luts_resort_only_to_pad(monkeypatch, mid12, kind):
+    sorts = []
+
+    def counting(gates):
+        sorts.append(len(gates))
+        return topo_order(gates)
+
+    monkeypatch.setattr(netlist, "topo_order", counting)
+    monkeypatch.setattr(obfuscate, "topo_order", counting)
+    lut = ObfuscationKind.parse(kind)
+    rng = random.Random(20)
+    padded_later = 0
+    for _ in range(12):
+        locs = rng.sample(eligible_gates(mid12, lut), rng.randint(1, 6))
+        sorts.clear()
+        apply_at_locations(mid12, lut, locs)
+        later = sum(len(mid12.gates[g].fanin) < lut.lut_k for g in locs[1:])
+        assert len(sorts) == 1 + later, locs
+        padded_later += later
+    assert padded_later > 0 or kind == "lut2"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "obfuscation record must be a JSON object"),
+    (lambda doc: {**doc, "kind": 2}, "obfuscation record needs 'kind' as a string, got 2"),
+    (lambda doc: {**doc, "locations": "16"}, "needs 'locations' as a list, got '16'"),
+    (lambda doc: {**doc, "locations": [["16"]]}, "location ['16'] is not a net of the base"),
+    (lambda doc: {**doc, "seed": "5"}, "has seed '5'; expected an integer or null"),
+    (lambda doc: {**doc, "mask": doc["mask"][::-1]}, "replayed mask does not match"),
+])
+def test_instance_from_json_refuses_malformed_documents(c17, edit, message):
+    doc = instance_to_json(random_obfuscate(c17, 2, XOR, seed=5), "c17.bench")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        instance_from_json(edit(doc), c17)

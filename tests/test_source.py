@@ -151,3 +151,20 @@ def test_every_package_function_has_a_package_caller():
                     and node.name not in used and node.name not in CALLER_EXEMPT):
                 found.append(f"{path.name}:{node.lineno} {node.name}")
     assert not found, f"package names that only tests use: {found}"
+
+
+# the only functions that may build a Circuit: each build validates and sorts
+CIRCUIT_BUILDERS = {"netlist.py:parse_bench", "obfuscate.py:apply_at_locations"}
+
+
+def test_circuits_are_built_only_by_the_parser_and_the_locker():
+    # a throwaway Circuit pays a full validation and Kahn sort for one answer
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if f"{path.name}:{getattr(top, 'name', '')}" in CIRCUIT_BUILDERS:
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and "Circuit" in
+                      (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not found, f"Circuit built outside {sorted(CIRCUIT_BUILDERS)}: {found}"
