@@ -10,13 +10,20 @@ auxiliary variables — so emitted DIMACS is reproducible byte for byte.
 Every variable comes from one allocator.  The miter only ever appends
 clauses and variables, and carries no net names: only :func:`tseitin`
 returns a ``var_map``.
+
+Gate function comes from ``netlist.REDUCTION``, as in the simulator: a
+non-LUT gate is the AND, OR or XOR reduction of its fanins, and an
+inverting type (NAND, NOR, XNOR, NOT) is its family's clauses with the
+output literal negated.  A LUT is the gate with a key slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .netlist import Circuit, GateType, key_slices
+import numpy as np
+
+from .netlist import REDUCTION, Circuit, GateType, key_slices
 
 Clause = tuple[int, ...]
 
@@ -47,42 +54,13 @@ class _Alloc:
 
 
 def _gate_clauses(gtype: GateType, y: int, xs: list[int], alloc: _Alloc,
-                  clauses: list, lut_keys: list[int] | None = None):
-    """Append the Tseitin clauses for gate ``y = gtype(xs)``; allocates aux vars."""
-    if gtype is GateType.AND:
-        for x in xs:
-            clauses.append((-y, x))
-        clauses.append(tuple([y] + [-x for x in xs]))
-    elif gtype is GateType.NAND:
-        for x in xs:
-            clauses.append((y, x))
-        clauses.append(tuple([-y] + [-x for x in xs]))
-    elif gtype is GateType.OR:
-        for x in xs:
-            clauses.append((y, -x))
-        clauses.append(tuple([-y] + xs))
-    elif gtype is GateType.NOR:
-        for x in xs:
-            clauses.append((-y, -x))
-        clauses.append(tuple([y] + xs))
-    elif gtype in (GateType.XOR, GateType.XNOR):
-        # fold arity-m into a chain of 2-input xors
-        acc = xs[0]
-        for x in xs[1:-1]:
-            [t] = alloc.new()
-            _xor2(acc, x, t, clauses)
-            acc = t
-        if gtype is GateType.XOR:
-            _xor2(acc, xs[-1], y, clauses)
-        else:
-            _xnor2(acc, xs[-1], y, clauses)
-    elif gtype is GateType.NOT:
-        clauses.append((y, xs[0]))
-        clauses.append((-y, -xs[0]))
-    elif gtype is GateType.BUFF:
-        clauses.append((-y, xs[0]))
-        clauses.append((y, -xs[0]))
-    elif gtype is GateType.LUT:
+                  clauses: list, lut_keys: list[int] | None):
+    """Append the Tseitin clauses for gate ``y = gtype(xs)``; allocates aux vars.
+
+    ``lut_keys`` holds a LUT's table variables and is None for every other
+    type, which is encoded per ``netlist.REDUCTION``.
+    """
+    if lut_keys is not None:
         k = len(xs)
         for j in range(2 ** k):
             [sel] = alloc.new()  # sel <=> (inputs == minterm j)
@@ -92,16 +70,29 @@ def _gate_clauses(gtype: GateType, y: int, xs: list[int], alloc: _Alloc,
             clauses.append(tuple([sel] + [-lit for lit in minterm]))
             clauses.append((-sel, -lut_keys[j], y))
             clauses.append((-sel, lut_keys[j], -y))
-    else:  # pragma: no cover
-        raise ValueError(f"cannot encode gate type {gtype}")
+        return
+    op, inverted = REDUCTION[gtype]
+    if inverted:
+        y = -y
+    if op is np.logical_and:
+        for x in xs:
+            clauses.append((-y, x))
+        clauses.append(tuple([y] + [-x for x in xs]))
+    elif op is np.logical_or:
+        for x in xs:
+            clauses.append((y, -x))
+        clauses.append(tuple([-y] + xs))
+    else:  # xor: fold arity-m into a chain of 2-input xors
+        acc = xs[0]
+        for x in xs[1:-1]:
+            [t] = alloc.new()
+            _xor2(acc, x, t, clauses)
+            acc = t
+        _xor2(acc, xs[-1], y, clauses)
 
 
 def _xor2(a: int, b: int, y: int, clauses: list):
     clauses.extend([(-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b)])
-
-
-def _xnor2(a: int, b: int, y: int, clauses: list):
-    clauses.extend([(y, a, b), (y, -a, -b), (-y, -a, b), (-y, a, -b)])
 
 
 def _encode_copy(c: Circuit, alloc: _Alloc, input_vars: list[int],
@@ -121,13 +112,13 @@ def _encode_copy(c: Circuit, alloc: _Alloc, input_vars: list[int],
     net = dict(zip(c.primary_inputs, input_vars))
     for gid in c.key_inputs:
         net[gid] = key_vars[slices[gid]][0]
-    gates = [gid for gid in c.topo_order if c.gates[gid].type is not GateType.INPUT]
+    gates = [gid for gid in c.topo_order if gid not in net]  # every input is in net
     net.update(zip(gates, alloc.new(len(gates))))
     for gid in gates:
         g = c.gates[gid]
-        lut_keys = key_vars[slices[gid]] if g.type is GateType.LUT else None
+        s = slices.get(gid)  # of the logic gates, only a LUT has a key slot
         _gate_clauses(g.type, net[gid], [net[f] for f in g.fanin], alloc,
-                      clauses, lut_keys)
+                      clauses, None if s is None else key_vars[s])
     return net
 
 

@@ -46,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .attack import LABEL_KINDS
 from .netlist import ONE_HOT_INDEX, graph_matrix
 from .numerics import (
     NonFiniteError,
@@ -617,6 +618,10 @@ def load_checkpoint(path) -> tuple[Model, str]:
         raise ValueError(f"not a model checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+    label_kind = doc.get("label_kind")
+    if label_kind not in LABEL_KINDS:
+        raise ValueError(f"checkpoint {path} has unknown label kind {label_kind!r}, "
+                         f"expected one of {', '.join(LABEL_KINDS)}")
     config = ModelConfig(**doc["config"])
     params = params_from_doc(doc["params"])
     want = {k: v.shape for k, v in new_model(config).params.arrays.items()}
@@ -629,4 +634,4 @@ def load_checkpoint(path) -> tuple[Model, str]:
         if got[name] != want[name]:
             raise ValueError(f"checkpoint parameter {name!r} has shape {got[name]}, "
                              f"its config needs {want[name]}")
-    return Model(config, params), doc["label_kind"]
+    return Model(config, params), label_kind

@@ -46,6 +46,16 @@ ONE_HOT_ORDER = (
 )
 ONE_HOT_INDEX = {t: i for i, t in enumerate(ONE_HOT_ORDER)}
 
+# The function of every non-LUT logic type, declared once for the simulator
+# and the Tseitin encoder: an AND, OR or XOR reduction of the fanins, its
+# output inverted or not.  NOT is a one-fanin NAND, BUFF a one-fanin AND.
+REDUCTION = {
+    GateType.AND: (np.logical_and, False), GateType.NAND: (np.logical_and, True),
+    GateType.OR: (np.logical_or, False), GateType.NOR: (np.logical_or, True),
+    GateType.XOR: (np.logical_xor, False), GateType.XNOR: (np.logical_xor, True),
+    GateType.NOT: (np.logical_and, True), GateType.BUFF: (np.logical_and, False),
+}
+
 
 class CircuitError(ValueError):
     """Structural invariant violation in a circuit."""
@@ -240,7 +250,7 @@ def parse_bench(text: str) -> Circuit:
     are treated as key inputs.
     """
     inputs: list[str] = []
-    outputs: list[str] = []
+    outputs: list[tuple[str, int]] = []  # name, line
     defs: list[tuple[str, GateType, list[str], tuple[int, ...] | None, int]] = []
     declared: dict[str, int] = {}  # name -> line of definition
 
@@ -260,7 +270,7 @@ def parse_bench(text: str) -> Circuit:
                 declare(io.group("name"), lineno)
                 inputs.append(io.group("name"))
             else:
-                outputs.append(io.group("name"))
+                outputs.append((io.group("name"), lineno))
             continue
         m = _LINE_RE.match(line)
         if not m:
@@ -300,32 +310,24 @@ def parse_bench(text: str) -> Circuit:
         declare(name, lineno)
         defs.append((name, gtype, args, None, lineno))
 
-    gates: list[Gate] = []
-    ids: dict[str, int] = {}
-    pis, keys = [], []
-    for name in inputs:
-        gid = len(gates)
-        ids[name] = gid
+    # ids: inputs first, then definitions in read order
+    ids = {name: gid for gid, name in enumerate(chain(inputs, [d[0] for d in defs]))}
+    gates, pis, keys = [], [], []
+    for gid, name in enumerate(inputs):
         gates.append(Gate(gid, name, GateType.INPUT))
         (keys if name.lower().startswith(KEY_INPUT_PREFIX) else pis).append(gid)
     for name, gtype, args, bits, lineno in defs:
-        gid = len(gates)
-        ids[name] = gid
-        gates.append(Gate(gid, name, gtype, fanin=(), lut_bits=bits))
-    resolved: list[Gate] = []
-    for g, (name, gtype, args, bits, lineno) in zip(gates[len(inputs):], defs):
-        fanin = []
-        for a in args:
-            if a not in ids:
-                raise BenchParseError(f"gate {name!r} references undefined net {a!r}", lineno)
-            fanin.append(ids[a])
-        resolved.append(Gate(g.id, name, gtype, tuple(fanin), bits))
-    gates[len(inputs):] = resolved
+        try:
+            fanin = tuple([ids[a] for a in args])
+        except KeyError as exc:
+            raise BenchParseError(f"gate {name!r} references undefined net {exc.args[0]!r}",
+                                  lineno) from None
+        gates.append(Gate(len(gates), name, gtype, fanin, bits))
 
     pos = []
-    for name in outputs:
+    for name, lineno in outputs:
         if name not in ids:
-            raise BenchParseError(f"OUTPUT({name}) references undefined net")
+            raise BenchParseError(f"OUTPUT({name}) references undefined net", lineno)
         pos.append(ids[name])
     try:
         return Circuit(tuple(gates), tuple(pis), tuple(pos), tuple(keys))
@@ -409,30 +411,20 @@ def key_slices(c: Circuit):
 def gate_values(t: GateType, fin: list, table) -> np.ndarray:
     """One logic gate's values over a batch: ``fin`` holds its fanins' bool
     arrays, ``table`` a LUT's truth table as a bool array (first fanin is
-    the most significant index bit) and is None for every other type."""
-    if t is GateType.AND:
-        return np.logical_and.reduce(fin)
-    if t is GateType.NAND:
-        return ~np.logical_and.reduce(fin)
-    if t is GateType.OR:
-        return np.logical_or.reduce(fin)
-    if t is GateType.NOR:
-        return ~np.logical_or.reduce(fin)
-    if t is GateType.XOR:
-        return np.logical_xor.reduce(fin)
-    if t is GateType.XNOR:
-        return ~np.logical_xor.reduce(fin)
-    if t is GateType.NOT:
-        return ~fin[0]
-    if t is GateType.BUFF:
-        return fin[0]
-    if t is GateType.LUT:
+    the most significant index bit) and is None for every other type.
+
+    A non-LUT gate is the AND, OR or XOR reduction of its fanins that
+    :data:`REDUCTION` names for ``t``, inverted when the table says so.
+    """
+    if table is not None:
         k = len(fin)
         idx = np.zeros(len(fin[0]), dtype=np.int64)
         for i, f in enumerate(fin):
             idx |= f.astype(np.int64) << (k - 1 - i)
         return table[idx]
-    raise CircuitError(f"cannot simulate gate type {t}")  # pragma: no cover
+    op, inverted = REDUCTION[t]
+    out = op.reduce(fin)
+    return ~out if inverted else out
 
 
 def simulate_many(c: Circuit, inputs: np.ndarray, key=()) -> np.ndarray:
@@ -458,8 +450,8 @@ def simulate_many(c: Circuit, inputs: np.ndarray, key=()) -> np.ndarray:
         vals[gid] = np.full(batch, bit, dtype=bool)
 
     for gid in c.topo_order:
-        g = c.gates[gid]
-        if g.type is not GateType.INPUT:
+        if vals[gid] is None:  # every input already holds its value
+            g = c.gates[gid]
             s = slices.get(gid)  # of the logic gates, only a LUT has a key slot
             vals[gid] = gate_values(g.type, [vals[f] for f in g.fanin],
                                     None if s is None else key[s].astype(bool))

@@ -384,6 +384,23 @@ def test_eval_rejects_checkpoint_params_that_do_not_fit_the_config(
     assert err["error"] == "ValueError" and repr(name) in err["message"]
 
 
+@pytest.mark.parametrize("label_kind", ["seconds", ["conflicts"]], ids=["unknown", "list"])
+def test_eval_and_report_name_an_unknown_checkpoint_label_kind(
+        pipeline, capsys, tmp_path, label_kind):
+    ds, model, *_ = pipeline
+    doc = json.loads(model.read_text())
+    doc["label_kind"] = label_kind
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["eval"], ["report"]):
+        code, out, err = run_cli(capsys, *argv, "--dataset", str(ds), "--model", str(bad))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"checkpoint {bad} has unknown label kind {label_kind!r}, "
+                       f"expected one of wall_seconds, conflicts"}
+
+
 def test_eval_names_a_checkpoint_parameter_whose_data_misses_its_shape(
         pipeline, capsys, tmp_path):
     ds, model, *_ = pipeline

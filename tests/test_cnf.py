@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -10,9 +11,11 @@ from locktime.cnf import (
     to_dimacs,
     tseitin,
 )
-from locktime.netlist import GateType, parse_bench, simulate
-from locktime.obfuscate import ObfuscationKind, apply_at_locations, random_obfuscate
-from oracles import enumerate_cnf, enumerate_models_np, parse_dimacs, random_circuit
+from locktime.netlist import GateType, parse_bench, simulate, simulate_many
+from locktime.obfuscate import (ObfuscationKind, apply_at_locations, eligible_gates,
+                                random_obfuscate)
+from oracles import (enumerate_cnf, enumerate_models_np, layered_dag, parse_dimacs,
+                     random_circuit)
 
 
 def test_single_and_clause_set():
@@ -44,6 +47,62 @@ def test_clause_counts(gtype, arity, expect):
     args = ", ".join(f"i{k}" for k in range(arity))
     f = tseitin(parse_bench(f"{ins}\nOUTPUT(y)\ny = {gtype}({args})\n"))
     assert len(f.clauses) == expect
+
+
+# the exact clauses, in order, of a one-gate circuit y = TYPE(i0, ...): the
+# inputs are variables 1..arity, y is arity + 1, and the one auxiliary of a
+# three-input xor chain is arity + 2.  Clause order drives solver counters.
+CLAUSE_ORDER = {
+    ("AND", 2): [(-3, 1), (-3, 2), (3, -1, -2)],
+    ("AND", 3): [(-4, 1), (-4, 2), (-4, 3), (4, -1, -2, -3)],
+    ("NAND", 2): [(3, 1), (3, 2), (-3, -1, -2)],
+    ("NAND", 3): [(4, 1), (4, 2), (4, 3), (-4, -1, -2, -3)],
+    ("OR", 2): [(3, -1), (3, -2), (-3, 1, 2)],
+    ("OR", 3): [(4, -1), (4, -2), (4, -3), (-4, 1, 2, 3)],
+    ("NOR", 2): [(-3, -1), (-3, -2), (3, 1, 2)],
+    ("NOR", 3): [(-4, -1), (-4, -2), (-4, -3), (4, 1, 2, 3)],
+    ("XOR", 2): [(-3, 1, 2), (-3, -1, -2), (3, -1, 2), (3, 1, -2)],
+    ("XOR", 3): [(-5, 1, 2), (-5, -1, -2), (5, -1, 2), (5, 1, -2),
+                 (-4, 5, 3), (-4, -5, -3), (4, -5, 3), (4, 5, -3)],
+    ("XNOR", 2): [(3, 1, 2), (3, -1, -2), (-3, -1, 2), (-3, 1, -2)],
+    ("XNOR", 3): [(-5, 1, 2), (-5, -1, -2), (5, -1, 2), (5, 1, -2),
+                  (4, 5, 3), (4, -5, -3), (-4, -5, 3), (-4, 5, -3)],
+    ("NOT", 1): [(2, 1), (-2, -1)],
+    ("BUFF", 1): [(-2, 1), (2, -1)],
+}
+
+
+@pytest.mark.parametrize("gtype,arity", list(CLAUSE_ORDER))
+def test_clause_order_per_gate_type(gtype, arity):
+    ins = "\n".join(f"INPUT(i{k})" for k in range(arity))
+    args = ", ".join(f"i{k}" for k in range(arity))
+    f = tseitin(parse_bench(f"{ins}\nOUTPUT(y)\ny = {gtype}({args})\n"))
+    assert f.clauses == CLAUSE_ORDER[gtype, arity]
+
+
+# sha256 over tseitin's DIMACS, a two-DIP miter's DIMACS and simulate_many's
+# output bytes of seeded c17, mid12 and 300-gate DAG instances of every
+# locking kind, recorded with one encoder and simulator branch per gate type
+ENCODING_PIN = "88ff6a0a3580797a50b369ef737c81c9b4a38edde21917fbf8a8240e9aa08a6f"
+
+
+def test_encoding_and_simulation_bytes_are_pinned(c17, mid12):
+    h = hashlib.sha256()
+    for base, m in ((c17, 2), (mid12, 3), (layered_dag(300), 6)):
+        for kind in map(ObfuscationKind.parse, ("xor", "xnor", "lut1", "lut2", "lut3", "lut4")):
+            n_locations = min(m, len(eligible_gates(base, kind)))  # c17 has no lut1 site
+            for seed in (0, 1) if n_locations else ():
+                obf = random_obfuscate(base, n_locations, kind, seed).obfuscated
+                rng = np.random.default_rng(seed)
+                h.update(to_dimacs(tseitin(obf)).encode())
+                miter = build_miter(obf)
+                for dip in rng.integers(0, 2, (2, len(base.primary_inputs))):
+                    add_dip_constraint(miter, dip, simulate(base, dip))
+                h.update(to_dimacs(miter.formula).encode())
+                inputs = rng.integers(0, 2, (64, len(base.primary_inputs)))
+                key = rng.integers(0, 2, obf.key_bits)
+                h.update(simulate_many(obf, inputs, key).tobytes())
+    assert h.hexdigest() == ENCODING_PIN
 
 
 def test_lut1_models_are_inverter():

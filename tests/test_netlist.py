@@ -128,9 +128,11 @@ def test_parse_errors(text, fragment):
 
 
 def test_parse_error_reports_line():
-    with pytest.raises(BenchParseError) as exc:
-        parse_bench("INPUT(a)\n\nz = FROB(a, a)\n")
-    assert exc.value.line == 3
+    for text, line in (("INPUT(a)\n\nz = FROB(a, a)\n", 3),
+                       ("INPUT(a)\nOUTPUT(zz)\ny = NOT(a)\n", 2)):
+        with pytest.raises(BenchParseError) as exc:
+            parse_bench(text)
+        assert exc.value.line == line, text
 
 
 def test_cycle_detection():

@@ -168,3 +168,19 @@ def test_circuits_are_built_only_by_the_parser_and_the_locker():
                       if isinstance(node, ast.Call) and "Circuit" in
                       (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert not found, f"Circuit built outside {sorted(CIRCUIT_BUILDERS)}: {found}"
+
+
+# the logic types whose function netlist.REDUCTION declares
+REDUCTION_TYPES = {"AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUFF"}
+
+
+def test_the_encoder_reads_gate_function_only_from_the_reduction_table():
+    # a gate's function is declared once, in netlist.REDUCTION, for the
+    # simulator and the Tseitin encoder alike
+    path = PACKAGE / "cnf.py"
+    found = [f"cnf.py:{node.lineno} GateType.{node.attr}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in REDUCTION_TYPES
+             and "GateType" in (getattr(node.value, "id", None),
+                                getattr(node.value, "attr", None))]
+    assert not found, f"cnf.py names reduction types itself: {found}"
