@@ -1,14 +1,15 @@
 """Oracle-guided SAT attack (DIP loop) against locked circuits.
 
-The attack owns a miter with two independent key copies, and one solver
-that lives for the whole attack: it loads the miter once, then only each
-DIP's two new constrained copies, and keeps its learnt clauses from call
-to call.  Each DIP call assumes the miter's activation literal ``act``,
-which switches the at-least-one-difference clause on.  While the miter is
-satisfiable, the model yields a distinguishing input pattern (DIP): an
-input on which the two keys disagree.  The oracle — simulation of the
-unlocked base circuit — labels the DIP, and both key copies are
-constrained to reproduce that label.  When the miter goes
+The attack owns a miter with two key copies, which share the gates
+outside the key cone and each hold their own copy of the cone, and one
+solver that lives for the whole attack: it loads the miter once, then
+only each DIP's two new constrained circuit copies, and keeps its learnt
+clauses from call to call.  Each DIP call assumes the miter's activation
+literal ``act``, which switches the at-least-one-difference clause on.
+While the miter is satisfiable, the model yields a distinguishing input
+pattern (DIP): an input on which the two keys disagree.  The oracle —
+simulation of the unlocked base circuit — labels the DIP, and both key
+copies are constrained to reproduce that label.  When the miter goes
 unsatisfiable, every key consistent with the accumulated constraints is
 functionally correct; one is extracted by one more solve on the same
 solver, with ``act`` false.

@@ -11,6 +11,12 @@ Every variable comes from one allocator.  The miter only ever appends
 clauses and variables, and carries no net names: only :func:`tseitin`
 returns a ``var_map``.
 
+The miter encodes the gates outside the key cone (``netlist.key_cone``)
+once, over variables both key copies share: whatever the key, they
+compute the same function, and a second copy would only make the solver
+prove that again.  The cone is encoded once per key copy.  Each DIP
+constraint is a full circuit copy per key.
+
 Gate function comes from ``netlist.REDUCTION``, as in the simulator: a
 non-LUT gate is the AND, OR or XOR reduction of its fanins, and an
 inverting type (NAND, NOR, XNOR, NOT) is its family's clauses with the
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netlist import REDUCTION, Circuit, GateType, key_slices
+from .netlist import REDUCTION, Circuit, GateType, key_cone, key_slices
 
 Clause = tuple[int, ...]
 
@@ -95,24 +101,21 @@ def _xor2(a: int, b: int, y: int, clauses: list):
     clauses.extend([(-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b)])
 
 
-def _encode_copy(c: Circuit, alloc: _Alloc, input_vars: list[int],
+def _encode_copy(c: Circuit, alloc: _Alloc, net: dict[int, int], gates: list[int],
                  key_vars: list[int], clauses: list) -> dict[int, int]:
-    """Encode one circuit copy over pre-allocated input/key variables.
+    """Encode the logic gates ``gates``, in topological order, over ``net``.
 
-    Returns net_vars: net_vars[g] is the variable of net g (inputs, key
-    inputs and gate outputs).  Gate output variables are allocated in
-    topological order before any gate clauses are emitted, so nets occupy
-    a contiguous block.
+    ``net`` maps the nets that ``gates`` read, other than key inputs, to
+    variables.  Key inputs and LUT tables read ``key_vars``, laid out per
+    ``Circuit.key_layout``.  Returns ``net`` extended by the key inputs
+    and ``gates``.  Gate output variables are allocated before any gate
+    clause is emitted, so they occupy a contiguous block, and the gates'
+    auxiliaries follow it.
     """
-    if len(input_vars) != len(c.primary_inputs):
-        raise ValueError("input variable count mismatch")
     slices, total = key_slices(c)
     if len(key_vars) != total:
         raise ValueError("key variable count mismatch")
-    net = dict(zip(c.primary_inputs, input_vars))
-    for gid in c.key_inputs:
-        net[gid] = key_vars[slices[gid]][0]
-    gates = [gid for gid in c.topo_order if gid not in net]  # every input is in net
+    net = {**net, **{gid: key_vars[slices[gid]][0] for gid in c.key_inputs}}
     net.update(zip(gates, alloc.new(len(gates))))
     for gid in gates:
         g = c.gates[gid]
@@ -120,6 +123,12 @@ def _encode_copy(c: Circuit, alloc: _Alloc, input_vars: list[int],
         _gate_clauses(g.type, net[gid], [net[f] for f in g.fanin], alloc,
                       clauses, None if s is None else key_vars[s])
     return net
+
+
+def _logic_gates(c: Circuit) -> list[int]:
+    """Every gate but the primary and key inputs, in topological order."""
+    inputs = set(c.primary_inputs).union(c.key_inputs)
+    return [gid for gid in c.topo_order if gid not in inputs]
 
 
 def tseitin(c: Circuit) -> CnfFormula:
@@ -133,7 +142,8 @@ def tseitin(c: Circuit) -> CnfFormula:
     input_vars = alloc.new(len(c.primary_inputs))
     key_vars = alloc.new(c.key_bits)
     clauses: list[Clause] = []
-    net = _encode_copy(c, alloc, input_vars, key_vars, clauses)
+    net = _encode_copy(c, alloc, dict(zip(c.primary_inputs, input_vars)), _logic_gates(c),
+                       key_vars, clauses)
     var_map = {c.gates[gid].name: v for gid, v in net.items()}
     slices, _ = key_slices(c)
     luts = [g for g in c.gates if g.type is GateType.LUT]
@@ -146,12 +156,13 @@ def tseitin(c: Circuit) -> CnfFormula:
 class MiterContext:
     """Two-key miter; :func:`add_dip_constraint` appends to it in place.
 
-    ``clauses`` holds gate semantics for both key copies, per-output
-    xor-difference definitions, the at-least-one-difference clause guarded
-    by the activation literal ``act``, then all DIP copies.  The attack
-    loads ``clauses`` and decides each DIP under the assumption ``act``;
-    with ``act`` false only the key constraints bind.  ``formula`` writes
-    that assumption as a unit clause.
+    ``clauses`` holds gate semantics (the gates outside the key cone
+    once, the cone once per key copy), the xor-difference definition of
+    each output inside the cone, the at-least-one-difference clause
+    guarded by the activation literal ``act``, then all DIP copies.  The
+    attack loads ``clauses`` and decides each DIP under the assumption
+    ``act``; with ``act`` false only the key constraints bind.
+    ``formula`` writes that assumption as a unit clause.
     """
 
     obf: Circuit
@@ -171,8 +182,11 @@ def build_miter(obf: Circuit) -> MiterContext:
     """Build the two-key difference miter for an obfuscated circuit.
 
     Variables: inputs ``1..|PI|``, key copy 1, key copy 2, the nets and
-    auxiliaries of copy 1, then of copy 2, one difference per output, and
-    last the activation literal.
+    auxiliaries outside the key cone, those of the cone for copy 1, then
+    for copy 2, one difference per output inside the cone, and last the
+    activation literal.  An output outside the cone cannot differ, so it
+    gets no difference variable; with no output inside the cone, the
+    guarded clause is ``(-act,)``.
     """
     if obf.key_bits == 0:
         raise ValueError("circuit has no key bits; nothing to attack")
@@ -180,13 +194,19 @@ def build_miter(obf: Circuit) -> MiterContext:
     input_vars = alloc.new(len(obf.primary_inputs))
     k1 = alloc.new(obf.key_bits)
     k2 = alloc.new(obf.key_bits)
+    cone = key_cone(obf)
+    gates = _logic_gates(obf)
     clauses: list[Clause] = []
-    nets = [_encode_copy(obf, alloc, input_vars, k, clauses) for k in (k1, k2)]
-    y1, y2 = ([net[g] for g in obf.primary_outputs] for net in nets)
+    # the gates outside the cone read no key bit, so either copy's key serves
+    shared = _encode_copy(obf, alloc, dict(zip(obf.primary_inputs, input_vars)),
+                          [g for g in gates if g not in cone], k1, clauses)
+    cone_gates = [g for g in gates if g in cone]
+    net1, net2 = (_encode_copy(obf, alloc, shared, cone_gates, k, clauses) for k in (k1, k2))
+    outs = [g for g in obf.primary_outputs if g in cone]
 
-    dvars = alloc.new(len(y1))
-    for a, b, d in zip(y1, y2, dvars):
-        _xor2(a, b, d, clauses)
+    dvars = alloc.new(len(outs))
+    for g, d in zip(outs, dvars):
+        _xor2(net1[g], net2[g], d, clauses)
     (act,) = alloc.new()
     clauses.append(tuple(dvars) + (-act,))  # act -> some output differs
     return MiterContext(obf, alloc.n, clauses, input_vars, k1, k2, act)
@@ -209,10 +229,12 @@ def add_dip_constraint(m: MiterContext, dip, oracle_out) -> None:
                          f"circuit has {n_po} outputs")
 
     alloc = _Alloc(m.n_vars)
+    gates = _logic_gates(m.obf)
     for kvars in (m.key1_vars, m.key2_vars):
         in_vars = alloc.new(len(dip))
         m.clauses.extend((v,) if bit else (-v,) for v, bit in zip(in_vars, dip))
-        net = _encode_copy(m.obf, alloc, in_vars, kvars, m.clauses)
+        net = _encode_copy(m.obf, alloc, dict(zip(m.obf.primary_inputs, in_vars)), gates,
+                           kvars, m.clauses)
         outs = [net[g] for g in m.obf.primary_outputs]
         m.clauses.extend((v,) if bit else (-v,) for v, bit in zip(outs, oracle_out))
     m.n_vars = alloc.n

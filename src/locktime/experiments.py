@@ -50,7 +50,7 @@ from .obfuscate import (
 )
 
 DATASET_FORMAT = "locktime-dataset"
-DATASET_VERSION = 4  # 4: labels are raw effort only; the pre-logged kinds are gone
+DATASET_VERSION = 5  # 5: conflicts of the miter that shares the gates outside the key cone
 
 
 # --- ranking metrics ---

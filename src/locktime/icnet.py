@@ -6,19 +6,24 @@ features to one scalar per gate, a gate-level aggregation collapsing
 gates to one scalar z, and an exp output head.
 
 The structure A is an edge list ``(rows, cols, vals)`` (see
-``netlist.graph_matrix``), so each product with A costs O(edges · width)
-instead of O(n² · width).  ``_propagate`` multiplies by A in
+``netlist.graph_matrix``).  ``_layout`` lays it out for ``_propagate``.
+A graph of at most ``DENSE_MAX_GATES`` gates gets a dense n x n array
+(at most 128 KiB), multiplied with ``@``: at that size a BLAS product
+costs less than any per-edge bookkeeping.  A larger graph gets
 jagged-diagonal storage (``_jagged``; Saad, *Iterative Methods for
-Sparse Linear Systems*, §3.4): rows sorted by falling degree, so the
-rows with a k-th edge form a prefix, and step k adds the k-th edge's
-term of every row in that prefix, for all columns at once.  Each row
-still sums its terms ``vals[e] * h[cols[e]]`` in edge order from 0.0, as
-a one-edge-at-a-time loop would, whatever order the edge list gives its
-rows.  A and X never change, so a sample's layouts of A and of Aᵀ (one
-object when they are equal, as for every ``graph_matrix`` output) and
-its first-layer A·X are built once (``GraphSample``), and the sample
-keeps only those three, not A or X; the first convolution is (A·X)·Θ_0
-and later ones are A·(P·Θ_l), propagating the narrower product.
+Sparse Linear Systems*, §3.4), so each product costs O(edges · width)
+instead of O(n² · width): rows sorted by falling degree, so the rows
+with a k-th edge form a prefix, and step k adds the k-th edge's term of
+every row in that prefix, for all columns at once.  Each row then sums
+its terms ``vals[e] * h[cols[e]]`` in edge order from 0.0, as a
+one-edge-at-a-time loop would, whatever order the edge list gives its
+rows; the dense product sums in the BLAS's order instead.  A and X never
+change, so a sample's layouts of A and of Aᵀ (one object when they are
+equal, as for every ``graph_matrix`` output above the dense size, a
+transposed view below it) and its first-layer A·X are built once
+(``GraphSample``), and the sample keeps only those three, not A or X;
+the first convolution is (A·X)·Θ_0 and later ones are A·(P·Θ_l),
+propagating the narrower product.
 
 Aggregations come in attention / mean variants.  Attention scoring
 is built so the whole network is invariant to gate reordering:
@@ -69,6 +74,7 @@ FEATURE_SETS = ("location_only", "all_features")
 CHECKPOINT_FORMAT = "icnet-checkpoint"
 CHECKPOINT_VERSION = 4
 TEST_FRACTION = 0.2  # share of usable samples held out by train's split
+DENSE_MAX_GATES = 128  # largest graph laid out as a dense n x n array
 _ONE_HOT_BY_NAME = {t._name_: i for t, i in ONE_HOT_INDEX.items()}  # Enum hashing runs in Python
 
 
@@ -167,10 +173,11 @@ class GraphSample:
     """One training example: what training reads of its graph, and its raw label.
 
     The structure edge list ``a`` and the features ``x`` are constructor
-    inputs only, not stored.  ``layout`` and ``layout_t`` are the jagged layouts of A and of Aᵀ
-    (the same object when they are equal), and ``ax`` is the propagated
-    input A·X, all computed once here because neither A nor X changes
-    during training.  The label is raw attack effort, so it must be
+    inputs only, not stored.  ``layout`` and ``layout_t`` are the layouts
+    of A and of Aᵀ (see :func:`_layout`; the same jagged object when they
+    are equal, a transposed view when A is dense), and ``ax`` is the
+    propagated input A·X, all computed once here because neither A nor X
+    changes during training.  The label is raw attack effort, so it must be
     finite and >= 0.
     """
 
@@ -189,9 +196,12 @@ class GraphSample:
                              f"labels are raw effort, finite and >= 0")
         a, x = _graph_input(a, x)
         n = x.shape[0]
-        self.layout = _jagged(a, n)
-        self.layout_t = (self.layout if _transpose_has_same_rows(a)
-                         else _jagged((a[1], a[0], a[2]), n))
+        self.layout = _layout(a, n)
+        if isinstance(self.layout, np.ndarray):
+            self.layout_t = self.layout.T
+        else:
+            self.layout_t = (self.layout if _transpose_has_same_rows(a)
+                             else _jagged((a[1], a[0], a[2]), n))
         self.ax = _propagate(self.layout, x)
 
 
@@ -229,6 +239,16 @@ def _transpose_has_same_rows(a: tuple) -> bool:
                for p, q in ((rows, cols), (cols, rows), (vals, vals)))
 
 
+def _layout(a: tuple, n: int):
+    """A's layout for :func:`_propagate`: the dense n x n array up to
+    ``DENSE_MAX_GATES`` gates (repeated entries summed), else
+    :func:`_jagged`."""
+    if n <= DENSE_MAX_GATES:
+        rows, cols, vals = a
+        return np.bincount(rows * n + cols, vals, n * n).reshape(n, n)
+    return _jagged(a, n)
+
+
 def _jagged(a: tuple, n: int) -> tuple:
     """Jagged-diagonal layout ``(perm, steps)`` of the n-row edge list a.
 
@@ -252,8 +272,10 @@ def _jagged(a: tuple, n: int) -> tuple:
     return perm, tuple(steps)
 
 
-def _propagate(layout: tuple, h: np.ndarray) -> np.ndarray:
-    """A @ h for A's jagged layout; rows of A with no entries give zero rows."""
+def _propagate(layout, h: np.ndarray) -> np.ndarray:
+    """A @ h for A's layout; rows of A with no entries give zero rows."""
+    if isinstance(layout, np.ndarray):
+        return layout @ h
     perm, steps = layout
     acc = np.zeros((perm.size, h.shape[1]))
     terms = np.empty_like(acc)
@@ -301,38 +323,48 @@ class _Cache:
     z: float
 
 
-def _forward(model: Model, layout: tuple, ax: np.ndarray) -> _Cache:
+def _forward(model: Model, layout, ax: np.ndarray) -> _Cache:
+    """One forward pass.  Non-finite values are reported via
+    NonFiniteError, not numpy warnings: callers silence numpy's, once per
+    predict call or training sweep."""
     cfg = model.config
-    p = model.params
+    p = model.params.arrays
     n = ax.shape[0]
     if ax.shape != (n, cfg.feature_dim):
         raise ValueError(f"feature matrix must be {(n, cfg.feature_dim)} "
                          f"for feature_set={cfg.feature_set!r}, got {ax.shape}")
     ps = []
-    # non-finite values are reported via NonFiniteError, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(cfg.conv_layers):
-            z = ax @ p["conv0"] if l == 0 else _propagate(layout, ps[-1] @ p[f"conv{l}"])
-            check_finite(f"conv{l} pre-activation", z)
-            ps.append(np.maximum(z, 0.0, out=z))
+    for l in range(cfg.conv_layers):
+        z = ax @ p["conv0"] if l == 0 else _propagate(layout, ps[-1] @ p[f"conv{l}"])
+        check_finite(f"conv{l} pre-activation", z)
+        ps.append(np.maximum(z, 0.0, out=z))
     h = ps[-1]
 
+    # means as np.add.reduce over the count: what ndarray.mean computes,
+    # without its Python-level dispatch
     mu = a_feat = None
     if cfg.feat_agg == "attention":
-        mu = h.mean(axis=0)
+        mu = np.add.reduce(h, 0) / n
         a_feat = softmax(p["feat"] * mu)
         s = h @ a_feat
     else:
-        s = h.mean(axis=1)
-    check_finite("feature aggregation", s)
+        s = np.add.reduce(h, 1) / h.shape[1]
 
+    # a non-finite s makes the gate scores and the mean non-finite too, so
+    # s is checked only once the gate aggregation fails, and the first
+    # stage that went non-finite is still the one reported
     a_gate = None
-    if cfg.gate_agg == "attention":
-        a_gate = softmax(p["gate"][0] * s)
-        z_out = float(a_gate @ s)
-    else:
-        z_out = float(s.mean())
-    check_finite("gate aggregation", np.asarray([z_out]))
+    try:
+        if cfg.gate_agg == "attention":
+            a_gate = softmax(p["gate"][0] * s)
+            z_out = float(a_gate @ s)
+        else:
+            z_out = float(np.add.reduce(s)) / n
+        if not math.isfinite(z_out):
+            raise NonFiniteError("gate aggregation")
+    except NonFiniteError:
+        check_finite("feature aggregation", s)
+        raise
     return _Cache(ps, mu, a_feat, s, a_gate, z_out)
 
 
@@ -340,11 +372,12 @@ def forward(model: Model, a, x) -> Prediction:
     """Predict from a structure edge list ``a`` and features ``x``."""
     a, x = _graph_input(a, x)
     t0 = time.perf_counter()
-    layout = _jagged(a, x.shape[0])
-    cache = _forward(model, layout, _propagate(layout, x))
-    with np.errstate(over="ignore"):
+    layout = _layout(a, x.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        cache = _forward(model, layout, _propagate(layout, x))
         yhat = float(np.exp(cache.z))
-    check_finite("output head", np.asarray([yhat]))
+    if not math.isfinite(yhat):
+        raise NonFiniteError("output head")
     return Prediction(yhat, cache.z, cache.a_feat, cache.a_gate,
                       time.perf_counter() - t0)
 
@@ -413,17 +446,18 @@ def _sweep(model: Model, samples: list, grad_idx) -> tuple[float, float, ParamSt
     inv_b = 1.0 / len(grad_idx) if len(grad_idx) else 0.0
     sqs = [None] * len(samples)
     sq_grad = 0.0
-    for i in grad_idx:
-        smp = samples[i]
-        cache = _forward(model, smp.layout, smp.ax)
-        r = cache.z - target_value(smp.label)
-        sqs[i] = r * r
-        sq_grad += sqs[i]
-        _backward(model, smp.layout_t, smp.ax, cache, 2.0 * r * inv_b, grads.arrays)
-    for i, smp in enumerate(samples):
-        if sqs[i] is None:
-            r = _forward(model, smp.layout, smp.ax).z - target_value(smp.label)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in grad_idx:
+            smp = samples[i]
+            cache = _forward(model, smp.layout, smp.ax)
+            r = cache.z - target_value(smp.label)
             sqs[i] = r * r
+            sq_grad += sqs[i]
+            _backward(model, smp.layout_t, smp.ax, cache, 2.0 * r * inv_b, grads.arrays)
+        for i, smp in enumerate(samples):
+            if sqs[i] is None:
+                r = _forward(model, smp.layout, smp.ax).z - target_value(smp.label)
+                sqs[i] = r * r
     sq_all = 0.0
     for sq in sqs:  # in order: a compensated sum() would round differently
         sq_all += sq

@@ -408,6 +408,20 @@ def key_slices(c: Circuit):
     return slices, pos
 
 
+def key_cone(c: Circuit) -> set[int]:
+    """Ids of the nets whose value can depend on the key: the key inputs,
+    the LUTs and their transitive fanout, found in one topological pass.
+
+    Every other gate computes the same function whatever the key.
+    """
+    cone = {gid for gid, _ in c.key_layout()}
+    gates = c.gates
+    for gid in c.topo_order:
+        if not cone.isdisjoint(gates[gid].fanin):
+            cone.add(gid)
+    return cone
+
+
 def gate_values(t: GateType, fin: list, table) -> np.ndarray:
     """One logic gate's values over a batch: ``fin`` holds its fanins' bool
     arrays, ``table`` a LUT's truth table as a bool array (first fanin is

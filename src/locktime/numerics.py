@@ -23,7 +23,8 @@ class NonFiniteError(FloatingPointError):
 
 
 def check_finite(name: str, a: np.ndarray) -> np.ndarray:
-    if not np.isfinite(a).all():
+    # the ufunc reduction that ndarray.all runs, without its Python-level dispatch
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise NonFiniteError(name)
     return a
 
@@ -39,12 +40,17 @@ def relu_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
+    """exp(v - max v), normalized.  The ufunc reductions are what
+    ``v.max()`` and ``e.sum()`` compute, without their Python-level
+    dispatch; v is finite exactly when its max and min are."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"softmax expects a vector, got shape {v.shape}")
-    check_finite("softmax input", v)
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    top = np.maximum.reduce(v)
+    if not (math.isfinite(top) and math.isfinite(np.minimum.reduce(v))):
+        raise NonFiniteError("softmax input")
+    e = np.exp(v - top)
+    return e / np.add.reduce(e)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from locktime.cnf import CnfFormula
+from locktime.cnf import CnfFormula, MiterContext, tseitin
 from locktime.experiments import DatasetRecord
 from locktime.icnet import Model, batch_mse, loss_and_grads, new_model, split_indices
 from locktime.netlist import (KEY_INPUT_PREFIX, Circuit, Gate, GateType, all_input_vectors,
@@ -137,6 +137,60 @@ def enumerate_models_np(clauses, n_vars):
     cols = [((models >> np.uint64(v)) & np.uint64(1)).astype(np.uint8)
             for v in range(n_vars)]
     return np.stack(cols, axis=1)
+
+
+def fanout_closure(c: Circuit, sources) -> set[int]:
+    """Every gate reachable from ``sources`` along fanin-to-gate edges,
+    the sources included: one depth-first walk per source."""
+    fanout = {g.id: [] for g in c.gates}
+    for g in c.gates:
+        for f in g.fanin:
+            fanout[f].append(g.id)
+    seen = set()
+    for src in sources:
+        stack = [src]
+        while stack:
+            gid = stack.pop()
+            if gid not in seen:
+                seen.add(gid)
+                stack.extend(fanout[gid])
+    return seen
+
+
+def two_copy_miter(obf: Circuit) -> MiterContext:
+    """The miter with two full circuit copies, one per key, and a difference
+    variable for every output: ``cnf.build_miter`` before it shared the
+    gates outside the key cone.
+
+    Both copies are the single-key Tseitin encoding, renumbered.
+    Variables: inputs, key copy 1, key copy 2, copy 1's nets and
+    auxiliaries, copy 2's, one difference per output, then ``act``.
+    """
+    t = tseitin(obf)
+    n_pi, k = len(obf.primary_inputs), obf.key_bits
+    body = t.n_vars - n_pi - k  # nets and auxiliaries of one copy
+
+    def renumber(copy):
+        def var(v):
+            if v <= n_pi:
+                return v
+            return v + copy * k if v <= n_pi + k else v + k + copy * body
+        return lambda lit: var(lit) if lit > 0 else -var(-lit)
+
+    clauses = []
+    for copy in (0, 1):
+        clauses += [tuple(map(renumber(copy), cl)) for cl in t.clauses]
+    outs = [t.var_map[obf.gates[g].name] for g in obf.primary_outputs]
+    first = n_pi + 2 * k + 2 * body
+    dvars = list(range(first + 1, first + len(outs) + 1))
+    for y, d in zip(outs, dvars):
+        a, b = renumber(0)(y), renumber(1)(y)
+        clauses += [(-d, a, b), (-d, -a, -b), (d, -a, b), (d, a, -b)]
+    act = first + len(outs) + 1
+    clauses.append(tuple(dvars) + (-act,))
+    return MiterContext(obf, act, clauses, list(range(1, n_pi + 1)),
+                        list(range(n_pi + 1, n_pi + k + 1)),
+                        list(range(n_pi + k + 1, n_pi + 2 * k + 1)), act)
 
 
 _RAND_TYPES = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,

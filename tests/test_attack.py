@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 import locktime.attack
+import locktime.satsolve
 from locktime.attack import (
     LABEL_KINDS,
     AttackResult,
@@ -21,6 +22,7 @@ from locktime.netlist import parse_bench, simulate
 from locktime.obfuscate import (
     ObfuscationInstance,
     ObfuscationKind,
+    apply_at_locations,
     random_obfuscate,
 )
 from locktime.satsolve import SolveResult, SolverStats, SolveStatus
@@ -120,6 +122,17 @@ def test_redundant_keygate_attack_zero_iterations():
     assert r.recovered_key in ((0,), (1,))  # any key is correct here
 
 
+def test_lock_that_reaches_no_output_attack_zero_iterations():
+    # d feeds no output: the miter has no difference to find, and any key
+    # is correct
+    base = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\nd = OR(a, b)\n")
+    for kind in (XOR, LUT2):
+        inst = apply_at_locations(base, kind, (base.name_to_id["d"],))
+        r = sat_attack(inst)
+        assert r.status == AttackStatus.SOLVED and r.dips == []
+        assert keys_equivalent(base, inst.obfuscated, r.recovered_key)
+
+
 def test_lut_attack_key_functional_not_literal(c17):
     for seed in (1, 2, 3):
         inst = random_obfuscate(c17, 3, LUT2, seed=seed)
@@ -163,10 +176,10 @@ def test_attack_determinism(c17):
 @pytest.mark.parametrize("circuit, kind, n_loc, seed, counters", [
     # (DIPs, conflicts, decisions, propagations): the benchmark's attack-mid12
     # list and the README example
-    ("mid12", XOR, 8, 0, (3, 1652, 2543, 95419)),
-    ("mid12", LUT2, 4, 4, (8, 2158, 3155, 154710)),
-    ("mid12", ObfuscationKind("lut", 3), 2, 5, (7, 2273, 3275, 142790)),
-    ("c17", ObfuscationKind("xnor"), 2, 3, (2, 12, 28, 267)),
+    ("mid12", XOR, 8, 0, (3, 213, 701, 9065)),
+    ("mid12", LUT2, 4, 4, (9, 85, 464, 7283)),
+    ("mid12", ObfuscationKind("lut", 3), 2, 5, (7, 89, 412, 6295)),
+    ("c17", ObfuscationKind("xnor"), 2, 3, (2, 3, 21, 124)),
 ], ids=["mid12-xor8", "mid12-lut2x4", "mid12-lut3x2", "c17-xnor2"])
 def test_attack_counters_are_pinned(request, circuit, kind, n_loc, seed, counters):
     # conflicts are the dataset's reproducible label: any change to the
@@ -188,7 +201,29 @@ def test_gendata_c17_counters_are_pinned(c17):
             assert log["status"] == AttackStatus.SOLVED
             for k, name in enumerate(("iterations", "conflicts", "decisions", "propagations")):
                 totals[k] += log[name]
-    assert tuple(totals) == (335, 1203, 6924, 61879)
+    assert tuple(totals) == (333, 1095, 6757, 57680)
+
+
+# the most of the variance of log1p(conflicts) that the solver's phase seed
+# may explain.  The shared miter reads 0.047 (lut2) and 0.031 (xor) here; a
+# miter of two full copies reads 0.74 and 0.63, labels mostly solver noise
+PHASE_NOISE_SHARE_BOUND = 0.2
+
+
+@pytest.mark.parametrize("kind", [LUT2, XOR], ids=["lut2", "xor"])
+def test_labels_depend_on_the_instance_not_the_phase_seed(monkeypatch, mid12, kind):
+    # 12 seeded mid12 instances with 1-6 locations, each attacked under
+    # phase seeds 0-2: the within-instance sum of squares of log1p(conflicts)
+    # over the total is the share of label variance that is solver noise
+    labels = np.empty((12, 3))
+    for i in range(labels.shape[0]):
+        inst = random_obfuscate(mid12, 1 + i % 6, kind, seed=500 + i)
+        for j in range(labels.shape[1]):
+            monkeypatch.setattr(locktime.satsolve, "PHASE_SEED", j)
+            labels[i, j] = np.log1p(sat_attack(inst).total_stats.conflicts)
+    within = ((labels - labels.mean(axis=1, keepdims=True)) ** 2).sum()
+    total = ((labels - labels.mean()) ** 2).sum()
+    assert within / total < PHASE_NOISE_SHARE_BOUND
 
 
 # y = AND(a, a) repeats a fanin, so its Tseitin clauses repeat a variable

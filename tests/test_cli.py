@@ -129,7 +129,13 @@ def test_export_dimacs_circuit_and_miter(locked_dir, capsys, tmp_path):
                             str(outdir / "instance.json"), "--what", "miter")
     assert code == 0
     header2 = out2.splitlines()[0].split()
-    assert int(header2[2]) > 2 * n_circuit_vars  # two key copies + diff vars
+    code, out3, _ = run_cli(capsys, "export-dimacs", str(outdir / "locked.bench"))
+    assert code == 0
+    n_locked_vars = int(out3.splitlines()[0].split()[2])
+    # two full copies of the locked circuit would share only c17's 5
+    # inputs; the miter shares every gate outside the key cone, but holds
+    # a second key and a second copy of the cone
+    assert n_circuit_vars < n_locked_vars < int(header2[2]) < 2 * n_locked_vars - 5
     target = tmp_path / "f.cnf"
     code, _, _ = run_cli(capsys, "export-dimacs", "builtin:c17",
                          "--out", str(target))
@@ -155,10 +161,10 @@ def test_export_dimacs_readme_miter_example(locked_dir, capsys):
     code, out, _ = run_cli(capsys, "export-dimacs",
                            str(outdir / "instance.json"), "--what", "miter")
     assert code == 0
-    assert out.splitlines()[:2] == ["p cnf 28 62", "10 1 0"]
+    assert out.splitlines()[:2] == ["p cnf 22 43", "10 1 0"]
     # the export is the formula the attack decides: its last clause is the
     # unit holding the activation literal, numbered last
-    assert out.splitlines()[-1] == "28 0"
+    assert out.splitlines()[-1] == "22 0"
 
 
 # --- dataset / train / eval / report pipeline ---

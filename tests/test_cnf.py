@@ -11,11 +11,12 @@ from locktime.cnf import (
     to_dimacs,
     tseitin,
 )
-from locktime.netlist import GateType, parse_bench, simulate, simulate_many
+from locktime.netlist import GateType, key_cone, parse_bench, simulate, simulate_many
 from locktime.obfuscate import (ObfuscationKind, apply_at_locations, eligible_gates,
                                 random_obfuscate)
+from locktime.satsolve import SolveStatus, solve
 from oracles import (enumerate_cnf, enumerate_models_np, layered_dag, parse_dimacs,
-                     random_circuit)
+                     random_circuit, two_copy_miter)
 
 
 def test_single_and_clause_set():
@@ -80,29 +81,42 @@ def test_clause_order_per_gate_type(gtype, arity):
     assert f.clauses == CLAUSE_ORDER[gtype, arity]
 
 
-# sha256 over tseitin's DIMACS, a two-DIP miter's DIMACS and simulate_many's
-# output bytes of seeded c17, mid12 and 300-gate DAG instances of every
-# locking kind, recorded with one encoder and simulator branch per gate type
-ENCODING_PIN = "88ff6a0a3580797a50b369ef737c81c9b4a38edde21917fbf8a8240e9aa08a6f"
-
-
-def test_encoding_and_simulation_bytes_are_pinned(c17, mid12):
-    h = hashlib.sha256()
+def _pinned_instances(c17, mid12):
+    """Seeded c17, mid12 and 300-gate DAG instances of every locking kind,
+    each with its rng for DIPs and simulation vectors."""
     for base, m in ((c17, 2), (mid12, 3), (layered_dag(300), 6)):
         for kind in map(ObfuscationKind.parse, ("xor", "xnor", "lut1", "lut2", "lut3", "lut4")):
             n_locations = min(m, len(eligible_gates(base, kind)))  # c17 has no lut1 site
             for seed in (0, 1) if n_locations else ():
                 obf = random_obfuscate(base, n_locations, kind, seed).obfuscated
-                rng = np.random.default_rng(seed)
-                h.update(to_dimacs(tseitin(obf)).encode())
-                miter = build_miter(obf)
-                for dip in rng.integers(0, 2, (2, len(base.primary_inputs))):
-                    add_dip_constraint(miter, dip, simulate(base, dip))
-                h.update(to_dimacs(miter.formula).encode())
-                inputs = rng.integers(0, 2, (64, len(base.primary_inputs)))
-                key = rng.integers(0, 2, obf.key_bits)
-                h.update(simulate_many(obf, inputs, key).tobytes())
+                yield base, obf, np.random.default_rng(seed)
+
+
+# sha256 over tseitin's DIMACS and simulate_many's output bytes of the
+# pinned instances: the single-copy encoding and the simulator
+ENCODING_PIN = "80cf4b1db691f4fe79e7a9adcabff142da7441f1b1ff09d9d8e686ffa91a88c9"
+# sha256 over a two-DIP build_miter DIMACS of the same instances
+MITER_PIN = "13549e809606952d75f7f5a0ab1a709fea69cb48819cae5c6eb3305e8ee33996"
+
+
+def test_encoding_and_simulation_bytes_are_pinned(c17, mid12):
+    h = hashlib.sha256()
+    for base, obf, rng in _pinned_instances(c17, mid12):
+        h.update(to_dimacs(tseitin(obf)).encode())
+        inputs = rng.integers(0, 2, (64, len(base.primary_inputs)))
+        key = rng.integers(0, 2, obf.key_bits)
+        h.update(simulate_many(obf, inputs, key).tobytes())
     assert h.hexdigest() == ENCODING_PIN
+
+
+def test_miter_bytes_are_pinned(c17, mid12):
+    h = hashlib.sha256()
+    for base, obf, rng in _pinned_instances(c17, mid12):
+        miter = build_miter(obf)
+        for dip in rng.integers(0, 2, (2, len(base.primary_inputs))):
+            add_dip_constraint(miter, dip, simulate(base, dip))
+        h.update(to_dimacs(miter.formula).encode())
+    assert h.hexdigest() == MITER_PIN
 
 
 def test_lut1_models_are_inverter():
@@ -254,34 +268,112 @@ def test_miter_shares_inputs_between_copies(c17):
 
 
 def test_miter_variable_layout(c17):
+    # lut2 at c17's gates 10 and 22: output 22 lies in the key cone, 23 does not
     obf = random_obfuscate(c17, 2, ObfuscationKind("lut", 2), seed=3).obfuscated
     m = build_miter(obf)
     n_pi, k = len(obf.primary_inputs), obf.key_bits
     assert m.input_vars == list(range(1, n_pi + 1))
     assert m.key1_vars == list(range(n_pi + 1, n_pi + k + 1))
     assert m.key2_vars == list(range(n_pi + k + 1, n_pi + 2 * k + 1))
-    # copy 1's nets follow as one block, in topological order
-    gates = [g for g in obf.topo_order if obf.gates[g].type is not GateType.INPUT]
-    block = dict(zip(gates, range(n_pi + 2 * k + 1, n_pi + 2 * k + len(gates) + 1)))
-    out1 = [block[g] for g in obf.primary_outputs]
-    # copy 1 is the single-key encoding with key 2 spliced in before its nets
-    t = tseitin(obf)
+    cone = key_cone(obf)
+    logic = [g for g in obf.topo_order if obf.gates[g].type is not GateType.INPUT]
+    shared, coned = [g for g in logic if g not in cone], [g for g in logic if g in cone]
+    outs = [g for g in obf.primary_outputs if g in cone]
+    assert shared and coned and 0 < len(outs) < len(obf.primary_outputs)
+    # the shared nets follow the keys as one block in topological order (c17's
+    # NANDs need no auxiliaries), then each copy's cone: its nets in
+    # topological order and the four minterm selectors of each lut2
+    first = n_pi + 2 * k + 1
+    start1 = first + len(shared)
+    width = 5 * len(coned)
+    start2 = start1 + width
+    net = {g: first + i for i, g in enumerate(shared)}
+    net.update((g, start1 + i) for i, g in enumerate(coned))
 
-    def shift(lit):
-        v = abs(lit) + k if abs(lit) > n_pi + k else abs(lit)
+    def top(cl):
+        return max(map(abs, cl))
+    i1 = next(i for i, cl in enumerate(m.clauses) if top(cl) >= start1)
+    i2 = next(i for i, cl in enumerate(m.clauses) if top(cl) >= start2)
+    n_diff = 4 * len(outs) + 1
+    sh, c1, c2, diff = (m.clauses[:i1], m.clauses[i1:i2], m.clauses[i2:-n_diff],
+                        m.clauses[-n_diff:])
+    # the shared gates read no key bit
+    assert all(abs(lit) <= n_pi or abs(lit) >= first for cl in sh for lit in cl)
+    # shared gates and copy 1's cone are the single-key encoding, renumbered
+    # (tseitin's auxiliaries follow its nets; here they are the lut2
+    # selectors, which follow the nets of copy 1's cone)
+    t = tseitin(obf)
+    t_last_net = n_pi + k + len(logic)
+    t_net = {t.var_map[obf.gates[g].name]: v for g, v in net.items()}
+
+    def from_tseitin(lit):
+        v = abs(lit)
+        if v > n_pi + k:
+            v = t_net[v] if v <= t_last_net else v - t_last_net + start1 + len(coned) - 1
         return v if lit > 0 else -v
-    assert m.clauses[:len(t.clauses)] == [tuple(map(shift, cl)) for cl in t.clauses]
-    # the difference clauses close the miter: each output's xor difference
-    # opens with (-d, y1, y2), copy 2 following copy 1
-    n_po = len(obf.primary_outputs)
-    diff = m.clauses[-4 * n_po - 1:]
-    assert [diff[4 * i][1] for i in range(n_po)] == out1
-    assert min(diff[4 * i][2] for i in range(n_po)) > t.n_vars + k
-    # one difference variable per output, then the activation literal last,
-    # which guards the at-least-one-difference clause
-    assert m.act == m.n_vars
-    assert diff[-1] == tuple(range(m.n_vars - n_po, m.n_vars)) + (-m.act,)
+    assert sorted(sh + c1) == sorted(tuple(map(from_tseitin, cl)) for cl in t.clauses)
+    # copy 2's cone is copy 1's over key 2 and its own block
+    key1 = set(m.key1_vars)
+
+    def to_copy2(lit):
+        v = abs(lit)
+        v = v + k if v in key1 else v + width if v >= start1 else v
+        return v if lit > 0 else -v
+    assert c2 == [tuple(map(to_copy2, cl)) for cl in c1]
+    # one xor difference per output inside the cone, opening with
+    # (-d, y1, y2), then the guarded at-least-one-difference clause and
+    # the activation literal, numbered last
+    dvars = list(range(start2 + width, start2 + width + len(outs)))
+    assert [diff[4 * i][:3] for i in range(len(outs))] == [
+        (-d, net[g], net[g] + width) for g, d in zip(outs, dvars)]
+    assert m.act == m.n_vars == dvars[-1] + 1
+    assert diff[-1] == tuple(dvars) + (-m.act,)
     assert m.formula.clauses == m.clauses + [(m.act,)]
+
+
+def _locked_random_circuits(kinds, count, seed):
+    """Seeded random circuits of 3-5 inputs and 6-12 gates, each locked at
+    up to 3 eligible gates with each kind that has one."""
+    rng = random.Random(seed)
+    for i in range(count):
+        c = random_circuit(rng, n_inputs=rng.randint(3, 5), n_gates=rng.randint(6, 12))
+        for kind in map(ObfuscationKind.parse, kinds):
+            eligible = len(eligible_gates(c, kind))
+            if eligible:
+                yield random_obfuscate(c, min(3, eligible), kind, seed=i)
+
+
+def test_shared_and_two_copy_miters_agree_on_every_dip_sequence():
+    # the same DIPs, drawn in turn from each miter's model, keep both
+    # satisfiable or both not, step by step, until no DIP remains
+    steps = instances = 0
+    for inst in _locked_random_circuits(("xor", "xnor", "lut1", "lut2", "lut3"), 30, 43):
+        instances += 1
+        shared, two_copy = build_miter(inst.obfuscated), two_copy_miter(inst.obfuscated)
+        for turn in range(2 ** len(inst.base.primary_inputs) + 1):
+            answers = [solve(m.formula) for m in (shared, two_copy)]
+            assert answers[0].status is answers[1].status
+            steps += 1
+            if answers[0].status is SolveStatus.UNSAT:
+                break
+            m, res = (shared, answers[0]) if turn % 2 == 0 else (two_copy, answers[1])
+            dip = [int(res.model[v]) for v in m.input_vars]
+            for m in (shared, two_copy):
+                add_dip_constraint(m, dip, simulate(inst.base, dip))
+        assert answers[0].status is SolveStatus.UNSAT
+    assert instances == 147 and steps > 2 * instances  # most need several DIPs
+
+
+def test_a_lock_that_reaches_no_output_leaves_nothing_to_distinguish():
+    # d feeds no output, so its key cone holds none, and the guarded
+    # at-least-one-difference clause has no difference to offer
+    base = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\nd = OR(a, b)\n")
+    for kind in ("xor", "lut2"):
+        obf = apply_at_locations(base, ObfuscationKind.parse(kind),
+                                 (base.name_to_id["d"],)).obfuscated
+        m = build_miter(obf)
+        assert m.clauses[-1] == (-m.act,)
+        assert solve(m.formula).status is SolveStatus.UNSAT
 
 
 def test_add_dip_constraint_is_append_only(c17):

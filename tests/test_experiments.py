@@ -224,7 +224,7 @@ def test_load_dataset_refuses_version_1(tmp_path, c17, small_records):
     records, logs = small_records
     write_dataset(tmp_path, c17, records, logs)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["version"] == DATASET_VERSION == 4
+    assert manifest["version"] == DATASET_VERSION == 5
     assert manifest["label_kinds"] == ["wall_seconds", "conflicts"]
     for old in (1, 2, 3):
         manifest["version"] = old

@@ -318,19 +318,55 @@ def _reachable_arrays(obj):
 
 
 @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
-def test_sample_layouts_reproduce_edge_order_products(mid12, kind):
-    # graph_matrix gives symmetric structures, whose A^T layout is A's
-    inst = random_obfuscate(mid12, 3, ObfuscationKind.parse("lut2"), seed=4)
+def test_sample_layouts_reproduce_edge_order_products(kind):
+    # graph_matrix gives symmetric structures, whose A^T layout is A's;
+    # above DENSE_MAX_GATES every layout is jagged
+    inst = random_obfuscate(layered_dag(300), 3, ObfuscationKind.parse("lut2"), seed=4)
     a, x = build_graph_input(inst, ModelConfig(graph_repr=kind))
+    assert x.shape[0] > icnet.DENSE_MAX_GATES
     h = np.random.default_rng(9).standard_normal((x.shape[0], 5))
     for edges, shared in ((a, True), (_without_input_rows(inst.obfuscated, a), False)):
         smp = GraphSample(edges, x, 1.0)
+        assert isinstance(smp.layout, tuple)
         assert (smp.layout_t is smp.layout) is shared
         assert smp.ax.tobytes() == _propagate_by_edges(edges, x).tobytes()
         at = (edges[1], edges[0], edges[2])
         for layout, structure in ((smp.layout, edges), (smp.layout_t, at)):
             got = _propagate(layout, h)
             assert got.tobytes() == _propagate_by_edges(structure, h).tobytes()
+
+
+# the dense product sums each row's n terms in the BLAS's order, not in
+# edge order: every entry must lie within n * eps * (|A| @ |h|) of the
+# edge-order sum, which bounds the rounding of any order of summing n
+# products (Higham, Accuracy and Stability of Numerical Algorithms, §3.1)
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+def test_dense_layouts_match_edge_order_products_within_rounding(mid12, kind):
+    inst = random_obfuscate(mid12, 3, ObfuscationKind.parse("lut2"), seed=4)
+    a, x = build_graph_input(inst, ModelConfig(graph_repr=kind))
+    n = x.shape[0]
+    assert n <= icnet.DENSE_MAX_GATES
+    h = np.random.default_rng(9).standard_normal((n, 5))
+    rng = np.random.default_rng(n)
+    unsorted = tuple(arr[rng.permutation(a[0].size)] for arr in a)
+    repeated = tuple(np.concatenate([p, p]) for p in a)
+    for edges in (a, _without_input_rows(inst.obfuscated, a), unsorted, repeated):
+        smp = GraphSample(edges, x, 1.0)
+        dense = np.zeros((n, n))
+        np.add.at(dense, edges[:2], edges[2])  # a repeated entry sums, as in the edge-order loop
+        assert np.array_equal(smp.layout, dense)
+        w = np.abs(dense)
+        # A^T is a view of A: each sample owns n * n doubles plus A·X
+        assert np.shares_memory(smp.layout_t, smp.layout)
+        kept = sum(arr.nbytes for arr in _reachable_arrays(smp) if arr.base is None)
+        assert kept == (n * n + smp.ax.size) * 8
+        # 0/1 features and integer structure values: every A·X sum is exact
+        assert np.array_equal(smp.ax, _propagate_by_edges(edges, x))
+        at = (edges[1], edges[0], edges[2])
+        for layout, structure, scale in ((smp.layout, edges, w), (smp.layout_t, at, w.T)):
+            got = _propagate(layout, h)
+            bound = n * np.finfo(float).eps * (scale @ np.abs(h))
+            assert np.all(np.abs(got - _propagate_by_edges(structure, h)) <= bound)
 
 
 def _edge_lists(rng, n):
@@ -445,6 +481,19 @@ def test_nonfinite_intermediates_reported_by_stage():
                     "feat": np.zeros(4), "gate": np.zeros(1)}))
     with pytest.raises(NonFiniteError, match="output head"):
         forward(big, edge_list(np.eye(4)), np.full((4, 1), 100.0))
+    # every feature of a gate is finite but their mean overflows: reported
+    # there under either gate aggregation, not at the gate stage
+    huge = ParamStore({"conv0": np.full((1, 5), 1e154), "conv1": np.full((5, 4), 2e153),
+                       "feat": np.zeros(4), "gate": np.zeros(1)})
+    for gate_agg in ("attention", "mean"):
+        cfg = dataclasses.replace(SMALL, feat_agg="mean", gate_agg=gate_agg)
+        with pytest.raises(NonFiniteError, match="feature aggregation"):
+            forward(Model(cfg, huge), edge_list(np.eye(4)), np.ones((4, 1)))
+    # finite features whose gate scores overflow: reported at the softmax
+    steep = ParamStore({**huge.arrays, "conv1": np.ones((5, 4)), "gate": np.array([1e308])})
+    with pytest.raises(NonFiniteError, match="softmax input"):
+        forward(Model(dataclasses.replace(SMALL, feat_agg="mean"), steep),
+                edge_list(np.eye(4)), np.ones((4, 1)))
 
 
 # --- gradients ---
@@ -591,11 +640,11 @@ def _mid12_samples(mid12, cfg, n, censored=()):
 # recorded with numpy 2.4 and OpenBLAS 0.3 on x86-64: a different BLAS
 # build may round the dense products differently
 PINNED_TRAINING = [
-    ({}, "1.7185586378045694",
-     "b33b816e82c434f8c36e6363fed5f9e8e333c82f6ba266c86e7fa5d4f4314adb"),
+    ({}, "1.7185586378045699",
+     "5a4a4a9cda40b077ceffe66d77a38d818d8d4af0f41337625c7cd96ef26ace5b"),
     ({"graph_repr": "laplacian", "feat_agg": "mean", "gate_agg": "mean"},
-     "0.19136079752957735",
-     "19e36ef1965cd9efce7db24ffc6c819377b4c484969732475c9cc7a1f3a73d6e"),
+     "0.19136079752957738",
+     "c7bdae531e1ceaefd630045ad5c4c09c0ea684de63af18d7db57919f166c415d"),
 ]
 
 
@@ -603,7 +652,8 @@ PINNED_TRAINING = [
                          ids=["adjacency", "gcn-baseline"])
 def test_training_numerics_are_pinned(mid12, overrides, mse_repr, params_sha):
     # every bit of a short seeded training run on real structures: graph
-    # build, one-hot features, sparse products, activations and ADAM
+    # build, one-hot features, the dense products of mid12's graphs (below
+    # DENSE_MAX_GATES), activations and ADAM
     cfg = dataclasses.replace(
         ModelConfig(hidden_dims=(8, 4), learning_rate=0.01, batch_size=4,
                     max_epochs=4, convergence_tol=0.0, seed=5), **overrides)

@@ -12,11 +12,14 @@ from locktime.netlist import (
     all_input_vectors,
     emit_bench,
     graph_matrix,
+    key_cone,
     parse_bench,
     simulate,
     simulate_many,
 )
-from oracles import dense_graph_matrix, densify, event_driven_simulate, random_circuit
+from locktime.obfuscate import ObfuscationKind, eligible_gates, random_obfuscate
+from oracles import (dense_graph_matrix, densify, event_driven_simulate, fanout_closure,
+                     layered_dag, random_circuit)
 
 
 def test_c17_structure(c17):
@@ -65,6 +68,32 @@ def test_simulate_matches_oracle_on_random_circuits():
         batch = simulate_many(c, vecs)
         for row, expect in zip(vecs, batch):
             assert event_driven_simulate(c, row) == tuple(expect)
+
+
+def test_key_cone_is_the_fanout_of_the_key_slots(c17, mid12):
+    # the key inputs, the LUTs and everything they reach; every net outside
+    # takes the same value under every key
+    rng = random.Random(47)
+    bases = [c17, mid12, layered_dag(300)]
+    bases += [random_circuit(rng, rng.randint(3, 5), rng.randint(6, 12)) for _ in range(30)]
+    checked = 0
+    for i, base in enumerate(bases):
+        for kind in map(ObfuscationKind.parse, ("xor", "xnor", "lut1", "lut2", "lut3")):
+            eligible = len(eligible_gates(base, kind))
+            if not eligible:
+                continue
+            c = random_obfuscate(base, min(4, eligible), kind, seed=i).obfuscated
+            cone = key_cone(c)
+            assert cone == fanout_closure(c, [gid for gid, _ in c.key_layout()])
+            probe = Circuit(c.gates, c.primary_inputs, tuple(range(c.n)), c.key_inputs)
+            vecs = np.random.default_rng(i).integers(0, 2, (64, len(c.primary_inputs)))
+            keys = np.random.default_rng(i).integers(0, 2, (4, c.key_bits))
+            values = np.stack([simulate_many(probe, vecs, key) for key in keys])
+            outside = [gid for gid in range(c.n) if gid not in cone]
+            assert (values[:, :, outside] == values[:1, :, outside]).all()
+            checked += 1
+    assert checked > 100
+    assert key_cone(c17) == set()
 
 
 def test_topo_order_respects_fanin():

@@ -100,6 +100,22 @@ def test_softmax_rejects_matrices_and_nan():
         softmax(np.array([0.0, np.nan]))
 
 
+def test_softmax_rejects_every_nonfinite_entry():
+    # -inf too, though exp would quietly give it weight 0
+    for bad in (np.nan, np.inf, -np.inf):
+        for v in ([0.0, bad], [bad, 1.0, -1.0], [bad]):
+            with pytest.raises(NonFiniteError, match="softmax input"):
+                softmax(np.array(v))
+
+
+def test_softmax_bits_equal_the_method_form():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 115, 640):
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)
+        e = np.exp(v - v.max())
+        assert softmax(v).tobytes() == (e / e.sum()).tobytes()
+
+
 # --- initialization ---
 
 def test_init_params_shapes_and_determinism():

@@ -184,3 +184,28 @@ def test_the_encoder_reads_gate_function_only_from_the_reduction_table():
              and "GateType" in (getattr(node.value, "id", None),
                                 getattr(node.value, "attr", None))]
     assert not found, f"cnf.py names reduction types itself: {found}"
+
+
+# the encoder's private functions, each named only in the file that holds it
+ENCODER_HOMES = {"_encode_copy": "cnf.py", "_gate_clauses": "cnf.py"}
+KEY_CONE_HOME = "netlist.py"  # the one file that defines key_cone
+
+
+def test_one_encoding_path_and_one_key_cone():
+    # every circuit copy (tseitin, the miter, each DIP) goes through one
+    # encoder, and one function says which gates depend on the key
+    root = PACKAGE.parent.parent
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    sources += sorted((root / "benchmarks").glob("*.py"))
+    named, defined = [], []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in ENCODER_HOMES:
+                if path.parent != PACKAGE or path.name != ENCODER_HOMES[name]:
+                    named.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name == "key_cone"):
+                defined.append(f"{path.parent.name}/{path.name}")
+    assert not named, f"encoders named outside cnf.py: {named}"
+    assert defined == [f"locktime/{KEY_CONE_HOME}"], f"key_cone defined in {defined}"
