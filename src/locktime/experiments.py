@@ -40,6 +40,7 @@ from .icnet import (
     target_value,
 )
 from .netlist import ONE_HOT_ORDER, Circuit, emit_bench, parse_bench
+from .numerics import no_fp_warnings
 from .obfuscate import (
     ObfuscationInstance,
     ObfuscationKind,
@@ -315,9 +316,10 @@ def evaluate(model: Model, samples) -> MetricsReport:
     if not samples:
         raise ValueError("no samples to evaluate")
     zs, ts = [], []
-    for smp in samples:
-        zs.append(_forward(model, smp.layout, smp.ax).z)
-        ts.append(target_value(smp.label))
+    with no_fp_warnings():
+        for smp in samples:
+            zs.append(_forward(model, smp.layout, smp.ax).z)
+            ts.append(target_value(smp.label))
     z = np.asarray(zs)
     t = np.asarray(ts)
     try:
@@ -370,13 +372,14 @@ def attention_report(model: Model, samples) -> AttentionReport:
         raise ValueError("no samples to report on")
     cfg = model.config
     a_feats, entropies = [], []
-    for smp in samples:
-        cache = _forward(model, smp.layout, smp.ax)
-        if cache.a_feat is not None:
-            a_feats.append(cache.a_feat)
-        if cache.a_gate is not None and cache.a_gate.size > 1:
-            b = np.clip(cache.a_gate, 1e-300, None)
-            entropies.append(float(-(b * np.log(b)).sum() / np.log(b.size)))
+    with no_fp_warnings():
+        for smp in samples:
+            cache = _forward(model, smp.layout, smp.ax)
+            if cache.a_feat is not None:
+                a_feats.append(cache.a_feat)
+            if cache.a_gate is not None and cache.a_gate.size > 1:
+                b = np.clip(cache.a_gate, 1e-300, None)
+                entropies.append(float(-(b * np.log(b)).sum() / np.log(b.size)))
     if a_feats:
         hidden_w = np.mean(a_feats, axis=0)
         feat_attention = tuple(float(v) for v in hidden_w)

@@ -6,7 +6,7 @@ features to one scalar per gate, a gate-level aggregation collapsing
 gates to one scalar z, and an exp output head.
 
 The structure A is an edge list ``(rows, cols, vals)`` (see
-``netlist.graph_matrix``).  ``_layout`` lays it out for ``_propagate``.
+``netlist.graph_matrix``).  ``_layouts`` lays it out for ``_propagate``.
 A graph of at most ``DENSE_MAX_GATES`` gates gets a dense n x n array
 (at most 128 KiB), multiplied with ``@``: at that size a BLAS product
 costs less than any per-edge bookkeeping.  A larger graph gets
@@ -60,6 +60,7 @@ from .numerics import (
     check_finite,
     init_adam,
     init_params,
+    no_fp_warnings,
     params_from_doc,
     params_to_doc,
     relu_grad,
@@ -74,7 +75,9 @@ FEATURE_SETS = ("location_only", "all_features")
 CHECKPOINT_FORMAT = "icnet-checkpoint"
 CHECKPOINT_VERSION = 4
 TEST_FRACTION = 0.2  # share of usable samples held out by train's split
-DENSE_MAX_GATES = 128  # largest graph laid out as a dense n x n array
+# largest graph laid out as a dense n x n array (128 KiB); larger ones train faster jagged
+DENSE_MAX_GATES = 128
+Layout = np.ndarray | tuple  # a dense n x n array, or _jagged's (perm, steps)
 _ONE_HOT_BY_NAME = {t._name_: i for t, i in ONE_HOT_INDEX.items()}  # Enum hashing runs in Python
 
 
@@ -174,8 +177,7 @@ class GraphSample:
 
     The structure edge list ``a`` and the features ``x`` are constructor
     inputs only, not stored.  ``layout`` and ``layout_t`` are the layouts
-    of A and of Aᵀ (see :func:`_layout`; the same jagged object when they
-    are equal, a transposed view when A is dense), and ``ax`` is the
+    of A and of Aᵀ (see :func:`_layouts`), and ``ax`` is the
     propagated input A·X, all computed once here because neither A nor X
     changes during training.  The label is raw attack effort, so it must be
     finite and >= 0.
@@ -186,8 +188,8 @@ class GraphSample:
     label: float
     instance_id: str = ""
     censored: bool = False
-    layout: tuple = field(init=False, repr=False)
-    layout_t: tuple = field(init=False, repr=False)
+    layout: Layout = field(init=False, repr=False)
+    layout_t: Layout = field(init=False, repr=False)
     ax: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, a, x):
@@ -195,14 +197,9 @@ class GraphSample:
             raise ValueError(f"sample {self.instance_id!r} has label {self.label!r}; "
                              f"labels are raw effort, finite and >= 0")
         a, x = _graph_input(a, x)
-        n = x.shape[0]
-        self.layout = _layout(a, n)
-        if isinstance(self.layout, np.ndarray):
-            self.layout_t = self.layout.T
-        else:
-            self.layout_t = (self.layout if _transpose_has_same_rows(a)
-                             else _jagged((a[1], a[0], a[2]), n))
-        self.ax = _propagate(self.layout, x)
+        self.layout, self.layout_t = _layouts(a, x.shape[0])
+        with no_fp_warnings():  # _forward reports a non-finite A·X
+            self.ax = _propagate(self.layout, x)
 
 
 def _graph_input(a, x) -> tuple[tuple, np.ndarray]:
@@ -239,14 +236,24 @@ def _transpose_has_same_rows(a: tuple) -> bool:
                for p, q in ((rows, cols), (cols, rows), (vals, vals)))
 
 
-def _layout(a: tuple, n: int):
-    """A's layout for :func:`_propagate`: the dense n x n array up to
-    ``DENSE_MAX_GATES`` gates (repeated entries summed), else
-    :func:`_jagged`."""
+def _layouts(a: tuple, n: int, transpose: bool = True) -> tuple[Layout, Layout | None]:
+    """The layouts of A and of Aᵀ for :func:`_propagate`; Aᵀ's is None
+    unless ``transpose``.
+
+    Up to ``DENSE_MAX_GATES`` gates A is the dense n x n array (repeated
+    entries summed) and Aᵀ its transposed view.  Above, both are
+    :func:`_jagged` layouts, one object when they are equal.
+    """
     if n <= DENSE_MAX_GATES:
         rows, cols, vals = a
-        return np.bincount(rows * n + cols, vals, n * n).reshape(n, n)
-    return _jagged(a, n)
+        dense = np.bincount(rows * n + cols, vals, n * n).reshape(n, n)
+        return dense, dense.T
+    layout = _jagged(a, n)
+    if not transpose:
+        return layout, None
+    if _transpose_has_same_rows(a):
+        return layout, layout
+    return layout, _jagged((a[1], a[0], a[2]), n)
 
 
 def _jagged(a: tuple, n: int) -> tuple:
@@ -272,7 +279,7 @@ def _jagged(a: tuple, n: int) -> tuple:
     return perm, tuple(steps)
 
 
-def _propagate(layout, h: np.ndarray) -> np.ndarray:
+def _propagate(layout: Layout, h: np.ndarray) -> np.ndarray:
     """A @ h for A's layout; rows of A with no entries give zero rows."""
     if isinstance(layout, np.ndarray):
         return layout @ h
@@ -323,12 +330,12 @@ class _Cache:
     z: float
 
 
-def _forward(model: Model, layout, ax: np.ndarray) -> _Cache:
+def _forward(model: Model, layout: Layout, ax: np.ndarray) -> _Cache:
     """One forward pass.  Non-finite values are reported via
-    NonFiniteError, not numpy warnings: callers silence numpy's, once per
-    predict call or training sweep."""
+    NonFiniteError; callers silence numpy's warnings (``no_fp_warnings``) once per
+    predict call, training sweep or report."""
     cfg = model.config
-    p = model.params.arrays
+    p = model.params
     n = ax.shape[0]
     if ax.shape != (n, cfg.feature_dim):
         raise ValueError(f"feature matrix must be {(n, cfg.feature_dim)} "
@@ -349,22 +356,16 @@ def _forward(model: Model, layout, ax: np.ndarray) -> _Cache:
         s = h @ a_feat
     else:
         s = np.add.reduce(h, 1) / h.shape[1]
+    check_finite("feature aggregation", s)
 
-    # a non-finite s makes the gate scores and the mean non-finite too, so
-    # s is checked only once the gate aggregation fails, and the first
-    # stage that went non-finite is still the one reported
     a_gate = None
-    try:
-        if cfg.gate_agg == "attention":
-            a_gate = softmax(p["gate"][0] * s)
-            z_out = float(a_gate @ s)
-        else:
-            z_out = float(np.add.reduce(s)) / n
-        if not math.isfinite(z_out):
-            raise NonFiniteError("gate aggregation")
-    except NonFiniteError:
-        check_finite("feature aggregation", s)
-        raise
+    if cfg.gate_agg == "attention":
+        a_gate = softmax(p["gate"][0] * s)
+        z_out = float(a_gate @ s)
+    else:
+        z_out = float(np.add.reduce(s)) / n
+    if not math.isfinite(z_out):
+        raise NonFiniteError("gate aggregation")
     return _Cache(ps, mu, a_feat, s, a_gate, z_out)
 
 
@@ -372,8 +373,8 @@ def forward(model: Model, a, x) -> Prediction:
     """Predict from a structure edge list ``a`` and features ``x``."""
     a, x = _graph_input(a, x)
     t0 = time.perf_counter()
-    layout = _layout(a, x.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
+    layout, _ = _layouts(a, x.shape[0], transpose=False)
+    with no_fp_warnings():
         cache = _forward(model, layout, _propagate(layout, x))
         yhat = float(np.exp(cache.z))
     if not math.isfinite(yhat):
@@ -391,13 +392,13 @@ def target_value(label: float) -> float:
     return float(np.log1p(label))
 
 
-def _backward(model: Model, layout_t: tuple, ax: np.ndarray, cache: _Cache,
+def _backward(model: Model, layout_t: Layout, ax: np.ndarray, cache: _Cache,
               dz: float, grads: dict) -> None:
     """Add the closed-form gradients of dz * z w.r.t. each parameter to grads.
 
     For l >= 1, U = A^T dZ_l gives dTheta_l = P_{l-1}^T U and
     dP_{l-1} = U Theta_l^T; dTheta_0 = (A X)^T dZ_0.  The gradient with
-    respect to X is never formed.  layout_t is the jagged layout of A^T.
+    respect to X is never formed.  layout_t is the layout of A^T.
     """
     cfg = model.config
     p = model.params
@@ -446,7 +447,7 @@ def _sweep(model: Model, samples: list, grad_idx) -> tuple[float, float, ParamSt
     inv_b = 1.0 / len(grad_idx) if len(grad_idx) else 0.0
     sqs = [None] * len(samples)
     sq_grad = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with no_fp_warnings():
         for i in grad_idx:
             smp = samples[i]
             cache = _forward(model, smp.layout, smp.ax)

@@ -22,9 +22,14 @@ class NonFiniteError(FloatingPointError):
         self.where = where
 
 
+def no_fp_warnings():
+    """numpy's overflow and invalid-value warnings off, for passes that
+    report non-finite values by check_finite instead."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def check_finite(name: str, a: np.ndarray) -> np.ndarray:
-    # the ufunc reduction that ndarray.all runs, without its Python-level dispatch
-    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+    if not np.isfinite(a).all():
         raise NonFiniteError(name)
     return a
 
@@ -40,17 +45,12 @@ def relu_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """exp(v - max v), normalized.  The ufunc reductions are what
-    ``v.max()`` and ``e.sum()`` compute, without their Python-level
-    dispatch; v is finite exactly when its max and min are."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"softmax expects a vector, got shape {v.shape}")
-    top = np.maximum.reduce(v)
-    if not (math.isfinite(top) and math.isfinite(np.minimum.reduce(v))):
-        raise NonFiniteError("softmax input")
-    e = np.exp(v - top)
-    return e / np.add.reduce(e)
+    check_finite("softmax input", v)
+    e = np.exp(v - v.max())
+    return e / e.sum()
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Dataset pipeline, ranking metrics, and report generation."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -31,10 +32,12 @@ from locktime.icnet import (
     ModelConfig,
     build_graph_input,
     forward,
+    loss_and_grads,
     new_model,
     train,
 )
 from locktime.netlist import GateType, simulate
+from locktime.numerics import NonFiniteError
 from locktime.obfuscate import ObfuscationKind
 from oracles import chain_circuit, synthetic_mask_records
 
@@ -328,6 +331,25 @@ def test_reports_bit_identical_to_public_forward(monkeypatch, small_records):
     recomputed = (evaluate(model, samples).to_dict(),
                   attention_report(model, samples).to_dict())
     assert json.dumps(cached) == json.dumps(recomputed)
+
+
+def test_passes_over_an_overflowing_model_raise_no_numpy_warning(small_records):
+    # the products of the second convolution overflow: the reports, a
+    # training step and the public forward say so by NonFiniteError alone
+    records, _ = small_records
+    cfg = ModelConfig(hidden_dims=(6, 3), seed=2)
+    samples = records_to_samples(records, cfg, "conflicts")
+    model = new_model(cfg)
+    for arr in model.params.arrays.values():
+        arr[...] = 1e200
+    passes = [lambda: evaluate(model, samples), lambda: attention_report(model, samples),
+              lambda: loss_and_grads(model, samples),
+              lambda: forward(model, *build_graph_input(records[0].instance, cfg))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in passes:
+            with pytest.raises(NonFiniteError, match="conv1 pre-activation"):
+                run()
 
 
 def test_attention_report_attention_mode(small_records):

@@ -108,14 +108,6 @@ def test_softmax_rejects_every_nonfinite_entry():
                 softmax(np.array(v))
 
 
-def test_softmax_bits_equal_the_method_form():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 7, 115, 640):
-        v = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)
-        e = np.exp(v - v.max())
-        assert softmax(v).tobytes() == (e / e.sum()).tobytes()
-
-
 # --- initialization ---
 
 def test_init_params_shapes_and_determinism():
