@@ -332,8 +332,8 @@ class _Cache:
 
 def _forward(model: Model, layout: Layout, ax: np.ndarray) -> _Cache:
     """One forward pass.  Non-finite values are reported via
-    NonFiniteError; callers silence numpy's warnings (``no_fp_warnings``) once per
-    predict call, training sweep or report."""
+    NonFiniteError; callers switch numpy's warnings off
+    (``no_fp_warnings``) once per predict call, training sweep or report."""
     cfg = model.config
     p = model.params
     n = ax.shape[0]
