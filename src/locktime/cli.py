@@ -41,7 +41,7 @@ from .icnet import (
     split_samples,
     train as train_model,
 )
-from .netlist import CircuitError, GateType, emit_bench, parse_bench
+from .netlist import CircuitError, emit_bench, parse_bench
 from .numerics import NonFiniteError
 from .obfuscate import (
     ObfuscationKind,
@@ -93,6 +93,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _load_instance(path: str):
     p = Path(path)
     doc = json.loads(p.read_text())
+    if not (isinstance(doc, dict) and isinstance(doc.get("base_file"), str)):
+        raise ValueError(f"{p}: an instance record is a JSON object with 'base_file' "
+                         f"as a string, got {doc!r:.40}")
     base = parse_bench((p.parent / doc["base_file"]).read_text())
     return instance_from_json(doc, base)
 
@@ -106,15 +109,13 @@ def _cmd_parse(args) -> None:
         return
     counts: dict = {}
     depth = [0] * c.n
-    for gid in c.topo_order:
+    for gid in c.logic_gates:
         g = c.gates[gid]
-        if g.type is GateType.INPUT:
-            continue
         counts[g.type.name] = counts.get(g.type.name, 0) + 1
         depth[gid] = 1 + max(depth[f] for f in g.fanin)
     _emit({
         "nodes": c.n,
-        "logic_gates": sum(counts.values()),
+        "logic_gates": len(c.logic_gates),
         "primary_inputs": [c.gates[g].name for g in c.primary_inputs],
         "primary_outputs": [c.gates[g].name for g in c.primary_outputs],
         "key_inputs": [c.gates[g].name for g in c.key_inputs],

@@ -25,11 +25,12 @@ output literal negated.  A LUT is the gate with a key slot.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netlist import REDUCTION, Circuit, GateType, key_cone, key_slices
+from .netlist import REDUCTION, Circuit, GateType, key_cone
 
 Clause = tuple[int, ...]
 
@@ -101,20 +102,20 @@ def _xor2(a: int, b: int, y: int, clauses: list):
     clauses.extend([(-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b)])
 
 
-def _encode_copy(c: Circuit, alloc: _Alloc, net: dict[int, int], gates: list[int],
+def _encode_copy(c: Circuit, alloc: _Alloc, net: dict[int, int], gates: Sequence[int],
                  key_vars: list[int], clauses: list) -> dict[int, int]:
     """Encode the logic gates ``gates``, in topological order, over ``net``.
 
     ``net`` maps the nets that ``gates`` read, other than key inputs, to
     variables.  Key inputs and LUT tables read ``key_vars``, laid out per
-    ``Circuit.key_layout``.  Returns ``net`` extended by the key inputs
+    ``Circuit.key_slices``.  Returns ``net`` extended by the key inputs
     and ``gates``.  Gate output variables are allocated before any gate
     clause is emitted, so they occupy a contiguous block, and the gates'
     auxiliaries follow it.
     """
-    slices, total = key_slices(c)
-    if len(key_vars) != total:
+    if len(key_vars) != c.key_bits:
         raise ValueError("key variable count mismatch")
+    slices = c.key_slices
     net = {**net, **{gid: key_vars[slices[gid]][0] for gid in c.key_inputs}}
     net.update(zip(gates, alloc.new(len(gates))))
     for gid in gates:
@@ -123,12 +124,6 @@ def _encode_copy(c: Circuit, alloc: _Alloc, net: dict[int, int], gates: list[int
         _gate_clauses(g.type, net[gid], [net[f] for f in g.fanin], alloc,
                       clauses, None if s is None else key_vars[s])
     return net
-
-
-def _logic_gates(c: Circuit) -> list[int]:
-    """Every gate but the primary and key inputs, in topological order."""
-    inputs = set(c.primary_inputs).union(c.key_inputs)
-    return [gid for gid in c.topo_order if gid not in inputs]
 
 
 def tseitin(c: Circuit) -> CnfFormula:
@@ -142,13 +137,13 @@ def tseitin(c: Circuit) -> CnfFormula:
     input_vars = alloc.new(len(c.primary_inputs))
     key_vars = alloc.new(c.key_bits)
     clauses: list[Clause] = []
-    net = _encode_copy(c, alloc, dict(zip(c.primary_inputs, input_vars)), _logic_gates(c),
+    net = _encode_copy(c, alloc, dict(zip(c.primary_inputs, input_vars)), c.logic_gates,
                        key_vars, clauses)
     var_map = {c.gates[gid].name: v for gid, v in net.items()}
-    slices, _ = key_slices(c)
-    luts = [g for g in c.gates if g.type is GateType.LUT]
-    var_map.update((f"{g.name}$k{j}", v) for g in luts
-                   for j, v in enumerate(key_vars[slices[g.id]]))
+    for gid, s in c.key_slices.items():
+        g = c.gates[gid]
+        if g.type is GateType.LUT:
+            var_map.update((f"{g.name}$k{j}", v) for j, v in enumerate(key_vars[s]))
     return CnfFormula(clauses, alloc.n, var_map)
 
 
@@ -195,7 +190,7 @@ def build_miter(obf: Circuit) -> MiterContext:
     k1 = alloc.new(obf.key_bits)
     k2 = alloc.new(obf.key_bits)
     cone = key_cone(obf)
-    gates = _logic_gates(obf)
+    gates = obf.logic_gates
     clauses: list[Clause] = []
     # the gates outside the cone read no key bit, so either copy's key serves
     shared = _encode_copy(obf, alloc, dict(zip(obf.primary_inputs, input_vars)),
@@ -229,7 +224,7 @@ def add_dip_constraint(m: MiterContext, dip, oracle_out) -> None:
                          f"circuit has {n_po} outputs")
 
     alloc = _Alloc(m.n_vars)
-    gates = _logic_gates(m.obf)
+    gates = m.obf.logic_gates
     for kvars in (m.key1_vars, m.key2_vars):
         in_vars = alloc.new(len(dip))
         m.clauses.extend((v,) if bit else (-v,) for v, bit in zip(in_vars, dip))

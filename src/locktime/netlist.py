@@ -136,8 +136,16 @@ def _check_ids(what: str, gids: tuple, n: int) -> None:
 class Circuit:
     """Immutable-by-convention gate-level netlist.
 
-    ``gates[i].id == i`` for all i.  Derived lookup tables are computed once
-    at construction; do not mutate fields afterwards.
+    ``gates[i].id == i`` for all i.  Derived tables are computed once at
+    construction; do not mutate fields afterwards:
+
+    - ``name_to_id``: net name -> gate id;
+    - ``topo_order``: every gate id in canonical Kahn order;
+    - ``logic_gates``: ``topo_order`` without the primary and key inputs;
+    - ``key_slices``: each key slot -> its slice of the flat key vector,
+      one bit per key input in ``key_inputs`` order, then each LUT's 2^k
+      table block in ascending gate-id order;
+    - ``key_bits``: the length of the flat key vector.
     """
 
     gates: tuple[Gate, ...]
@@ -146,6 +154,9 @@ class Circuit:
     key_inputs: tuple[int, ...] = ()
     name_to_id: dict = field(init=False, repr=False)
     topo_order: tuple[int, ...] = field(init=False, repr=False)
+    logic_gates: tuple[int, ...] = field(init=False, repr=False)
+    key_slices: dict = field(init=False, repr=False)
+    key_bits: int = field(init=False, repr=False)
 
     def __post_init__(self):
         self.gates = tuple(self.gates)
@@ -159,10 +170,10 @@ class Circuit:
         return len(self.gates)
 
     def _validate(self):
-        """Check the gate and id lists whole; build ``name_to_id`` and
-        ``topo_order``.  On a failure, :meth:`_raise_first_gate_error`
-        finds the first offending gate, so the message is the one a walk
-        over the gates in id order would give."""
+        """Check the gate and id lists whole; build the derived tables.
+        On a failure, :meth:`_raise_first_gate_error` finds the first
+        offending gate, so the message is the one a walk over the gates in
+        id order would give."""
         gates = self.gates
         n = len(gates)
         ids = [g.id for g in gates]
@@ -197,6 +208,16 @@ class Circuit:
                 raise CircuitError(f"{what} id {gid} is listed twice")
         _check_ids("primary output", self.primary_outputs, n)
         self.topo_order = topo_order(gates)
+        # only INPUTs have no fanin, and Kahn's queue starts with every such gate
+        self.logic_gates = self.topo_order[len(listed):]
+        slots = [(gid, 1) for gid in keys]
+        slots += [(gid, 2 ** len(fanins[gid])) for gid, t in enumerate(types) if t == "LUT"]
+        self.key_slices = {}
+        pos = 0
+        for gid, width in slots:
+            self.key_slices[gid] = slice(pos, pos + width)
+            pos += width
+        self.key_bits = pos
 
     def _raise_first_gate_error(self):
         """Raise the error of the first gate, in id order, that fails a check."""
@@ -214,23 +235,6 @@ class Circuit:
             message = _shape_error(g.type, len(g.fanin), g.lut_bits, g.name)
             if message:
                 raise CircuitError(message)
-
-    def key_layout(self):
-        """Ordered key slots: (gate_id, n_bits) per key input, then per LUT.
-
-        Key-input bits come first in ``key_inputs`` list order, then each
-        LUT's 2^k table block in ascending gate-id order.  For instances
-        locked with a single scheme this equals location order.
-        """
-        slots = [(gid, 1) for gid in self.key_inputs]
-        for g in self.gates:
-            if g.type is GateType.LUT:
-                slots.append((g.id, 2 ** len(g.fanin)))
-        return slots
-
-    @property
-    def key_bits(self):
-        return sum(w for _, w in self.key_layout())
 
 
 _LINE_RE = re.compile(r"^(?P<name>[^\s=()]+)\s*=\s*(?P<rhs>.+)$")
@@ -398,25 +402,15 @@ def graph_matrix(c: Circuit, kind="adjacency"):
     return rows[nonzero], cols[nonzero], vals[nonzero]
 
 
-def key_slices(c: Circuit):
-    """Map each key slot to its slice of the flat key vector."""
-    slices = {}
-    pos = 0
-    for gid, width in c.key_layout():
-        slices[gid] = slice(pos, pos + width)
-        pos += width
-    return slices, pos
-
-
 def key_cone(c: Circuit) -> set[int]:
     """Ids of the nets whose value can depend on the key: the key inputs,
     the LUTs and their transitive fanout, found in one topological pass.
 
     Every other gate computes the same function whatever the key.
     """
-    cone = {gid for gid, _ in c.key_layout()}
+    cone = set(c.key_slices)
     gates = c.gates
-    for gid in c.topo_order:
+    for gid in c.logic_gates:
         if not cone.isdisjoint(gates[gid].fanin):
             cone.add(gid)
     return cone
@@ -445,15 +439,15 @@ def simulate_many(c: Circuit, inputs: np.ndarray, key=()) -> np.ndarray:
     """Evaluate the circuit on a batch of input vectors.
 
     ``inputs`` is (batch, |PI|) of 0/1; ``key`` is a flat key vector laid
-    out per :meth:`Circuit.key_layout`.  Returns (batch, |PO|) uint8.
+    out per ``Circuit.key_slices``.  Returns (batch, |PO|) uint8.
     """
     inputs = np.asarray(inputs, dtype=np.uint8)
     if inputs.ndim != 2 or inputs.shape[1] != len(c.primary_inputs):
         raise ValueError(f"expected inputs of shape (batch, {len(c.primary_inputs)}), got {inputs.shape}")
     key = np.asarray(key, dtype=np.uint8).ravel()
-    slices, total = key_slices(c)
-    if key.size != total:
-        raise ValueError(f"expected {total} key bits, got {key.size}")
+    if key.size != c.key_bits:
+        raise ValueError(f"expected {c.key_bits} key bits, got {key.size}")
+    slices = c.key_slices
 
     batch = inputs.shape[0]
     vals: list[np.ndarray | None] = [None] * c.n
@@ -463,12 +457,11 @@ def simulate_many(c: Circuit, inputs: np.ndarray, key=()) -> np.ndarray:
         bit = bool(key[slices[gid]][0])
         vals[gid] = np.full(batch, bit, dtype=bool)
 
-    for gid in c.topo_order:
-        if vals[gid] is None:  # every input already holds its value
-            g = c.gates[gid]
-            s = slices.get(gid)  # of the logic gates, only a LUT has a key slot
-            vals[gid] = gate_values(g.type, [vals[f] for f in g.fanin],
-                                    None if s is None else key[s].astype(bool))
+    for gid in c.logic_gates:
+        g = c.gates[gid]
+        s = slices.get(gid)  # of the logic gates, only a LUT has a key slot
+        vals[gid] = gate_values(g.type, [vals[f] for f in g.fanin],
+                                None if s is None else key[s].astype(bool))
 
     out = np.empty((batch, len(c.primary_outputs)), dtype=np.uint8)
     for j, gid in enumerate(c.primary_outputs):

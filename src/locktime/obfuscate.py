@@ -90,13 +90,13 @@ def _first_free(taken: set, names) -> str:
     return name
 
 
-def _padding_nets(gates, order, keys: set, gate_id: int, need: int) -> list:
+def _padding_nets(gates, order, gate_id: int, need: int) -> list:
     """Nearest predecessors of gate_id in ``order``, then any earlier nets."""
     if not need:
         return []
     fanin = set(gates[gate_id].fanin)
     before = order[:order.index(gate_id)]
-    pads = list(islice((g for g in reversed(before) if g not in fanin and g not in keys), need))
+    pads = list(islice((g for g in reversed(before) if g not in fanin), need))
     if len(pads) < need:
         raise ValueError(f"not enough nets to pad LUT at gate {gates[gate_id].name!r}: "
                          f"need {need}, found {len(pads)}")
@@ -128,7 +128,9 @@ def eligible_gates(c: Circuit, kind: ObfuscationKind) -> tuple[int, ...]:
 
 def apply_at_locations(base: Circuit, kind: ObfuscationKind,
                        locations, seed=None) -> ObfuscationInstance:
-    """Lock ``base`` at the given gate ids (in order); deterministic.
+    """Lock the unlocked circuit ``base`` at the given gate ids (in order);
+    deterministic.  A base with key bits is refused: a locked circuit is no
+    key-free oracle for the attack.
 
     Every location is spliced into one copy of the gate list and one
     circuit is built at the end, so validation and the topological sort
@@ -138,10 +140,13 @@ def apply_at_locations(base: Circuit, kind: ObfuscationKind,
     that needs padding recomputes it with :func:`netlist.topo_order`.  A
     LUT as wide as its gate's fanin takes no padding and sorts nothing.
     Generated names never collide with an existing net: a key input is
-    ``keyinput<i>`` with i counting up from the number of key inputs, and
-    the gate a key-gate displaces is ``<name>$in``, else ``<name>$in1``,
-    ``<name>$in2``, ...
+    ``keyinput<i>`` with i counting up from 0, and the gate a key-gate
+    displaces is ``<name>$in``, else ``<name>$in1``, ``<name>$in2``, ...
+    ``key_truth`` follows ``obfuscated.key_slices``.
     """
+    if base.key_bits:
+        raise ValueError(f"cannot lock a circuit that already has {base.key_bits} key bits: "
+                         f"a locked circuit is no key-free oracle")
     locations = tuple(int(g) for g in locations)
     seen = set()
     for g in locations:
@@ -154,21 +159,19 @@ def apply_at_locations(base: Circuit, kind: ObfuscationKind,
             raise ValueError(f"gate {name!r} is not eligible for {kind}")
 
     gates = list(base.gates)
-    keys = list(base.key_inputs)
+    keys = []
+    truth = {}  # key slot -> its correct bits
     if kind.scheme == "lut":
-        key_set = set(keys)
-        tables = {}
         for i, g in enumerate(locations):
             target = gates[g]
             need = kind.lut_k - len(target.fanin)
             order = (topo_order(gates) if i else base.topo_order) if need else ()
-            pads = _padding_nets(gates, order, key_set, g, need)
-            tables[g] = _lut_table(target, kind.lut_k)
-            gates[g] = Gate(g, target.name, GateType.LUT, target.fanin + tuple(pads), tables[g])
-        # key layout orders LUT blocks by ascending gate id; match it
-        key_truth = [b for g in sorted(locations) for b in tables[g]]
+            pads = _padding_nets(gates, order, g, need)
+            truth[g] = _lut_table(target, kind.lut_k)
+            gates[g] = Gate(g, target.name, GateType.LUT, target.fanin + tuple(pads), truth[g])
     else:
         gtype = GateType.XOR if kind.scheme == "xor" else GateType.XNOR
+        bit = (0,) if kind.scheme == "xor" else (1,)
         taken = set(base.name_to_id)
         for g in locations:
             target = gates[g]
@@ -180,13 +183,14 @@ def apply_at_locations(base: Circuit, kind: ObfuscationKind,
             gates.append(Gate(inner_id, inner, target.type, target.fanin, target.lut_bits))
             gates.append(Gate(key_id, key, GateType.INPUT))
             keys.append(key_id)
-        key_truth = [0 if kind.scheme == "xor" else 1] * len(locations)
+            truth[key_id] = bit
 
     obfuscated = Circuit(tuple(gates), base.primary_inputs, base.primary_outputs, tuple(keys))
+    key_truth = tuple(b for gid in obfuscated.key_slices for b in truth[gid])
     mask = [0] * obfuscated.n
     for g in locations:
         mask[g] = 1
-    return ObfuscationInstance(base, obfuscated, kind, locations, tuple(key_truth),
+    return ObfuscationInstance(base, obfuscated, kind, locations, key_truth,
                                tuple(mask), seed)
 
 
@@ -207,9 +211,8 @@ def random_obfuscate(base: Circuit, n_locations: int, kind: ObfuscationKind,
 
 
 def instance_to_json(inst: ObfuscationInstance, base_file: str) -> dict:
-    widths = [kw for _, kw in inst.obfuscated.key_layout()]
-    if sum(widths) != len(inst.key_truth):
-        raise ValueError(f"key layout has {sum(widths)} bits but key_truth has "
+    if inst.obfuscated.key_bits != len(inst.key_truth):
+        raise ValueError(f"key layout has {inst.obfuscated.key_bits} bits but key_truth has "
                          f"{len(inst.key_truth)}")
     return {
         "base_file": base_file,

@@ -44,12 +44,25 @@ def eval_gate(gtype: GateType, values, lut_table=None) -> bool:
     return _BOOL_FUNCS[gtype]([bool(v) for v in values])
 
 
+def key_layout_reference(c: Circuit):
+    """Ordered key slots: (gate_id, n_bits) per key input, then per LUT.
+
+    Key-input bits come first in ``key_inputs`` list order, then each
+    LUT's 2^k table block in ascending gate-id order.
+    """
+    slots = [(gid, 1) for gid in c.key_inputs]
+    for g in c.gates:
+        if g.type is GateType.LUT:
+            slots.append((g.id, 2 ** len(g.fanin)))
+    return slots
+
+
 def event_driven_simulate(c: Circuit, inputs, key=()):
     """Reference simulator: worklist of gates whose fanins are all known."""
     key = list(key)
     key_slots = {}
     pos = 0
-    for gid, width in c.key_layout():
+    for gid, width in key_layout_reference(c):
         key_slots[gid] = key[pos:pos + width]
         pos += width
     assert pos == len(key), f"key length {len(key)} != layout {pos}"

@@ -167,6 +167,46 @@ def test_export_dimacs_readme_miter_example(locked_dir, capsys):
     assert out.splitlines()[-1] == "22 0"
 
 
+def test_locking_a_locked_circuit_is_refused(locked_dir, capsys, tmp_path):
+    # obfuscate writes no file, and gen-data stops before its first attack
+    outdir, _ = locked_dir
+    locked = str(outdir / "locked.bench")
+    message = ("cannot lock a circuit that already has 2 key bits: "
+               "a locked circuit is no key-free oracle")
+    for argv in (("obfuscate", locked, "--kind", "xor", "--locations", "1",
+                  "--out", str(tmp_path / "again")),
+                 ("gen-data", locked, "--count", "2", "--kind", "lut2",
+                  "--locations", "1", "--out", str(tmp_path / "ds"))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "again").exists() and not (tmp_path / "ds").exists()
+
+
+def _attack_error(capsys, path, doc):
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "attack", str(path))
+    assert code == 1 and out == ""
+    return json.loads(err)
+
+
+def test_attack_names_an_instance_file_that_is_no_object(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    doc = _attack_error(capsys, path, [1])
+    assert doc["error"] == "ValueError"
+    assert doc["message"] == (f"{path}: an instance record is a JSON object with "
+                              f"'base_file' as a string, got [1]")
+
+
+def test_attack_names_an_instance_file_without_base_file(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    for record in ({"kind": "xor"}, {"base_file": 3}):
+        doc = _attack_error(capsys, path, record)
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith(f"{path}: an instance record is a JSON object "
+                                         f"with 'base_file' as a string, got {{")
+
+
 # --- dataset / train / eval / report pipeline ---
 
 @pytest.fixture(scope="module")

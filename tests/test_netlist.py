@@ -19,7 +19,7 @@ from locktime.netlist import (
 )
 from locktime.obfuscate import ObfuscationKind, eligible_gates, random_obfuscate
 from oracles import (dense_graph_matrix, densify, event_driven_simulate, fanout_closure,
-                     layered_dag, random_circuit)
+                     key_layout_reference, layered_dag, random_circuit)
 
 
 def test_c17_structure(c17):
@@ -84,7 +84,7 @@ def test_key_cone_is_the_fanout_of_the_key_slots(c17, mid12):
                 continue
             c = random_obfuscate(base, min(4, eligible), kind, seed=i).obfuscated
             cone = key_cone(c)
-            assert cone == fanout_closure(c, [gid for gid, _ in c.key_layout()])
+            assert cone == fanout_closure(c, [gid for gid, _ in key_layout_reference(c)])
             probe = Circuit(c.gates, c.primary_inputs, tuple(range(c.n)), c.key_inputs)
             vecs = np.random.default_rng(i).integers(0, 2, (64, len(c.primary_inputs)))
             keys = np.random.default_rng(i).integers(0, 2, (4, c.key_bits))
@@ -94,6 +94,57 @@ def test_key_cone_is_the_fanout_of_the_key_slots(c17, mid12):
             checked += 1
     assert checked > 100
     assert key_cone(c17) == set()
+
+
+def _assert_derived_tables(c):
+    ref = key_layout_reference(c)
+    starts = [sum(w for _, w in ref[:i]) for i in range(len(ref))]
+    assert list(c.key_slices.items()) == [(gid, slice(s, s + w))
+                                          for (gid, w), s in zip(ref, starts)]
+    assert c.key_bits == sum(w for _, w in ref)
+    inputs = set(c.primary_inputs) | set(c.key_inputs)
+    assert c.logic_gates == tuple(gid for gid in c.topo_order if gid not in inputs)
+
+
+# LUTs of widths 1-4 whose ids run against their topological order
+LUT_BENCH = """INPUT(a)
+INPUT(keyinput0)
+INPUT(b)
+INPUT(c)
+INPUT(keyinput1)
+OUTPUT(z)
+z = LUT[0110100110010110](y, a, b, keyinput1)
+y = LUT[01](x)
+x = XOR(w, keyinput0)
+w = LUT[10010110](a, b, c)
+v = LUT[0111](c, w)
+OUTPUT(v)
+"""
+
+
+def test_derived_tables_equal_the_reference_key_layout(c17, mid12):
+    # key slots: key inputs in list order, then each LUT's table by
+    # ascending gate id, whatever the topological order
+    parsed = parse_bench(LUT_BENCH)
+    assert parsed.key_inputs == (1, 4)
+    _assert_derived_tables(parsed)
+    assert parsed.key_bits == 2 + 16 + 2 + 8 + 4
+    # the same gates with the key inputs listed against id order
+    flipped = Circuit(parsed.gates, parsed.primary_inputs[::-1], parsed.primary_outputs,
+                      parsed.key_inputs[::-1])
+    _assert_derived_tables(flipped)
+    assert list(flipped.key_slices)[:2] == [4, 1]
+    checked = 0
+    for base in (c17, mid12):
+        _assert_derived_tables(base)
+        for text in ("xor", "xnor", "lut1", "lut2", "lut3", "lut4"):
+            kind = ObfuscationKind.parse(text)
+            eligible = len(eligible_gates(base, kind))
+            for seed in range(3 if eligible else 0):  # c17 has no one-fanin gate
+                m = min(seed + 1, eligible)
+                _assert_derived_tables(random_obfuscate(base, m, kind, seed).obfuscated)
+                checked += 1
+    assert checked == 33
 
 
 def test_topo_order_respects_fanin():

@@ -200,6 +200,17 @@ def test_apply_at_locations_rejects_duplicates(c17):
         apply_at_locations(c17, XOR, [c17.primary_inputs[0]])
 
 
+@pytest.mark.parametrize("kind", ["xor", "lut2"])
+def test_a_locked_circuit_is_not_locked_again(c17, kind):
+    # a locked circuit is no key-free oracle for the attack
+    for locked in (random_obfuscate(c17, 2, XNOR, seed=3).obfuscated,
+                   random_obfuscate(c17, 1, ObfuscationKind("lut", 2), seed=3).obfuscated):
+        bits = locked.key_bits
+        with pytest.raises(ValueError, match=f"^cannot lock a circuit that already has "
+                                             f"{bits} key bits: "):
+            random_obfuscate(locked, 1, ObfuscationKind.parse(kind), seed=0)
+
+
 def test_multi_keygate_layout(c17):
     # two key-gates: keyinput order must follow location order
     ids = sorted([c17.name_to_id["10"], c17.name_to_id["23"]])

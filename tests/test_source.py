@@ -209,3 +209,47 @@ def test_one_encoding_path_and_one_key_cone():
                 defined.append(f"{path.parent.name}/{path.name}")
     assert not named, f"encoders named outside cnf.py: {named}"
     assert defined == [f"locktime/{KEY_CONE_HOME}"], f"key_cone defined in {defined}"
+
+
+# dataclass fields that no package or benchmark code reads, kept on purpose
+FIELD_EXEMPT = {
+    "CnfFormula.var_map": "names tseitin's variables for the CNF tests and acceptance "
+                          "checks C2 and C3; export-dimacs prints no names",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _emits_through_asdict(cls: ast.ClassDef) -> bool:
+    """The class has a ``to_dict`` that calls ``asdict``: every field is output."""
+    return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "asdict"
+               for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "to_dict"
+               for node in ast.walk(f))
+
+
+def _is_initvar(annotation) -> bool:
+    head = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return getattr(head, "id", None) == "InitVar"
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads is state that only tests look at
+    benchmarks = PACKAGE.parent.parent / "benchmarks"
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(benchmarks.glob("*.py")):
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                    and not _emits_through_asdict(cls)):
+                found += [f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+                          for stmt in cls.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                          and not _is_initvar(stmt.annotation) and stmt.target.id not in read
+                          and f"{cls.name}.{stmt.target.id}" not in FIELD_EXEMPT]
+    assert not found, f"dataclass fields that no package or benchmark code reads: {found}"
