@@ -3,13 +3,17 @@
 The attack owns a miter with two key copies, which share the gates
 outside the key cone and each hold their own copy of the cone, and one
 solver that lives for the whole attack: it loads the miter once, then
-only each DIP's two new constrained circuit copies, and keeps its learnt
+only each DIP's two new constrained cone copies, and keeps its learnt
 clauses from call to call.  Each DIP call assumes the miter's activation
 literal ``act``, which switches the at-least-one-difference clause on.
 While the miter is satisfiable, the model yields a distinguishing input
 pattern (DIP): an input on which the two keys disagree.  The oracle —
 simulation of the unlocked base circuit — labels the DIP, and both key
-copies are constrained to reproduce that label.  When the miter goes
+copies are constrained to reproduce that label.  The same model gives
+every net outside the key cone its value under the DIP, so each
+constraint encodes only the cone, over those values as constants, and
+an output outside the cone whose model value disagrees with the oracle
+stops the attack with RuntimeError.  When the miter goes
 unsatisfiable, every key consistent with the accumulated constraints is
 functionally correct; one is extracted by one more solve on the same
 solver, with ``act`` false.
@@ -109,9 +113,8 @@ def sat_attack(inst: ObfuscationInstance,
         if res.status is SolveStatus.UNSAT:
             break
         dip = tuple(int(res.model[v]) for v in miter.input_vars)
-        oracle_out = simulate(inst.base, dip)
         dips.append(dip)
-        add_dip_constraint(miter, dip, oracle_out)
+        add_dip_constraint(miter, res.model, simulate(inst.base, dip))
 
     res = solve(CnfFormula([(-miter.act,)], miter.n_vars), remaining(), solver)
     total = total.merged(res.stats)

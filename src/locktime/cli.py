@@ -92,7 +92,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _load_instance(path: str):
     p = Path(path)
-    doc = json.loads(p.read_text())
+    try:
+        doc = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{p}: not valid JSON: {exc}") from exc
     if not (isinstance(doc, dict) and isinstance(doc.get("base_file"), str)):
         raise ValueError(f"{p}: an instance record is a JSON object with 'base_file' "
                          f"as a string, got {doc!r:.40}")

@@ -15,7 +15,10 @@ The miter encodes the gates outside the key cone (``netlist.key_cone``)
 once, over variables both key copies share: whatever the key, they
 compute the same function, and a second copy would only make the solver
 prove that again.  The cone is encoded once per key copy.  Each DIP
-constraint is a full circuit copy per key.
+constraint is the cone again per key copy, over constants: the DIP
+fixes every net outside the cone, and the model that produced it holds
+their values, so those nets read the miter's constant-true literal or
+its negation, which the solver folds away at level 0.
 
 Gate function comes from ``netlist.REDUCTION``, as in the simulator: a
 non-LUT gate is the AND, OR or XOR reduction of its fanins, and an
@@ -153,11 +156,17 @@ class MiterContext:
 
     ``clauses`` holds gate semantics (the gates outside the key cone
     once, the cone once per key copy), the xor-difference definition of
-    each output inside the cone, the at-least-one-difference clause
-    guarded by the activation literal ``act``, then all DIP copies.  The
-    attack loads ``clauses`` and decides each DIP under the assumption
-    ``act``; with ``act`` false only the key constraints bind.
-    ``formula`` writes that assumption as a unit clause.
+    each output inside the cone, the unit clause ``(true_var,)``, the
+    at-least-one-difference clause guarded by the activation literal
+    ``act``, then all DIP constraints.  The attack loads ``clauses`` and
+    decides each DIP under the assumption ``act``; with ``act`` false
+    only the key constraints bind.  ``formula`` writes that assumption
+    as a unit clause.
+
+    ``shared`` maps each net outside the key cone (the primary inputs
+    and the gates outside the cone, never a key input) to its one
+    variable, and ``cone_gates`` lists the cone's logic gates in
+    topological order: what each DIP constraint encodes again.
     """
 
     obf: Circuit
@@ -167,6 +176,9 @@ class MiterContext:
     key1_vars: list[int]
     key2_vars: list[int]
     act: int
+    true_var: int
+    shared: dict[int, int]
+    cone_gates: list[int]
 
     @property
     def formula(self) -> CnfFormula:
@@ -178,10 +190,10 @@ def build_miter(obf: Circuit) -> MiterContext:
 
     Variables: inputs ``1..|PI|``, key copy 1, key copy 2, the nets and
     auxiliaries outside the key cone, those of the cone for copy 1, then
-    for copy 2, one difference per output inside the cone, and last the
-    activation literal.  An output outside the cone cannot differ, so it
-    gets no difference variable; with no output inside the cone, the
-    guarded clause is ``(-act,)``.
+    for copy 2, one difference per output inside the cone, the
+    constant-true variable, and last the activation literal.  An output
+    outside the cone cannot differ, so it gets no difference variable;
+    with no output inside the cone, the guarded clause is ``(-act,)``.
     """
     if obf.key_bits == 0:
         raise ValueError("circuit has no key bits; nothing to attack")
@@ -202,36 +214,48 @@ def build_miter(obf: Circuit) -> MiterContext:
     dvars = alloc.new(len(outs))
     for g, d in zip(outs, dvars):
         _xor2(net1[g], net2[g], d, clauses)
-    (act,) = alloc.new()
+    true_var, act = alloc.new(2)
+    clauses.append((true_var,))
     clauses.append(tuple(dvars) + (-act,))  # act -> some output differs
-    return MiterContext(obf, alloc.n, clauses, input_vars, k1, k2, act)
+    for gid in obf.key_inputs:
+        del shared[gid]
+    return MiterContext(obf, alloc.n, clauses, input_vars, k1, k2, act, true_var,
+                        shared, cone_gates)
 
 
-def add_dip_constraint(m: MiterContext, dip, oracle_out) -> None:
+def add_dip_constraint(m: MiterContext, model: dict, oracle_out) -> None:
     """Bind both key copies to agree with the oracle on one input pattern.
 
-    Appends two fresh constrained circuit copies to ``m.clauses``:
-    internals fresh, keys bound to K1/K2, inputs unit-fixed to ``dip``,
-    outputs unit-fixed to ``oracle_out``.
+    ``model`` is the solver's model of ``m`` that produced the DIP: its
+    inputs are the DIP, and its value of each net outside the key cone is
+    that net's value under the DIP, whatever the key.  Appends to
+    ``m.clauses`` the cone once per key copy, internals fresh and keys
+    bound to K1/K2, with every net outside the cone read as
+    ``true_var`` or its negation per ``model``, and units fixing each
+    output inside the cone to ``oracle_out``.  An output outside the
+    cone is already fixed by ``model``; one that disagrees with the
+    oracle raises RuntimeError.
     """
-    dip = [int(b) for b in dip]
     oracle_out = [int(b) for b in oracle_out]
-    if len(dip) != len(m.input_vars):
-        raise ValueError(f"dip has {len(dip)} bits, circuit has {len(m.input_vars)} inputs")
-    n_po = len(m.obf.primary_outputs)
+    obf = m.obf
+    n_po = len(obf.primary_outputs)
     if len(oracle_out) != n_po:
         raise ValueError(f"oracle output has {len(oracle_out)} bits, "
                          f"circuit has {n_po} outputs")
-
+    outs = []
+    for g, bit in zip(obf.primary_outputs, oracle_out):
+        v = m.shared.get(g)
+        if v is None:
+            outs.append((g, bit))
+        elif model[v] != bit:
+            raise RuntimeError(f"solver model gives output {obf.gates[g].name!r} "
+                               f"{int(model[v])} where the oracle gives {bit}")
+    t = m.true_var
+    consts = {g: t if model[v] else -t for g, v in m.shared.items()}
     alloc = _Alloc(m.n_vars)
-    gates = m.obf.logic_gates
     for kvars in (m.key1_vars, m.key2_vars):
-        in_vars = alloc.new(len(dip))
-        m.clauses.extend((v,) if bit else (-v,) for v, bit in zip(in_vars, dip))
-        net = _encode_copy(m.obf, alloc, dict(zip(m.obf.primary_inputs, in_vars)), gates,
-                           kvars, m.clauses)
-        outs = [net[g] for g in m.obf.primary_outputs]
-        m.clauses.extend((v,) if bit else (-v,) for v, bit in zip(outs, oracle_out))
+        net = _encode_copy(obf, alloc, consts, m.cone_gates, kvars, m.clauses)
+        m.clauses.extend((net[g],) if bit else (-net[g],) for g, bit in outs)
     m.n_vars = alloc.n
 
 

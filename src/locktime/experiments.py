@@ -48,10 +48,11 @@ from .obfuscate import (
     instance_from_json,
     instance_to_json,
     random_obfuscate,
+    require_unlocked,
 )
 
 DATASET_FORMAT = "locktime-dataset"
-DATASET_VERSION = 5  # 5: conflicts of the miter that shares the gates outside the key cone
+DATASET_VERSION = 6  # 6: conflicts with each DIP constraint encoding only the key cone
 
 
 # --- ranking metrics ---
@@ -139,8 +140,10 @@ def generate_records(base: Circuit, count: int, kind: ObfuscationKind,
 
     Each instance draws its location count and locking seed from an
     independent child of one seed sequence, so results do not depend on
-    worker scheduling.
+    worker scheduling.  A locked ``base`` is refused before the location
+    range is checked against its eligible gates.
     """
+    require_unlocked(base)
     lo, hi = int(location_range[0]), int(location_range[1])
     n_eligible = len(eligible_gates(base, kind))
     if not 1 <= lo <= hi:
@@ -240,7 +243,10 @@ def _check_labels(rec_id: str, labels) -> None:
 def load_dataset(dataset_dir):
     """Read a dataset directory; returns (base, records, manifest)."""
     root = Path(dataset_dir)
-    manifest = json.loads((root / "manifest.json").read_text())
+    try:
+        manifest = json.loads((root / "manifest.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{root / 'manifest.json'}: not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"dataset manifest must be a JSON object: {dataset_dir}")
     if manifest.get("format") != DATASET_FORMAT:

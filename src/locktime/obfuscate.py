@@ -126,6 +126,14 @@ def eligible_gates(c: Circuit, kind: ObfuscationKind) -> tuple[int, ...]:
     return tuple(g.id for g in c.gates if _eligible(g, kind))
 
 
+def require_unlocked(base: Circuit) -> None:
+    """Refuse a circuit with key bits as a base to lock: a locked circuit
+    is no key-free oracle."""
+    if base.key_bits:
+        raise ValueError(f"cannot lock a circuit that already has {base.key_bits} key bits: "
+                         f"a locked circuit is no key-free oracle")
+
+
 def apply_at_locations(base: Circuit, kind: ObfuscationKind,
                        locations, seed=None) -> ObfuscationInstance:
     """Lock the unlocked circuit ``base`` at the given gate ids (in order);
@@ -144,9 +152,7 @@ def apply_at_locations(base: Circuit, kind: ObfuscationKind,
     displaces is ``<name>$in``, else ``<name>$in1``, ``<name>$in2``, ...
     ``key_truth`` follows ``obfuscated.key_slices``.
     """
-    if base.key_bits:
-        raise ValueError(f"cannot lock a circuit that already has {base.key_bits} key bits: "
-                         f"a locked circuit is no key-free oracle")
+    require_unlocked(base)
     locations = tuple(int(g) for g in locations)
     seen = set()
     for g in locations:

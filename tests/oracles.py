@@ -177,7 +177,9 @@ def two_copy_miter(obf: Circuit) -> MiterContext:
 
     Both copies are the single-key Tseitin encoding, renumbered.
     Variables: inputs, key copy 1, key copy 2, copy 1's nets and
-    auxiliaries, copy 2's, one difference per output, then ``act``.
+    auxiliaries, copy 2's, one difference per output, the constant-true
+    variable, then ``act``.  Only the inputs are shared, and every logic
+    gate is in ``cone_gates``.
     """
     t = tseitin(obf)
     n_pi, k = len(obf.primary_inputs), obf.key_bits
@@ -199,11 +201,53 @@ def two_copy_miter(obf: Circuit) -> MiterContext:
     for y, d in zip(outs, dvars):
         a, b = renumber(0)(y), renumber(1)(y)
         clauses += [(-d, a, b), (-d, -a, -b), (d, -a, b), (d, a, -b)]
-    act = first + len(outs) + 1
-    clauses.append(tuple(dvars) + (-act,))
+    true_var = first + len(outs) + 1
+    act = true_var + 1
+    clauses += [(true_var,), tuple(dvars) + (-act,)]
     return MiterContext(obf, act, clauses, list(range(1, n_pi + 1)),
                         list(range(n_pi + 1, n_pi + k + 1)),
-                        list(range(n_pi + k + 1, n_pi + 2 * k + 1)), act)
+                        list(range(n_pi + k + 1, n_pi + 2 * k + 1)), act, true_var,
+                        {g: i + 1 for i, g in enumerate(obf.primary_inputs)},
+                        list(obf.logic_gates))
+
+
+def full_copy_dip_constraint(m: MiterContext, dip, oracle_out) -> None:
+    """The DIP constraint as two full circuit copies: ``cnf.add_dip_constraint``
+    before it encoded only the key cone.
+
+    Per key copy, in order: fresh input variables unit-fixed to ``dip``,
+    the single-key Tseitin encoding renumbered onto them, the copy's key
+    variables and fresh nets and auxiliaries, then every output
+    unit-fixed to ``oracle_out``.  Appends to ``m.clauses``, raises
+    ``m.n_vars``.
+    """
+    t = tseitin(m.obf)
+    n_pi, k = len(m.obf.primary_inputs), m.obf.key_bits
+    outs = [t.var_map[m.obf.gates[g].name] for g in m.obf.primary_outputs]
+    for kvars in (m.key1_vars, m.key2_vars):
+        base = m.n_vars
+
+        def var(v):
+            if n_pi < v <= n_pi + k:
+                return kvars[v - n_pi - 1]
+            return base + v if v <= n_pi else base + v - k
+
+        def lit(x):
+            return var(x) if x > 0 else -var(-x)
+        m.clauses += [(lit(i + 1) if b else -lit(i + 1),) for i, b in enumerate(dip)]
+        m.clauses += [tuple(map(lit, cl)) for cl in t.clauses]
+        m.clauses += [(lit(y) if b else -lit(y),) for y, b in zip(outs, oracle_out)]
+        m.n_vars = base + t.n_vars - k
+
+
+def dip_model(m: MiterContext, dip) -> dict:
+    """The values that any model of ``m`` with inputs ``dip`` gives the nets
+    outside the key cone (``m.shared``'s variables), found by reference
+    simulation under the all-zero key: no key changes them."""
+    c = m.obf
+    probe = Circuit(c.gates, c.primary_inputs, tuple(m.shared), c.key_inputs)
+    values = event_driven_simulate(probe, dip, [0] * c.key_bits)
+    return {v: bool(b) for v, b in zip(m.shared.values(), values)}
 
 
 _RAND_TYPES = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,

@@ -79,10 +79,12 @@ def test_every_solve_is_observable(monkeypatch, request, circuit, kind, n_loc, s
     assert [res.status for *_, res in hunts] == [SolveStatus.SAT] * len(r.dips) + [
         SolveStatus.UNSAT]
     assert key_loaded == 1 and solver.loaded.clauses[-1] == (-act,)
-    # each clause is loaded once: the miter, its DIP copies and the unit
+    # each clause is loaded once: the miter, its DIP constraints, each over
+    # the model of the call that found its DIP, and the unit
     m = build_miter(inst.obfuscated)
-    for dip in r.dips:
-        add_dip_constraint(m, dip, simulate(inst.base, dip))
+    for (*_, res), dip in zip(hunts, r.dips):
+        assert tuple(int(res.model[v]) for v in m.input_vars) == dip
+        add_dip_constraint(m, res.model, simulate(inst.base, dip))
     assert sum(n for n, *_ in calls) == len(m.clauses) + 1
 
 
@@ -176,10 +178,10 @@ def test_attack_determinism(c17):
 @pytest.mark.parametrize("circuit, kind, n_loc, seed, counters", [
     # (DIPs, conflicts, decisions, propagations): the benchmark's attack-mid12
     # list and the README example
-    ("mid12", XOR, 8, 0, (3, 213, 701, 9065)),
-    ("mid12", LUT2, 4, 4, (9, 85, 464, 7283)),
-    ("mid12", ObfuscationKind("lut", 3), 2, 5, (7, 89, 412, 6295)),
-    ("c17", ObfuscationKind("xnor"), 2, 3, (2, 3, 21, 124)),
+    ("mid12", XOR, 8, 0, (3, 213, 701, 8742)),
+    ("mid12", LUT2, 4, 4, (9, 85, 464, 5538)),
+    ("mid12", ObfuscationKind("lut", 3), 2, 5, (7, 89, 412, 4896)),
+    ("c17", ObfuscationKind("xnor"), 2, 3, (2, 3, 21, 85)),
 ], ids=["mid12-xor8", "mid12-lut2x4", "mid12-lut3x2", "c17-xnor2"])
 def test_attack_counters_are_pinned(request, circuit, kind, n_loc, seed, counters):
     # conflicts are the dataset's reproducible label: any change to the
@@ -201,7 +203,7 @@ def test_gendata_c17_counters_are_pinned(c17):
             assert log["status"] == AttackStatus.SOLVED
             for k, name in enumerate(("iterations", "conflicts", "decisions", "propagations")):
                 totals[k] += log[name]
-    assert tuple(totals) == (333, 1095, 6757, 57680)
+    assert tuple(totals) == (333, 1095, 6757, 53080)
 
 
 # the most of the variance of log1p(conflicts) that the solver's phase seed

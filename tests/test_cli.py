@@ -161,14 +161,15 @@ def test_export_dimacs_readme_miter_example(locked_dir, capsys):
     code, out, _ = run_cli(capsys, "export-dimacs",
                            str(outdir / "instance.json"), "--what", "miter")
     assert code == 0
-    assert out.splitlines()[:2] == ["p cnf 22 43", "10 1 0"]
+    assert out.splitlines()[:2] == ["p cnf 23 44", "10 1 0"]
     # the export is the formula the attack decides: its last clause is the
     # unit holding the activation literal, numbered last
-    assert out.splitlines()[-1] == "22 0"
+    assert out.splitlines()[-1] == "23 0"
 
 
 def test_locking_a_locked_circuit_is_refused(locked_dir, capsys, tmp_path):
-    # obfuscate writes no file, and gen-data stops before its first attack
+    # obfuscate writes no file, and gen-data stops before its first attack,
+    # also where its location range exceeds the base's eligible gates
     outdir, _ = locked_dir
     locked = str(outdir / "locked.bench")
     message = ("cannot lock a circuit that already has 2 key bits: "
@@ -176,7 +177,9 @@ def test_locking_a_locked_circuit_is_refused(locked_dir, capsys, tmp_path):
     for argv in (("obfuscate", locked, "--kind", "xor", "--locations", "1",
                   "--out", str(tmp_path / "again")),
                  ("gen-data", locked, "--count", "2", "--kind", "lut2",
-                  "--locations", "1", "--out", str(tmp_path / "ds"))):
+                  "--locations", "1", "--out", str(tmp_path / "ds")),
+                 ("gen-data", locked, "--count", "2", "--kind", "xor",
+                  "--locations", "1:20", "--out", str(tmp_path / "ds"))):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "ValueError", "message": message}
@@ -188,6 +191,16 @@ def _attack_error(capsys, path, doc):
     code, out, err = run_cli(capsys, "attack", str(path))
     assert code == 1 and out == ""
     return json.loads(err)
+
+
+def test_attack_names_an_instance_file_that_is_no_json(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text("nope")
+    code, out, err = run_cli(capsys, "attack", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"{path}: not valid JSON: Expecting value: line 1 column 1 (char 0)"}
 
 
 def test_attack_names_an_instance_file_that_is_no_object(capsys, tmp_path):
@@ -346,6 +359,8 @@ def _write_config(doc):
 MALFORMED_INPUTS = {
     "manifest-list": ("report", _edit_manifest(lambda m: [m]),
                       "manifest must be a JSON object"),
+    "manifest-truncated": ("report", lambda root: (root / "ds" / "manifest.json").write_text(
+        '{"format": "locktime-dataset", "vers'), "ds/manifest.json: not valid JSON: "),
     "instances-string": ("report", _edit_manifest(
         lambda m: {**m, "instances": m["instances"][0]}),
         "'instances' must be a list of record ids"),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -14,9 +15,9 @@ from locktime.cnf import (
 from locktime.netlist import GateType, key_cone, parse_bench, simulate, simulate_many
 from locktime.obfuscate import (ObfuscationKind, apply_at_locations, eligible_gates,
                                 random_obfuscate)
-from locktime.satsolve import SolveStatus, solve
-from oracles import (enumerate_cnf, enumerate_models_np, layered_dag, parse_dimacs,
-                     random_circuit, two_copy_miter)
+from locktime.satsolve import Solver, SolveStatus, solve
+from oracles import (dip_model, enumerate_cnf, enumerate_models_np, full_copy_dip_constraint,
+                     layered_dag, parse_dimacs, random_circuit, two_copy_miter)
 
 
 def test_single_and_clause_set():
@@ -95,8 +96,9 @@ def _pinned_instances(c17, mid12):
 # sha256 over tseitin's DIMACS and simulate_many's output bytes of the
 # pinned instances: the single-copy encoding and the simulator
 ENCODING_PIN = "80cf4b1db691f4fe79e7a9adcabff142da7441f1b1ff09d9d8e686ffa91a88c9"
-# sha256 over a two-DIP build_miter DIMACS of the same instances
-MITER_PIN = "13549e809606952d75f7f5a0ab1a709fea69cb48819cae5c6eb3305e8ee33996"
+# sha256 over a two-DIP build_miter DIMACS of the same instances, each DIP
+# constraint over the model values that dip_model simulates
+MITER_PIN = "5fdd6c545506d322aa0b899d8b533f4a78038801b021c072ad35fbcfcaa34264"
 
 
 def test_encoding_and_simulation_bytes_are_pinned(c17, mid12):
@@ -114,7 +116,7 @@ def test_miter_bytes_are_pinned(c17, mid12):
     for base, obf, rng in _pinned_instances(c17, mid12):
         miter = build_miter(obf)
         for dip in rng.integers(0, 2, (2, len(base.primary_inputs))):
-            add_dip_constraint(miter, dip, simulate(base, dip))
+            add_dip_constraint(miter, dip_model(miter, dip), simulate(base, dip))
         h.update(to_dimacs(miter.formula).encode())
     assert h.hexdigest() == MITER_PIN
 
@@ -239,7 +241,7 @@ def test_dip_constraint_prunes_and_extracts_key():
     base, obf = _tiny_locked()
     m = build_miter(obf)
     oracle_out = simulate(base, [0])
-    assert add_dip_constraint(m, [0], oracle_out) is None  # grows m in place
+    assert add_dip_constraint(m, dip_model(m, [0]), oracle_out) is None  # grows m in place
     f = m.formula
     assert enumerate_models_np([list(cl) for cl in f.clauses], f.n_vars).shape[0] == 0
     # without the unit (act,) the difference clause can be switched off,
@@ -253,10 +255,10 @@ def test_dip_constraint_prunes_and_extracts_key():
 def test_dip_constraint_dimension_errors(c17):
     inst = random_obfuscate(c17, 1, ObfuscationKind("xor"), seed=2)
     m = build_miter(inst.obfuscated)
-    with pytest.raises(ValueError):
-        add_dip_constraint(m, [0, 1], [0, 0])
-    with pytest.raises(ValueError):
-        add_dip_constraint(m, [0, 1, 0, 1, 0], [0])
+    model = dip_model(m, [0, 1, 0, 1, 0])
+    for oracle_out in ([0], [0, 0, 0]):
+        with pytest.raises(ValueError, match="circuit has 2 outputs"):
+            add_dip_constraint(m, model, oracle_out)
 
 
 def test_miter_shares_inputs_between_copies(c17):
@@ -280,6 +282,7 @@ def test_miter_variable_layout(c17):
     shared, coned = [g for g in logic if g not in cone], [g for g in logic if g in cone]
     outs = [g for g in obf.primary_outputs if g in cone]
     assert shared and coned and 0 < len(outs) < len(obf.primary_outputs)
+    assert m.cone_gates == coned
     # the shared nets follow the keys as one block in topological order (c17's
     # NANDs need no auxiliaries), then each copy's cone: its nets in
     # topological order and the four minterm selectors of each lut2
@@ -294,7 +297,7 @@ def test_miter_variable_layout(c17):
         return max(map(abs, cl))
     i1 = next(i for i, cl in enumerate(m.clauses) if top(cl) >= start1)
     i2 = next(i for i, cl in enumerate(m.clauses) if top(cl) >= start2)
-    n_diff = 4 * len(outs) + 1
+    n_diff = 4 * len(outs) + 2
     sh, c1, c2, diff = (m.clauses[:i1], m.clauses[i1:i2], m.clauses[i2:-n_diff],
                         m.clauses[-n_diff:])
     # the shared gates read no key bit
@@ -321,14 +324,17 @@ def test_miter_variable_layout(c17):
         return v if lit > 0 else -v
     assert c2 == [tuple(map(to_copy2, cl)) for cl in c1]
     # one xor difference per output inside the cone, opening with
-    # (-d, y1, y2), then the guarded at-least-one-difference clause and
-    # the activation literal, numbered last
+    # (-d, y1, y2), then the constant-true variable's unit, the guarded
+    # at-least-one-difference clause and the activation literal, numbered last
     dvars = list(range(start2 + width, start2 + width + len(outs)))
     assert [diff[4 * i][:3] for i in range(len(outs))] == [
         (-d, net[g], net[g] + width) for g, d in zip(outs, dvars)]
-    assert m.act == m.n_vars == dvars[-1] + 1
-    assert diff[-1] == tuple(dvars) + (-m.act,)
+    assert m.true_var == dvars[-1] + 1 and m.act == m.n_vars == dvars[-1] + 2
+    assert diff[-2:] == [(m.true_var,), tuple(dvars) + (-m.act,)]
     assert m.formula.clauses == m.clauses + [(m.act,)]
+    # the nets outside the cone, inputs first, each with its one variable
+    assert m.shared == {**dict(zip(obf.primary_inputs, m.input_vars)),
+                        **{g: net[g] for g in shared}}
 
 
 def _locked_random_circuits(kinds, count, seed):
@@ -359,7 +365,7 @@ def test_shared_and_two_copy_miters_agree_on_every_dip_sequence():
             m, res = (shared, answers[0]) if turn % 2 == 0 else (two_copy, answers[1])
             dip = [int(res.model[v]) for v in m.input_vars]
             for m in (shared, two_copy):
-                add_dip_constraint(m, dip, simulate(inst.base, dip))
+                full_copy_dip_constraint(m, dip, simulate(inst.base, dip))
         assert answers[0].status is SolveStatus.UNSAT
     assert instances == 147 and steps > 2 * instances  # most need several DIPs
 
@@ -383,13 +389,71 @@ def test_add_dip_constraint_is_append_only(c17):
     act = m.act
     for dip in ([0, 1, 1, 0, 1], [1, 1, 0, 0, 0]):
         before, n_before = list(m.clauses), m.n_vars
-        add_dip_constraint(m, dip, simulate(inst.base, dip))
+        add_dip_constraint(m, dip_model(m, dip), simulate(inst.base, dip))
         assert m.clauses[:len(before)] == before
         new_vars = {abs(lit) for cl in m.clauses[len(before):] for lit in cl}
-        assert new_vars and all(v in keys or n_before < v <= m.n_vars for v in new_vars)
+        assert new_vars and all(v in keys or v == m.true_var or n_before < v <= m.n_vars
+                                for v in new_vars)
         assert m.act == act
     assert m.formula.n_vars == m.n_vars
     assert m.formula.clauses[-1] == (act,)
+
+
+def _admitted_keys(m, keys):
+    """The keys of ``keys`` that ``m.clauses`` admits as both K1 and K2 at
+    once, with ``act`` left free, decided by one solver under assumptions."""
+    solver = Solver()
+    solve(CnfFormula(m.clauses, m.n_vars), None, solver)
+    admitted = set()
+    for key in keys:
+        assume = tuple(v if b else -v for kv in (m.key1_vars, m.key2_vars)
+                       for v, b in zip(kv, key))
+        if solve(CnfFormula([], m.n_vars), None, solver, assume).status is SolveStatus.SAT:
+            admitted.add(key)
+    return admitted
+
+
+def test_cone_and_full_copy_dip_constraints_admit_the_same_keys(c17, mid12):
+    # the DIP loop of seeded c17 and mid12 locks, each DIP bound by the
+    # cone-only constraint on one miter and the full-copy reference on
+    # another: after every DIP both admit the same keys, checked over
+    # every key up to 12 bits and 512 seeded random keys above
+    instances = dips = 0
+    for base in (c17, mid12):
+        for kind in map(ObfuscationKind.parse, ("xor", "xnor", "lut2", "lut3")):
+            for seed in range(3):
+                inst = random_obfuscate(base, 1 + seed, kind, seed=seed)
+                cone, full = build_miter(inst.obfuscated), build_miter(inst.obfuscated)
+                bits = inst.obfuscated.key_bits
+                rng = np.random.default_rng(seed)
+                keys = ({tuple(k) for k in rng.integers(0, 2, (512, bits)).tolist()}
+                        if bits > 12 else set(itertools.product((0, 1), repeat=bits)))
+                keys.add(inst.key_truth)
+                while (res := solve(cone.formula)).status is SolveStatus.SAT:
+                    dip = [int(res.model[v]) for v in cone.input_vars]
+                    add_dip_constraint(cone, res.model, simulate(inst.base, dip))
+                    full_copy_dip_constraint(full, dip, simulate(inst.base, dip))
+                    admitted = _admitted_keys(cone, keys)
+                    assert inst.key_truth in admitted
+                    assert admitted == _admitted_keys(full, keys)
+                    dips += 1
+                instances += 1
+    assert instances == 24 and dips > 3 * instances
+
+
+def test_a_model_that_contradicts_the_oracle_is_refused(c17):
+    # output 23 of this lock lies outside the key cone, so the model alone
+    # fixes it: a model that disagrees with the oracle there is refused
+    inst = random_obfuscate(c17, 2, ObfuscationKind("lut", 2), seed=3)
+    m = build_miter(inst.obfuscated)
+    dip = [1, 0, 1, 1, 0]
+    model = dip_model(m, dip)
+    out23 = m.shared[inst.obfuscated.name_to_id["23"]]
+    model[out23] = not model[out23]
+    n_clauses = len(m.clauses)
+    with pytest.raises(RuntimeError, match="solver model gives output '23'"):
+        add_dip_constraint(m, model, simulate(inst.base, dip))
+    assert len(m.clauses) == n_clauses
 
 
 # --- dimacs ---

@@ -38,7 +38,7 @@ from locktime.icnet import (
 )
 from locktime.netlist import GateType, simulate
 from locktime.numerics import NonFiniteError
-from locktime.obfuscate import ObfuscationKind
+from locktime.obfuscate import ObfuscationKind, random_obfuscate
 from oracles import chain_circuit, synthetic_mask_records
 
 
@@ -163,6 +163,15 @@ def test_generate_records_validation(c17):
             generate_records(c17, 2, kind, (1, 2), seed=0, workers=workers)
 
 
+def test_generate_records_refuses_a_locked_base_before_its_range(c17):
+    # c17 locked at two gates has 8 gates eligible for xor: a range up to
+    # 20 exceeds them, and still the refusal is what the caller hears
+    locked = random_obfuscate(c17, 2, ObfuscationKind.parse("xnor"), seed=3).obfuscated
+    for hi in (1, 20):
+        with pytest.raises(ValueError, match="already has 2 key bits"):
+            generate_records(locked, 2, ObfuscationKind.parse("xor"), (1, hi), seed=0)
+
+
 class _InProcessContext:
     """Stands in for a spawn context: records pool sizes, runs tasks here."""
 
@@ -223,13 +232,14 @@ def test_load_dataset_rejects_foreign_directory(tmp_path):
 def test_load_dataset_refuses_version_1(tmp_path, c17, small_records):
     # version 1 conflict labels came from a fresh solver per DIP call,
     # version 2 ones from a fresh solver for the key, version 3 also
-    # stored pre-logged label kinds: all are refused
+    # stored pre-logged label kinds, version 5 ones from full-copy DIP
+    # constraints: all are refused
     records, logs = small_records
     write_dataset(tmp_path, c17, records, logs)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["version"] == DATASET_VERSION == 5
+    assert manifest["version"] == DATASET_VERSION == 6
     assert manifest["label_kinds"] == ["wall_seconds", "conflicts"]
-    for old in (1, 2, 3):
+    for old in (1, 2, 3, 5):
         manifest["version"] = old
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=f"unsupported dataset version {old}"):
