@@ -41,7 +41,7 @@ from .icnet import (
     split_samples,
     train as train_model,
 )
-from .netlist import CircuitError, emit_bench, parse_bench
+from .netlist import CircuitError, emit_bench, parse_bench, read_json_object
 from .numerics import NonFiniteError
 from .obfuscate import (
     ObfuscationKind,
@@ -92,13 +92,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _load_instance(path: str):
     p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{p}: not valid JSON: {exc}") from exc
-    if not (isinstance(doc, dict) and isinstance(doc.get("base_file"), str)):
-        raise ValueError(f"{p}: an instance record is a JSON object with 'base_file' "
-                         f"as a string, got {doc!r:.40}")
+    expected = "an instance record is a JSON object with 'base_file' as a string"
+    doc = read_json_object(p, expected)
+    if not isinstance(doc.get("base_file"), str):
+        raise ValueError(f"{p}: {expected}, got {doc!r:.40}")
     base = parse_bench((p.parent / doc["base_file"]).read_text())
     return instance_from_json(doc, base)
 
@@ -181,9 +178,7 @@ def _cmd_gen_data(args) -> None:
 def _model_config(args) -> ModelConfig:
     doc = {}
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        if not isinstance(doc, dict):
-            raise ValueError(f"model config must be a JSON object, got {doc!r:.80}")
+        doc = read_json_object(args.config, "a model config must be a JSON object")
         allowed = set(ModelConfig().to_dict())
         unknown = set(doc) - allowed
         if unknown:

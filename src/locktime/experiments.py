@@ -39,7 +39,7 @@ from .icnet import (
     fit_linear,
     target_value,
 )
-from .netlist import ONE_HOT_ORDER, Circuit, emit_bench, parse_bench
+from .netlist import ONE_HOT_ORDER, Circuit, emit_bench, parse_bench, read_json_object
 from .numerics import no_fp_warnings
 from .obfuscate import (
     ObfuscationInstance,
@@ -243,12 +243,8 @@ def _check_labels(rec_id: str, labels) -> None:
 def load_dataset(dataset_dir):
     """Read a dataset directory; returns (base, records, manifest)."""
     root = Path(dataset_dir)
-    try:
-        manifest = json.loads((root / "manifest.json").read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{root / 'manifest.json'}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ValueError(f"dataset manifest must be a JSON object: {dataset_dir}")
+    manifest = read_json_object(root / "manifest.json",
+                                "a dataset manifest must be a JSON object")
     if manifest.get("format") != DATASET_FORMAT:
         raise ValueError(f"not a dataset directory: {dataset_dir}")
     if manifest.get("version") != DATASET_VERSION:
@@ -261,8 +257,9 @@ def load_dataset(dataset_dir):
     records = []
     for rec_id in ids:
         path = f"instances/{rec_id}.json"
+        doc = read_json_object(root / path, f"dataset record {rec_id!r} must be a JSON object")
         try:
-            records.append(_read_record(rec_id, json.loads((root / path).read_text()), base))
+            records.append(_read_record(rec_id, doc, base))
         except ValueError as exc:
             raise ValueError(f"{exc} ({path})") from exc
     return base, records, manifest
@@ -271,10 +268,8 @@ def load_dataset(dataset_dir):
 _RECORD_FIELDS = ("id", "obfuscation", "labels", "censored", "iterations", "status")
 
 
-def _read_record(rec_id: str, doc, base: Circuit) -> DatasetRecord:
+def _read_record(rec_id: str, doc: dict, base: Circuit) -> DatasetRecord:
     """One instance document, checked field by field before the replay."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"dataset record {rec_id!r} must be a JSON object")
     missing = [k for k in _RECORD_FIELDS if k not in doc]
     if missing:
         raise ValueError(f"dataset record {rec_id!r} has no {missing[0]!r} field")
@@ -290,6 +285,9 @@ def _read_record(rec_id: str, doc, base: Circuit) -> DatasetRecord:
     if not isinstance(status, str):
         raise ValueError(f"dataset record {rec_id!r} has status {status!r:.40}; "
                          f"expected a string")
+    if censored != (status == AttackStatus.TIMEOUT):
+        raise ValueError(f"dataset record {rec_id!r} has censored {censored} and status "
+                         f"{status!r:.40}; a record is censored exactly when it timed out")
     _check_labels(rec_id, doc["labels"])
     try:
         inst = instance_from_json(doc["obfuscation"], base)

@@ -52,10 +52,9 @@ from pathlib import Path
 import numpy as np
 
 from .attack import LABEL_KINDS
-from .netlist import ONE_HOT_INDEX, graph_matrix
+from .netlist import ONE_HOT_INDEX, graph_matrix, read_json_object
 from .numerics import (
     NonFiniteError,
-    ParamStore,
     adam_step,
     check_finite,
     init_adam,
@@ -65,6 +64,7 @@ from .numerics import (
     params_to_doc,
     relu_grad,
     softmax,
+    zeros_like,
 )
 from .obfuscate import ObfuscationInstance
 
@@ -168,7 +168,7 @@ class Prediction:
 @dataclass
 class Model:
     config: ModelConfig
-    params: ParamStore
+    params: dict  # name -> array, in init_params's order
 
 
 @dataclass
@@ -433,17 +433,17 @@ def _backward(model: Model, layout_t: Layout, ax: np.ndarray, cache: _Cache,
     grads["conv0"] += ax.T @ relu_grad(cache.ps[0], dp)
 
 
-def _sweep(model: Model, samples: list, grad_idx) -> tuple[float, float, ParamStore]:
+def _sweep(model: Model, samples: list, grad_idx) -> tuple[float, float, dict]:
     """One forward pass per sample, and backward on the positions grad_idx.
 
     The samples at grad_idx are visited first, in that order, and run
     backward too: the gradients of their mean squared residual accumulate
-    in that order into a fresh store, and their squared residuals sum in
+    in that order into fresh arrays, and their squared residuals sum in
     that order to sq_grad.  The other samples then run forward only.
     sq_all sums every squared residual in samples order, whatever
     grad_idx is.  Returns (sq_grad, sq_all, grads).
     """
-    grads = model.params.zeros_like()
+    grads = zeros_like(model.params)
     inv_b = 1.0 / len(grad_idx) if len(grad_idx) else 0.0
     sqs = [None] * len(samples)
     sq_grad = 0.0
@@ -454,7 +454,7 @@ def _sweep(model: Model, samples: list, grad_idx) -> tuple[float, float, ParamSt
             r = cache.z - target_value(smp.label)
             sqs[i] = r * r
             sq_grad += sqs[i]
-            _backward(model, smp.layout_t, smp.ax, cache, 2.0 * r * inv_b, grads.arrays)
+            _backward(model, smp.layout_t, smp.ax, cache, 2.0 * r * inv_b, grads)
         for i, smp in enumerate(samples):
             if sqs[i] is None:
                 r = _forward(model, smp.layout, smp.ax).z - target_value(smp.label)
@@ -465,7 +465,7 @@ def _sweep(model: Model, samples: list, grad_idx) -> tuple[float, float, ParamSt
     return sq_grad, sq_all, grads
 
 
-def loss_and_grads(model: Model, samples: list) -> tuple[float, ParamStore]:
+def loss_and_grads(model: Model, samples: list) -> tuple[float, dict]:
     """Batch MSE in the log domain plus exact parameter grads.
 
     The residual is z - log1p(label); MSE is the mean of squared residuals.
@@ -648,7 +648,7 @@ def load_checkpoint(path) -> tuple[Model, str]:
     the stored config builds, compared name by name (the file's order is
     sorted, not the model's).
     """
-    doc = json.loads(Path(path).read_text())
+    doc = read_json_object(path, "a model checkpoint must be a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -659,8 +659,8 @@ def load_checkpoint(path) -> tuple[Model, str]:
                          f"expected one of {', '.join(LABEL_KINDS)}")
     config = ModelConfig(**doc["config"])
     params = params_from_doc(doc["params"])
-    want = {k: v.shape for k, v in new_model(config).params.arrays.items()}
-    got = {k: v.shape for k, v in params.arrays.items()}
+    want = {k: v.shape for k, v in new_model(config).params.items()}
+    got = {k: v.shape for k, v in params.items()}
     for name in sorted(want.keys() | got.keys()):
         if name not in got:
             raise ValueError(f"checkpoint lacks parameter {name!r}")

@@ -1,5 +1,5 @@
 """Gate-level combinational netlists: bench-format parsing, validation,
-simulation and graph-matrix extraction.
+simulation and graph-matrix extraction; also the package's one JSON reader.
 
 A circuit is a DAG of gates.  Primary inputs are ordinary nodes of type
 INPUT so that every fanin edge has a real endpoint.  Key inputs (the
@@ -15,6 +15,7 @@ through the bench format; nothing on the attack path reads them.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -367,6 +368,19 @@ def emit_bench(c: Circuit) -> str:
         else:
             lines.append(f"{g.name} = {g.type.value}({args})")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def read_json_object(path, expected: str) -> dict:
+    """The JSON object in the file at path, else ValueError naming the file;
+    ``expected`` says what the object is ("a model config must be a JSON object")."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are no UTF-8
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {expected}, got {doc!r:.40}")
+    return doc
 
 
 def graph_matrix(c: Circuit, kind="adjacency"):

@@ -1,5 +1,5 @@
 """Dense numeric kernels for the regressor: activations with shape
-contracts, parameter containers, seeded initialization, and ADAM.
+contracts, name → array dicts, seeded initialization, and ADAM.
 
 Arrays are plain float64 numpy arrays; the operations here add the
 shape/finiteness checking and the deterministic-behaviour contract the
@@ -53,39 +53,12 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-@dataclass
-class ParamStore:
-    """Ordered named parameter arrays; iteration order is fixed."""
-
-    arrays: dict  # name -> np.ndarray, insertion-ordered
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
-    def names(self):
-        return list(self.arrays)
-
-    def copy(self) -> "ParamStore":
-        return ParamStore({k: v.copy() for k, v in self.arrays.items()})
-
-    def zeros_like(self) -> "ParamStore":
-        return ParamStore({k: np.zeros_like(v) for k, v in self.arrays.items()})
-
-    def check_shapes(self, other: "ParamStore"):
-        if self.names() != other.names():
-            raise ValueError(f"parameter names differ: {self.names()} vs {other.names()}")
-        for k in self.arrays:
-            if self.arrays[k].shape != other.arrays[k].shape:
-                raise ValueError(f"shape mismatch for {k!r}: "
-                                 f"{self.arrays[k].shape} vs {other.arrays[k].shape}")
-
-
 def _draw(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))  # uniform Glorot
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(feature_dim: int, hidden_dims, seed: int = 0) -> ParamStore:
+def init_params(feature_dim: int, hidden_dims, seed: int = 0) -> dict:
     """Uniform-Glorot parameters for the conv + attention readout architecture.
 
     conv<l>: (dims[l], dims[l+1]); feat: (h_last,); gate: (1,).
@@ -98,7 +71,11 @@ def init_params(feature_dim: int, hidden_dims, seed: int = 0) -> ParamStore:
     h_last = dims[-1]
     arrays["feat"] = _draw(rng, (h_last,), h_last, 1)
     arrays["gate"] = _draw(rng, (1,), 1, 1)
-    return ParamStore(arrays)
+    return arrays
+
+
+def zeros_like(params: dict) -> dict:
+    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 # ADAM's moment decay rates and denominator guard (Kingma & Ba defaults)
@@ -109,56 +86,69 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    m: ParamStore
-    v: ParamStore
+    m: dict  # name -> ADAM's first moment, in the parameters' order
+    v: dict  # name -> its second moment
     t: int
     lr: float
 
 
-def init_adam(params: ParamStore, lr: float = 1e-3) -> AdamState:
-    return AdamState(params.zeros_like(), params.zeros_like(), 0, lr)
+def init_adam(params: dict, lr: float = 1e-3) -> AdamState:
+    return AdamState(zeros_like(params), zeros_like(params), 0, lr)
 
 
-def adam_step(params: ParamStore, grads: ParamStore,
-              state: AdamState) -> tuple[ParamStore, AdamState]:
+def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
     """One bias-corrected ADAM descent step; returns fresh params/state.
 
+    grads must match params name by name, in order, and shape by shape.
     A non-finite gradient is reported as a warning and the step is
     skipped entirely (parameters, moments and t unchanged).
     """
-    params.check_shapes(grads)
-    for k in grads.arrays:
-        if not np.isfinite(grads.arrays[k]).all():
+    if list(params) != list(grads):
+        raise ValueError(f"parameter names differ: {list(params)} vs {list(grads)}")
+    for k, g in grads.items():
+        if params[k].shape != g.shape:
+            raise ValueError(f"shape mismatch for {k!r}: {params[k].shape} vs {g.shape}")
+    for k, g in grads.items():
+        if not np.isfinite(g).all():
             warnings.warn(f"non-finite gradient for {k!r}; ADAM step skipped",
                           RuntimeWarning, stacklevel=2)
             return params, state
     t = state.t + 1
     new_p, new_m, new_v = {}, {}, {}
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for k, g in grads.arrays.items():
-        m = b1 * state.m.arrays[k] + (1 - b1) * g
-        v = b2 * state.v.arrays[k] + (1 - b2) * g * g
+    for k, g in grads.items():
+        m = b1 * state.m[k] + (1 - b1) * g
+        v = b2 * state.v[k] + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        new_p[k] = params.arrays[k] - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        new_p[k] = params[k] - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[k] = m
         new_v[k] = v
-    return ParamStore(new_p), replace(state, m=ParamStore(new_m), v=ParamStore(new_v), t=t)
+    return new_p, replace(state, m=new_m, v=new_v, t=t)
 
 
-def params_to_doc(params: ParamStore) -> dict:
+def params_to_doc(params: dict) -> dict:
     """Shape-tagged JSON-safe dict (row-major value lists)."""
     return {k: {"shape": list(v.shape), "data": v.ravel().tolist()}
-            for k, v in params.arrays.items()}
+            for k, v in params.items()}
 
 
-def params_from_doc(doc: dict) -> ParamStore:
+def params_from_doc(doc) -> dict:
+    """The parameters of a :func:`params_to_doc` dict, each entry checked by name."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"parameters must be a JSON object, got {doc!r:.40}")
     arrays = {}
     for k, spec in doc.items():
+        if not (isinstance(spec, dict) and {"shape", "data"} <= spec.keys()):
+            raise ValueError(f"parameter {k!r} must be an object with 'shape' and 'data'")
+        shape = spec["shape"]
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"parameter {k!r} has shape {shape!r:.40}; "
+                             f"expected a list of integers >= 0")
         data = np.asarray(spec["data"], dtype=np.float64)
-        size = math.prod(spec["shape"])
+        size = math.prod(shape)
         if data.size != size:
             raise ValueError(f"parameter {k!r} has {data.size} values, "
-                             f"its shape {spec['shape']} needs {size}")
-        arrays[k] = data.reshape(spec["shape"])
-    return ParamStore(arrays)
+                             f"its shape {shape} needs {size}")
+        arrays[k] = data.reshape(shape)
+    return arrays

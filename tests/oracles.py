@@ -480,3 +480,19 @@ def reference_train(dataset: list, config):
             if abs(prev - last) / max(prev, 1e-12) < config.convergence_tol:
                 break
     return log, model.params, train_idx, test_idx, len(log)
+
+
+def numeric_grads(model, samples, h: float) -> dict:
+    """Central-difference gradients of ``batch_mse``, one parameter entry at a time."""
+    grads = {}
+    for name, value in model.params.items():
+        grads[name] = np.zeros_like(value)
+        for idx in np.ndindex(value.shape):
+            plus = {k: v.copy() for k, v in model.params.items()}
+            plus[name][idx] += h
+            minus = {k: v.copy() for k, v in model.params.items()}
+            minus[name][idx] -= h
+            lp = batch_mse(Model(model.config, plus), samples)
+            lm = batch_mse(Model(model.config, minus), samples)
+            grads[name][idx] = (lp - lm) / (2 * h)
+    return grads

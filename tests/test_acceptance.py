@@ -29,7 +29,6 @@ from locktime.icnet import (
     Model,
     ModelConfig,
     baseline_gcn_config,
-    batch_mse,
     forward,
     loss_and_grads,
     new_model,
@@ -45,6 +44,7 @@ from oracles import (
     cnf_is_satisfiable,
     enumerate_models_np,
     event_driven_simulate,
+    numeric_grads,
     random_3sat,
     random_circuit,
     random_structure,
@@ -177,22 +177,6 @@ def test_c04_attack_correctness(capsys, attack_results):
 
 # --- 5: gradient fidelity ---
 
-def _numeric_grads(model, samples, h):
-    grads = model.params.zeros_like()
-    for name in model.params.names():
-        it = np.nditer(model.params[name], flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            plus = model.params.copy()
-            plus.arrays[name][idx] += h
-            minus = model.params.copy()
-            minus.arrays[name][idx] -= h
-            lp = batch_mse(Model(model.config, plus), samples)
-            lm = batch_mse(Model(model.config, minus), samples)
-            grads.arrays[name][idx] = (lp - lm) / (2 * h)
-    return grads
-
-
 def test_c05_gradient_fidelity(capsys):
     rng = np.random.default_rng(12)
     n = 6
@@ -211,8 +195,8 @@ def test_c05_gradient_fidelity(capsys):
                               feat_agg=feat_agg, gate_agg=gate_agg)
             model = new_model(cfg)
             _, analytic = loss_and_grads(model, samples)
-            numeric = _numeric_grads(model, samples, h=1e-5)
-            for name in analytic.names():
+            numeric = numeric_grads(model, samples, h=1e-5)
+            for name in analytic:
                 an, nu = analytic[name], numeric[name]
                 rel = np.abs(an - nu) / np.maximum.reduce(
                     [np.abs(an), np.abs(nu), np.full_like(an, 1e-6)])
@@ -250,8 +234,8 @@ def test_c06_architectural_invariants(capsys):
                   and abs(base.a_feat.sum() - 1.0) < 1e-12
                   and abs(base.a_gate.sum() - 1.0) < 1e-12)
     zeroed = new_model(cfg)
-    zeroed.params.arrays["feat"][:] = 0.0
-    zeroed.params.arrays["gate"][:] = 0.0
+    zeroed.params["feat"][:] = 0.0
+    zeroed.params["gate"][:] = 0.0
     mean_model = Model(dataclasses.replace(cfg, feat_agg="mean",
                                            gate_agg="mean"), zeroed.params)
     zero_dev = abs(forward(zeroed, a, x).z - forward(mean_model, a, x).z)

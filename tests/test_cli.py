@@ -375,6 +375,19 @@ MALFORMED_INPUTS = {
                          "(instances/inst-00000.json)"),
     "censored-string": ("report", _edit_first_record(lambda doc: {**doc, "censored": "no"}),
                         "has censored 'no'; expected true or false"),
+    "censored-solved": ("report", _edit_first_record(lambda doc: {**doc, "censored": True}),
+                        "dataset record 'inst-00000' has censored True and status 'SOLVED'; "
+                        "a record is censored exactly when it timed out "
+                        "(instances/inst-00000.json)"),
+    "uncensored-timeout": ("report", _edit_first_record(
+        lambda doc: {**doc, "status": "TIMEOUT"}),
+        "dataset record 'inst-00000' has censored False and status 'TIMEOUT'"),
+    "record-truncated": ("report", lambda root: (root / "ds" / "instances" /
+                                                 "inst-00000.json").write_text('{"id'),
+                         "ds/instances/inst-00000.json: not valid JSON: "),
+    "record-list": ("report", _edit_first_record(lambda doc: [doc]),
+                    "ds/instances/inst-00000.json: dataset record 'inst-00000' "
+                    "must be a JSON object, got [{"),
     "iterations-negative": ("report", _edit_first_record(
         lambda doc: {**doc, "iterations": -1}), "has iterations -1; expected an integer >= 0"),
     "iterations-bool": ("report", _edit_first_record(
@@ -391,6 +404,8 @@ MALFORMED_INPUTS = {
                     "model config must be a JSON object"),
     "config-string": ("train", _write_config("x"),
                       "model config must be a JSON object"),
+    "config-no-json": ("train", lambda root: (root / "config.json").write_text("nope"),
+                       "config.json: not valid JSON: Expecting value: line 1 column 1"),
 }
 
 
@@ -428,21 +443,44 @@ def test_eval_scores_the_label_kind_the_model_was_trained_on(pipeline, capsys, t
         "message": "model was trained on label kind 'wall_seconds', not 'conflicts'"}
 
 
-@pytest.mark.parametrize("name,edit", [
-    ("conv0", lambda params: params.pop("conv0")),
-    ("feat", lambda params: params.update(feat={"shape": [2], "data": [0.5, 0.5]})),
-], ids=["missing", "misshapen"])
+@pytest.mark.parametrize("message,edit", [
+    ("'conv0'", lambda doc: doc["params"].pop("conv0")),
+    ("'feat'", lambda doc: doc["params"].update(feat={"shape": [2], "data": [0.5, 0.5]})),
+    ("parameters must be a JSON object, got []", lambda doc: doc.update(params=[])),
+    ("parameter 'conv0' must be an object with 'shape' and 'data'",
+     lambda doc: doc["params"].update(conv0=[0.5])),
+    ("parameter 'conv0' has shape 'x'; expected a list of integers >= 0",
+     lambda doc: doc["params"]["conv0"].update(shape="x")),
+    ("parameter 'feat' has shape [-3, -1]; expected a list of integers >= 0",
+     lambda doc: doc["params"]["feat"].update(shape=[-3, -1])),
+], ids=["missing", "misshapen", "params-list", "entry-list", "shape-string",
+        "shape-negative"])
 def test_eval_rejects_checkpoint_params_that_do_not_fit_the_config(
-        pipeline, capsys, tmp_path, name, edit):
+        pipeline, capsys, tmp_path, message, edit):
     ds, model, *_ = pipeline
     doc = json.loads(model.read_text())
-    edit(doc["params"])
+    edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "eval", "--dataset", str(ds), "--model", str(bad))
     assert code == 1 and out == ""
     err = json.loads(err)
-    assert err["error"] == "ValueError" and repr(name) in err["message"]
+    assert err["error"] == "ValueError" and message in err["message"]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("nope", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1]", "a model checkpoint must be a JSON object, got [1]"),
+], ids=["no-json", "list"])
+def test_eval_and_report_name_a_checkpoint_file_that_is_no_json_object(
+        pipeline, capsys, tmp_path, text, message):
+    ds, *_ = pipeline
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for command in ("eval", "report"):
+        code, out, err = run_cli(capsys, command, "--dataset", str(ds), "--model", str(bad))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": f"{bad}: {message}"}
 
 
 @pytest.mark.parametrize("label_kind", ["seconds", ["conflicts"]], ids=["unknown", "list"])

@@ -37,7 +37,7 @@ from locktime.icnet import (
     train,
 )
 from locktime.netlist import GateType, simulate
-from locktime.numerics import NonFiniteError
+from locktime.numerics import NonFiniteError, zeros_like
 from locktime.obfuscate import ObfuscationKind, random_obfuscate
 from oracles import chain_circuit, synthetic_mask_records
 
@@ -295,7 +295,7 @@ def test_evaluate_constant_model_degenerates_gracefully(small_records):
     records, _ = small_records
     cfg = ModelConfig(hidden_dims=(5, 4))
     model = new_model(cfg)
-    zero = Model(cfg, model.params.zeros_like())
+    zero = Model(cfg, zeros_like(model.params))
     samples = records_to_samples(records, cfg, "conflicts")
     rep = evaluate(zero, samples)
     assert rep.n == 6
@@ -350,7 +350,7 @@ def test_passes_over_an_overflowing_model_raise_no_numpy_warning(small_records):
     cfg = ModelConfig(hidden_dims=(6, 3), seed=2)
     samples = records_to_samples(records, cfg, "conflicts")
     model = new_model(cfg)
-    for arr in model.params.arrays.values():
+    for arr in model.params.values():
         arr[...] = 1e200
     passes = [lambda: evaluate(model, samples), lambda: attention_report(model, samples),
               lambda: loss_and_grads(model, samples),

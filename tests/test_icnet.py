@@ -19,7 +19,6 @@ from locktime.icnet import (
     _propagate,
     baseline_aggregate_features,
     baseline_gcn_config,
-    batch_mse,
     build_graph_input,
     fit_linear,
     forward,
@@ -34,12 +33,13 @@ from locktime.icnet import (
     train,
 )
 from locktime.netlist import ONE_HOT_INDEX, graph_matrix, parse_bench
-from locktime.numerics import NonFiniteError, ParamStore, params_to_doc
+from locktime.numerics import NonFiniteError, params_to_doc
 from locktime.obfuscate import ObfuscationKind, random_obfuscate
 from oracles import (
     densify,
     edge_list,
     layered_dag,
+    numeric_grads,
     random_structure,
     reference_train,
     same_rows_in_edge_order,
@@ -154,8 +154,8 @@ def test_attention_zero_theta_is_mean():
     rng = np.random.default_rng(0)
     a, x = make_graph(rng, n=5)
     model = new_model(SMALL)
-    model.params.arrays["feat"][:] = 0.0
-    model.params.arrays["gate"][:] = 0.0
+    model.params["feat"][:] = 0.0
+    model.params["gate"][:] = 0.0
     pred = forward(model, a, x)
     assert np.allclose(pred.a_feat, 1 / SMALL.hidden_dims[-1])
     assert np.allclose(pred.a_gate, 1 / 5)
@@ -221,8 +221,8 @@ def test_zero_attention_logits_equal_mean_aggregation():
     rng = np.random.default_rng(4)
     a, x = make_graph(rng, n=7)
     att_model = new_model(SMALL)
-    att_model.params.arrays["feat"][:] = 0.0
-    att_model.params.arrays["gate"][:] = 0.0
+    att_model.params["feat"][:] = 0.0
+    att_model.params["gate"][:] = 0.0
     mean_model = Model(
         dataclasses.replace(SMALL, feat_agg="mean", gate_agg="mean"),
         att_model.params)
@@ -477,42 +477,26 @@ def test_nonfinite_intermediates_reported_by_stage():
     # exp-head overflow is caught at the output head
     big = Model(
         dataclasses.replace(SMALL, feat_agg="mean", gate_agg="mean"),
-        ParamStore({"conv0": np.ones((1, 5)) * 50, "conv1": np.ones((5, 4)) * 50,
-                    "feat": np.zeros(4), "gate": np.zeros(1)}))
+        {"conv0": np.ones((1, 5)) * 50, "conv1": np.ones((5, 4)) * 50,
+         "feat": np.zeros(4), "gate": np.zeros(1)})
     with pytest.raises(NonFiniteError, match="output head"):
         forward(big, edge_list(np.eye(4)), np.full((4, 1), 100.0))
     # every feature of a gate is finite but their mean overflows: reported
     # there under either gate aggregation, not at the gate stage
-    huge = ParamStore({"conv0": np.full((1, 5), 1e154), "conv1": np.full((5, 4), 2e153),
-                       "feat": np.zeros(4), "gate": np.zeros(1)})
+    huge = {"conv0": np.full((1, 5), 1e154), "conv1": np.full((5, 4), 2e153),
+            "feat": np.zeros(4), "gate": np.zeros(1)}
     for gate_agg in ("attention", "mean"):
         cfg = dataclasses.replace(SMALL, feat_agg="mean", gate_agg=gate_agg)
         with pytest.raises(NonFiniteError, match="feature aggregation"):
             forward(Model(cfg, huge), edge_list(np.eye(4)), np.ones((4, 1)))
     # finite features whose gate scores overflow: reported at the softmax
-    steep = ParamStore({**huge.arrays, "conv1": np.ones((5, 4)), "gate": np.array([1e308])})
+    steep = {**huge, "conv1": np.ones((5, 4)), "gate": np.array([1e308])}
     with pytest.raises(NonFiniteError, match="softmax input"):
         forward(Model(dataclasses.replace(SMALL, feat_agg="mean"), steep),
                 edge_list(np.eye(4)), np.ones((4, 1)))
 
 
 # --- gradients ---
-
-def numeric_grads(model, samples, h=1e-5):
-    grads = model.params.zeros_like()
-    for name in model.params.names():
-        it = np.nditer(model.params[name], flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            plus = model.params.copy()
-            plus.arrays[name][idx] += h
-            minus = model.params.copy()
-            minus.arrays[name][idx] -= h
-            lp = batch_mse(Model(model.config, plus), samples)
-            lm = batch_mse(Model(model.config, minus), samples)
-            grads.arrays[name][idx] = (lp - lm) / (2 * h)
-    return grads
-
 
 # ids read head-gate_agg-feat_agg; the exponential head is the model's only one
 @pytest.mark.parametrize("gate_agg,feat_agg", [
@@ -524,7 +508,7 @@ def test_gradient_fidelity(feat_agg, gate_agg):
     samples = make_samples(np.random.default_rng(12), 3, n=6)
     _, analytic = loss_and_grads(model, samples)
     numeric = numeric_grads(model, samples, h=1e-5)
-    for name in analytic.names():
+    for name in analytic:
         a, n = analytic[name], numeric[name]
         rel = np.abs(a - n) / np.maximum.reduce([np.abs(a), np.abs(n),
                                                  np.full_like(a, 1e-6)])
@@ -555,7 +539,7 @@ def test_gradient_fidelity_all_features_config(c17, overrides, empty_rows):
         samples.append(GraphSample(a, x, label))
     _, analytic = loss_and_grads(model, samples)
     numeric = numeric_grads(model, samples, h=1e-5)
-    for name in analytic.names():
+    for name in analytic:
         a, n = analytic[name], numeric[name]
         rel = np.abs(a - n) / np.maximum.reduce([np.abs(a), np.abs(n),
                                                  np.full_like(a, 1e-6)])
@@ -563,8 +547,8 @@ def test_gradient_fidelity_all_features_config(c17, overrides, empty_rows):
 
 
 def test_loss_with_zero_parameters():
-    zero = ParamStore({"conv0": np.zeros((1, 5)), "conv1": np.zeros((5, 4)),
-                       "feat": np.zeros(4), "gate": np.zeros(1)})
+    zero = {"conv0": np.zeros((1, 5)), "conv1": np.zeros((5, 4)),
+            "feat": np.zeros(4), "gate": np.zeros(1)}
     smp = GraphSample(edge_list(np.eye(3)), np.ones((3, 1)), label=4.0)
     mse, _ = loss_and_grads(Model(SMALL, zero), [smp])
     assert np.isclose(mse, np.log1p(4.0) ** 2)  # z = 0, log-domain residual
@@ -577,7 +561,7 @@ def test_batch_loss_is_mean_and_grads_average():
     l2, g2 = loss_and_grads(model, [s2])
     l12, g12 = loss_and_grads(model, [s1, s2])
     assert np.isclose(l12, (l1 + l2) / 2)
-    for k in g12.names():
+    for k in g12:
         assert np.allclose(g12[k], (g1[k] + g2[k]) / 2)
     with pytest.raises(ValueError, match="empty"):
         loss_and_grads(model, [])
@@ -613,7 +597,7 @@ def test_train_determinism():
     cfg = dataclasses.replace(SMALL, max_epochs=25, learning_rate=0.01)
     r1 = train(samples, cfg)
     r2 = train(samples, cfg)
-    for k in r1.model.params.names():
+    for k in r1.model.params:
         assert np.array_equal(r1.model.params[k], r2.model.params[k])
     assert [row["train_mse"] for row in r1.log] == \
            [row["train_mse"] for row in r2.log]
@@ -832,7 +816,7 @@ def test_checkpoint_round_trip(tmp_path, c17):
     loaded, label_kind = load_checkpoint(path)
     assert loaded.config == cfg
     assert label_kind == "wall_seconds"
-    for k in model.params.names():
+    for k in model.params:
         assert np.array_equal(loaded.params[k], model.params[k])
     assert predict(loaded, inst).z == predict(model, inst).z
 

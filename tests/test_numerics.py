@@ -9,7 +9,6 @@ from locktime.numerics import (
     ADAM_EPS,
     AdamState,
     NonFiniteError,
-    ParamStore,
     adam_step,
     check_finite,
     init_adam,
@@ -18,6 +17,7 @@ from locktime.numerics import (
     params_to_doc,
     relu_grad,
     softmax,
+    zeros_like,
 )
 
 
@@ -113,12 +113,12 @@ def test_softmax_rejects_every_nonfinite_entry():
 def test_init_params_shapes_and_determinism():
     p1 = init_params(11, (32, 16), seed=3)
     p2 = init_params(11, (32, 16), seed=3)
-    assert p1.names() == ["conv0", "conv1", "feat", "gate"]
+    assert list(p1) == ["conv0", "conv1", "feat", "gate"]
     assert p1["conv0"].shape == (11, 32)
     assert p1["conv1"].shape == (32, 16)
     assert p1["feat"].shape == (16,)
     assert p1["gate"].shape == (1,)
-    for k in p1.names():
+    for k in p1:
         assert np.array_equal(p1[k], p2[k])
     p3 = init_params(11, (32, 16), seed=4)
     assert not np.array_equal(p1["conv0"], p3["conv0"])
@@ -131,31 +131,16 @@ def test_glorot_bound_respected():
     assert np.max(np.abs(p["conv0"])) > 0.5 * bound  # actually spreads out
 
 
-def test_param_store_copy_and_shape_checks():
-    p = init_params(3, (4,), seed=0)
-    q = p.copy()
-    q["conv0"][0, 0] += 1.0
-    assert p["conv0"][0, 0] != q["conv0"][0, 0]
-    z = p.zeros_like()
-    assert all(np.all(z[k] == 0) for k in z.names())
-    bad = ParamStore({"conv0": np.zeros((3, 5)), "feat": np.zeros(4),
-                      "gate": np.zeros(1)})
-    with pytest.raises(ValueError, match="shape mismatch"):
-        p.check_shapes(bad)
-    with pytest.raises(ValueError, match="names differ"):
-        p.check_shapes(ParamStore({"other": np.zeros(1)}))
-
-
 # --- ADAM ---
 
 def _scalar_store(**vals):
-    return ParamStore({k: np.asarray([v], dtype=float) for k, v in vals.items()})
+    return {k: np.asarray([v], dtype=float) for k, v in vals.items()}
 
 
 def test_adam_zero_gradient_keeps_params():
     p = _scalar_store(w=1.5)
     st = init_adam(p, lr=0.1)
-    newp, newst = adam_step(p, p.zeros_like(), st)
+    newp, newst = adam_step(p, zeros_like(p), st)
     assert newp["w"][0] == 1.5
     assert newst.t == 1
 
@@ -217,10 +202,16 @@ def test_adam_skips_nonfinite_gradient():
 
 
 def test_adam_shape_mismatch_rejected():
-    p = _scalar_store(w=1.0)
+    # gradients must carry the parameters' names, in order, and their shapes
+    p = init_params(3, (4,), seed=0)
     st = init_adam(p)
-    with pytest.raises(ValueError):
-        adam_step(p, ParamStore({"w": np.zeros(2)}), st)
+    z = zeros_like(p)
+    with pytest.raises(ValueError, match="shape mismatch for 'conv0'"):
+        adam_step(p, {**z, "conv0": np.zeros((3, 5))}, st)
+    for grads in ({"other": np.zeros(1)}, {"conv0": z["conv0"], "feat": z["feat"]},
+                  {"feat": z["feat"], "conv0": z["conv0"], "gate": z["gate"]}):
+        with pytest.raises(ValueError, match="names differ"):
+            adam_step(p, grads, st)
 
 
 def test_adam_state_defaults():
@@ -228,6 +219,11 @@ def test_adam_state_defaults():
     assert isinstance(st, AdamState)
     assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
     assert st.lr == 1e-3 and st.t == 0
+    p = init_params(3, (4,), seed=0)
+    st = init_adam(p)
+    for moments in (st.m, st.v):
+        assert list(moments) == list(p)
+        assert all(np.array_equal(moments[k], np.zeros_like(p[k])) for k in p)
 
 
 # --- serialization ---
@@ -237,6 +233,6 @@ def test_params_doc_round_trip():
     doc = params_to_doc(p)
     assert doc["conv0"]["shape"] == [7, 5]
     q = params_from_doc(doc)
-    assert q.names() == p.names()
-    for k in p.names():
+    assert list(q) == list(p)
+    for k in p:
         assert np.array_equal(p[k], q[k])

@@ -170,6 +170,25 @@ def test_circuits_are_built_only_by_the_parser_and_the_locker():
     assert not found, f"Circuit built outside {sorted(CIRCUIT_BUILDERS)}: {found}"
 
 
+# the one function that decodes a JSON file
+JSON_READER = "netlist.py:read_json_object"
+
+
+def test_json_files_are_read_only_by_the_one_reader():
+    # every file the package decodes is refused by name in one place when it
+    # is no JSON or no object
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if f"{path.name}:{getattr(top, 'name', '')}" == JSON_READER:
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                          and getattr(node.value, "id", None) == "json")
+                      or (isinstance(node, ast.ImportFrom) and node.module == "json")]
+    assert not found, f"JSON decoded outside {JSON_READER}: {found}"
+
+
 # the logic types whose function netlist.REDUCTION declares
 REDUCTION_TYPES = {"AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUFF"}
 
