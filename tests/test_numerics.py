@@ -131,6 +131,29 @@ def test_glorot_bound_respected():
     assert np.max(np.abs(p["conv0"])) > 0.5 * bound  # actually spreads out
 
 
+def test_param_store_copy_and_shape_checks():
+    # parameters are plain dicts: zeros_like and adam_step hand back fresh
+    # arrays, and adam_step checks the gradients' names, order and shapes
+    p = init_params(3, (4,), seed=0)
+    before = {k: v.copy() for k, v in p.items()}
+    z = zeros_like(p)
+    assert list(z) == list(p)
+    assert all(np.all(z[k] == 0) and z[k].shape == p[k].shape for k in z)
+    z["conv0"][0, 0] += 1.0
+    assert p["conv0"][0, 0] == before["conv0"][0, 0]
+    st = init_adam(p, lr=0.1)
+    newp, _ = adam_step(p, z, st)
+    newp["conv0"][0, 0] += 1.0
+    assert all(np.array_equal(p[k], before[k]) for k in p)
+    with pytest.raises(ValueError, match="shape mismatch for 'conv0'"):
+        adam_step(p, {**zeros_like(p), "conv0": np.zeros((3, 5))}, st)
+    z = zeros_like(p)
+    for grads in ({"other": np.zeros(1)}, {"conv0": z["conv0"], "feat": z["feat"]},
+                  {"feat": z["feat"], "conv0": z["conv0"], "gate": z["gate"]}):
+        with pytest.raises(ValueError, match="names differ"):
+            adam_step(p, grads, st)
+
+
 # --- ADAM ---
 
 def _scalar_store(**vals):
@@ -202,16 +225,10 @@ def test_adam_skips_nonfinite_gradient():
 
 
 def test_adam_shape_mismatch_rejected():
-    # gradients must carry the parameters' names, in order, and their shapes
-    p = init_params(3, (4,), seed=0)
+    p = _scalar_store(w=1.0)
     st = init_adam(p)
-    z = zeros_like(p)
-    with pytest.raises(ValueError, match="shape mismatch for 'conv0'"):
-        adam_step(p, {**z, "conv0": np.zeros((3, 5))}, st)
-    for grads in ({"other": np.zeros(1)}, {"conv0": z["conv0"], "feat": z["feat"]},
-                  {"feat": z["feat"], "conv0": z["conv0"], "gate": z["gate"]}):
-        with pytest.raises(ValueError, match="names differ"):
-            adam_step(p, grads, st)
+    with pytest.raises(ValueError):
+        adam_step(p, {"w": np.zeros(2)}, st)
 
 
 def test_adam_state_defaults():
