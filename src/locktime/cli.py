@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import load_bundled
@@ -41,9 +42,10 @@ from .icnet import (
     split_samples,
     train as train_model,
 )
-from .netlist import CircuitError, emit_bench, parse_bench, read_json_object
+from .netlist import CircuitError, emit_bench, parse_bench, read_json_object, write_json
 from .numerics import NonFiniteError
 from .obfuscate import (
+    INSTANCE,
     ObfuscationKind,
     instance_from_json,
     instance_to_json,
@@ -83,21 +85,22 @@ def _write_text(text: str, out=None) -> None:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    k = int(text)
-    return k, k
+    lo, colon, hi = text.partition(":")
+    try:
+        return int(lo), int(hi if colon else lo)
+    except ValueError:
+        raise ValueError(f"--locations must be K or LO:HI, with integers K, LO and HI, "
+                         f"got {text!r}") from None
 
 
 def _load_instance(path: str):
     p = Path(path)
-    expected = "an instance record is a JSON object with 'base_file' as a string"
-    doc = read_json_object(p, expected)
-    if not isinstance(doc.get("base_file"), str):
-        raise ValueError(f"{p}: {expected}, got {doc!r:.40}")
+    doc = read_json_object(p, INSTANCE)
     base = parse_bench((p.parent / doc["base_file"]).read_text())
-    return instance_from_json(doc, base)
+    try:
+        return instance_from_json(doc, base)
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from exc
 
 
 # --- subcommands ---
@@ -133,9 +136,7 @@ def _cmd_obfuscate(args) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "base.bench").write_text(emit_bench(inst.base))
     (outdir / "locked.bench").write_text(emit_bench(inst.obfuscated))
-    doc = instance_to_json(inst, "base.bench")
-    (outdir / "instance.json").write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_json(outdir / "instance.json", instance_to_json(inst, "base.bench"))
     _emit({
         "kind": str(kind),
         "locations": list(inst.location_names),
@@ -176,16 +177,8 @@ def _cmd_gen_data(args) -> None:
 
 
 def _model_config(args) -> ModelConfig:
-    doc = {}
-    if args.config:
-        doc = read_json_object(args.config, "a model config must be a JSON object")
-        allowed = set(ModelConfig().to_dict())
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    return ModelConfig(**doc)
+    config = read_json_object(args.config, ModelConfig.from_dict) if args.config else ModelConfig()
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _cmd_train(args) -> None:

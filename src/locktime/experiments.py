@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -39,14 +40,17 @@ from .icnet import (
     fit_linear,
     target_value,
 )
-from .netlist import ONE_HOT_ORDER, Circuit, emit_bench, parse_bench, read_json_object
+from .netlist import (COUNT, FILE_NAME, NONNEGATIVE, ONE_HOT_ORDER, TEXT, Circuit, check_json,
+                      emit_bench, json_choice, parse_bench, read_json_object, write_json)
 from .numerics import no_fp_warnings
 from .obfuscate import (
+    INSTANCE,
     ObfuscationInstance,
     ObfuscationKind,
     eligible_gates,
     instance_from_json,
     instance_to_json,
+    kind_name,
     random_obfuscate,
     require_unlocked,
 )
@@ -174,6 +178,22 @@ def generate_records(base: Circuit, count: int, kind: ObfuscationKind,
     return [rec for rec, _ in done], [log for _, log in done]
 
 
+# instances/<id>.json, as write_dataset writes it
+RECORD = {"id": TEXT, "obfuscation": INSTANCE, "labels": {k: NONNEGATIVE for k in LABEL_KINDS},
+          "censored": ("true or false", lambda v: isinstance(v, bool)), "iterations": COUNT,
+          "status": json_choice(AttackStatus.SOLVED, AttackStatus.TIMEOUT)}
+# manifest.json, as write_dataset writes it; generate_dataset adds the optional keys
+MANIFEST = {
+    "format": json_choice(DATASET_FORMAT), "version": json_choice(DATASET_VERSION),
+    "base": FILE_NAME, "count": COUNT, "label_kinds": json_choice(list(LABEL_KINDS)),
+    "instances": [FILE_NAME], "kind?": kind_name, "seed?": COUNT,
+    "location_range?": ("[lo, hi], integers with 1 <= lo <= hi", lambda v: isinstance(v, list)
+                        and len(v) == 2 and type(v[0]) is type(v[1]) is int and 1 <= v[0] <= v[1]),
+    "timeout_seconds?": ("null or a number > 0",
+                         lambda v: v is None or type(v) in (int, float) and v > 0),
+}
+
+
 def write_dataset(out_dir, base: Circuit, records, logs,
                   manifest_extra: dict | None = None) -> dict:
     out = Path(out_dir)
@@ -181,20 +201,18 @@ def write_dataset(out_dir, base: Circuit, records, logs,
     (out / "base.bench").write_text(emit_bench(base))
     ids = []
     for rec in records:
-        doc = {
+        write_json(out / "instances" / f"{rec.instance_id}.json", {
             "id": rec.instance_id,
             "obfuscation": instance_to_json(rec.instance, "base.bench"),
             "labels": rec.labels,
             "censored": rec.censored,
             "iterations": rec.iterations,
             "status": rec.status,
-        }
-        (out / "instances" / f"{rec.instance_id}.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        })
         ids.append(rec.instance_id)
     with (out / "attacks.log.jsonl").open("w") as fh:
         for log in logs:
-            fh.write(json.dumps(log, sort_keys=True) + "\n")
+            fh.write(json.dumps(log, sort_keys=True, allow_nan=False) + "\n")
     manifest = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -205,8 +223,7 @@ def write_dataset(out_dir, base: Circuit, records, logs,
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_json(out / "manifest.json", manifest)
     return manifest
 
 
@@ -221,79 +238,37 @@ def generate_dataset(base: Circuit, out_dir, count: int,
         "kind": str(kind),
         "location_range": [int(location_range[0]), int(location_range[1])],
         "seed": seed,
-        "timeout_seconds": timeout_seconds,
+        "timeout_seconds": None if timeout_seconds == math.inf else timeout_seconds,
     })
     return records, manifest
 
 
-def _check_labels(rec_id: str, labels) -> None:
-    """Raw effort: every ``LABEL_KINDS`` entry a finite real >= 0."""
-    if not isinstance(labels, dict):
-        raise ValueError(f"dataset record {rec_id!r}: labels must be a JSON object")
-    for kind in LABEL_KINDS:
-        if kind not in labels:
-            raise ValueError(f"dataset record {rec_id!r} has no {kind!r} label")
-        v = labels[kind]
-        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) and v >= 0):
-            raise ValueError(f"dataset record {rec_id!r} has label {v!r} for "
-                             f"{kind!r}; labels are raw effort, finite numbers >= 0")
-
-
 def load_dataset(dataset_dir):
-    """Read a dataset directory; returns (base, records, manifest)."""
+    """Read a dataset directory, each file checked; returns (base, records, manifest)."""
     root = Path(dataset_dir)
-    manifest = read_json_object(root / "manifest.json",
-                                "a dataset manifest must be a JSON object")
-    if manifest.get("format") != DATASET_FORMAT:
-        raise ValueError(f"not a dataset directory: {dataset_dir}")
-    if manifest.get("version") != DATASET_VERSION:
-        raise ValueError(f"unsupported dataset version {manifest.get('version')}")
-    ids = manifest.get("instances")
-    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
-        raise ValueError(f"dataset manifest: 'instances' must be a list of "
-                         f"record ids (strings), got {ids!r:.80}")
+    path = root / "manifest.json"
+    manifest = read_json_object(path, MANIFEST)
+    ids = manifest["instances"]
+    if manifest["count"] != len(ids):
+        raise ValueError(f"{path}: count: expected {len(ids)}, the number of instances, "
+                         f"got {manifest['count']}")
     base = parse_bench((root / manifest["base"]).read_text())
-    records = []
-    for rec_id in ids:
-        path = f"instances/{rec_id}.json"
-        doc = read_json_object(root / path, f"dataset record {rec_id!r} must be a JSON object")
-        try:
-            records.append(_read_record(rec_id, doc, base))
-        except ValueError as exc:
-            raise ValueError(f"{exc} ({path})") from exc
-    return base, records, manifest
+    return base, [read_json_object(root / "instances" / f"{rec_id}.json",
+                                   partial(_read_record, rec_id, base, manifest["base"]))
+                  for rec_id in ids], manifest
 
 
-_RECORD_FIELDS = ("id", "obfuscation", "labels", "censored", "iterations", "status")
-
-
-def _read_record(rec_id: str, doc: dict, base: Circuit) -> DatasetRecord:
-    """One instance document, checked field by field before the replay."""
-    missing = [k for k in _RECORD_FIELDS if k not in doc]
-    if missing:
-        raise ValueError(f"dataset record {rec_id!r} has no {missing[0]!r} field")
-    if doc["id"] != rec_id:
-        raise ValueError(f"dataset record {rec_id!r} has id {doc['id']!r:.40}")
-    censored, iterations, status = doc["censored"], doc["iterations"], doc["status"]
-    if not isinstance(censored, bool):
-        raise ValueError(f"dataset record {rec_id!r} has censored {censored!r:.40}; "
-                         f"expected true or false")
-    if isinstance(iterations, bool) or not isinstance(iterations, int) or iterations < 0:
-        raise ValueError(f"dataset record {rec_id!r} has iterations {iterations!r:.40}; "
-                         f"expected an integer >= 0")
-    if not isinstance(status, str):
-        raise ValueError(f"dataset record {rec_id!r} has status {status!r:.40}; "
-                         f"expected a string")
+def _read_record(rec_id: str, base: Circuit, base_file: str, doc) -> DatasetRecord:
+    """An instances/<rec_id>.json document that matches :data:`RECORD` with its file's id,
+    is censored exactly when it timed out and replays on the manifest's base."""
+    doc = check_json(doc, {**RECORD, "id": json_choice(rec_id)}, "")
+    censored, status, obfuscation = doc["censored"], doc["status"], doc["obfuscation"]
     if censored != (status == AttackStatus.TIMEOUT):
-        raise ValueError(f"dataset record {rec_id!r} has censored {censored} and status "
-                         f"{status!r:.40}; a record is censored exactly when it timed out")
-    _check_labels(rec_id, doc["labels"])
-    try:
-        inst = instance_from_json(doc["obfuscation"], base)
-    except ValueError as exc:
-        raise ValueError(f"dataset record {rec_id!r}: {exc}") from exc
-    return DatasetRecord(rec_id, inst, doc["labels"], censored, iterations, status)
+        raise ValueError(f"censored: {censored} with status {status!r}; a record is "
+                         f"censored exactly when it timed out")
+    check_json(obfuscation["base_file"], json_choice(base_file), "obfuscation.base_file")
+    inst = check_json(obfuscation, lambda ob: instance_from_json(ob, base), "obfuscation")
+    return DatasetRecord(rec_id, inst, doc["labels"], censored, doc["iterations"], status)
 
 
 # --- model evaluation ---

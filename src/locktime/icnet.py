@@ -41,18 +41,15 @@ against finite differences in the test suite.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
-import operator
 import time
 from dataclasses import InitVar, asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .attack import LABEL_KINDS
-from .netlist import ONE_HOT_INDEX, graph_matrix, read_json_object
+from .netlist import (COUNT, FINITE, FLOAT_MAX, NONNEGATIVE, ONE_HOT_INDEX, check_json,
+                      graph_matrix, json_choice, read_json_object, write_json)
 from .numerics import (
     NonFiniteError,
     adam_step,
@@ -81,6 +78,27 @@ Layout = np.ndarray | tuple  # a dense n x n array, or _jagged's (perm, steps)
 _ONE_HOT_BY_NAME = {t._name_: i for t, i in ONE_HOT_INDEX.items()}  # Enum hashing runs in Python
 
 
+_POSITIVE = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+# every ModelConfig field, checked on construction; a --config file or a
+# checkpoint's config may leave any of them out
+CONFIG = {
+    "graph_repr?": json_choice(*GRAPH_REPRS), "conv_layers?": _POSITIVE,
+    "hidden_dims?": [_POSITIVE], "feat_agg?": json_choice(*AGG_MODES),
+    "gate_agg?": json_choice(*AGG_MODES), "feature_set?": json_choice(*FEATURE_SETS),
+    "learning_rate?": ("a finite number > 0",
+                       lambda v: type(v) in (int, float) and 0 < v <= FLOAT_MAX),
+    "batch_size?": _POSITIVE, "max_epochs?": _POSITIVE, "convergence_tol?": NONNEGATIVE,
+    "seed?": COUNT,
+}
+
+
+def _plain(value):
+    """numpy scalars and arrays as Python values, tuples as lists."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     graph_repr: str = "adjacency"
@@ -96,42 +114,16 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("conv_layers", "batch_size", "max_epochs", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        for name in ("learning_rate", "convergence_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))  # numpy floats are not JSON
-        dims = self.hidden_dims
-        if not (isinstance(dims, (list, tuple))
-                or isinstance(dims, np.ndarray) and dims.ndim == 1):
-            raise ValueError(f"hidden_dims must be a list of integers, got {dims!r}")
-        object.__setattr__(self, "hidden_dims",
-                           tuple(_integer("hidden_dims entry", d) for d in self.hidden_dims))
-        if len(self.hidden_dims) != self.conv_layers:
-            raise ValueError(f"hidden_dims length {len(self.hidden_dims)} != "
-                             f"conv_layers {self.conv_layers}")
-        for name, value, options in [
-            ("graph_repr", self.graph_repr, GRAPH_REPRS),
-            ("feat_agg", self.feat_agg, AGG_MODES),
-            ("gate_agg", self.gate_agg, AGG_MODES),
-            ("feature_set", self.feature_set, FEATURE_SETS),
-        ]:
-            if value not in options:
-                raise ValueError(f"{name} must be one of {options}, got {value!r}")
-        for name in ("conv_layers", "batch_size", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if min(self.hidden_dims) < 1:
-            raise ValueError(f"every hidden_dims entry must be >= 1, got {self.hidden_dims}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate!r}")
-        if not self.convergence_tol >= 0:
-            raise ValueError(f"convergence_tol must be >= 0, got {self.convergence_tol!r}")
+        """Every field checked against :data:`CONFIG` and stored as a Python value."""
+        fields = check_json({k: _plain(v) for k, v in vars(self).items()}, CONFIG, "")
+        if len(fields["hidden_dims"]) != fields["conv_layers"]:
+            raise ValueError(f"hidden_dims: {len(fields['hidden_dims'])} entries, but "
+                             f"conv_layers is {fields['conv_layers']}")
+        fields.update(hidden_dims=tuple(fields["hidden_dims"]),
+                      learning_rate=float(fields["learning_rate"]),
+                      convergence_tol=float(fields["convergence_tol"]))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def feature_dim(self) -> int:
@@ -140,15 +132,10 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden_dims": list(self.hidden_dims)}
 
-
-def _integer(name: str, value) -> int:
-    """value as a Python int: numpy integers pass, bools and floats do not."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    @classmethod
+    def from_dict(cls, doc) -> "ModelConfig":
+        """A ``--config`` file's or a checkpoint's config, checked against :data:`CONFIG`."""
+        return cls(**check_json(doc, CONFIG, ""))
 
 
 def baseline_gcn_config(cfg: ModelConfig) -> ModelConfig:
@@ -629,44 +616,32 @@ def linear_predict(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 # --- checkpointing ---
 
+# a checkpoint file, as save_checkpoint writes it
+CHECKPOINT = {"format": json_choice(CHECKPOINT_FORMAT), "version": json_choice(CHECKPOINT_VERSION),
+              "config": ModelConfig.from_dict, "label_kind": json_choice(*LABEL_KINDS),
+              "params": {str: {"shape": [COUNT], "data": [FINITE]}}}
+
+
 def save_checkpoint(model: Model, path, label_kind: str) -> None:
     """Write the model and the label kind it was trained on as JSON."""
-    doc = {
+    write_json(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
         "label_kind": label_kind,
         "params": params_to_doc(model.params),
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    })
 
 
 def load_checkpoint(path) -> tuple[Model, str]:
-    """The model and the label kind it was trained on.
-
-    The stored parameters must carry exactly the names and shapes that
-    the stored config builds, compared name by name (the file's order is
-    sorted, not the model's).
-    """
-    doc = read_json_object(path, "a model checkpoint must be a JSON object")
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a model checkpoint: {path}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    label_kind = doc.get("label_kind")
-    if label_kind not in LABEL_KINDS:
-        raise ValueError(f"checkpoint {path} has unknown label kind {label_kind!r}, "
-                         f"expected one of {', '.join(LABEL_KINDS)}")
-    config = ModelConfig(**doc["config"])
-    params = params_from_doc(doc["params"])
-    want = {k: v.shape for k, v in new_model(config).params.items()}
-    got = {k: v.shape for k, v in params.items()}
-    for name in sorted(want.keys() | got.keys()):
-        if name not in got:
-            raise ValueError(f"checkpoint lacks parameter {name!r}")
-        if name not in want:
-            raise ValueError(f"checkpoint has unknown parameter {name!r}")
-        if got[name] != want[name]:
-            raise ValueError(f"checkpoint parameter {name!r} has shape {got[name]}, "
-                             f"its config needs {want[name]}")
-    return Model(config, params), label_kind
+    """The model and the label kind it was trained on.  The file must match
+    :data:`CHECKPOINT`, its parameters the names and shapes its config builds."""
+    doc = read_json_object(path, CHECKPOINT)
+    config = doc["config"]
+    try:
+        params = params_from_doc(check_json(doc["params"], {
+            k: {"shape": json_choice(list(v.shape)), "data": [FINITE]}
+            for k, v in new_model(config).params.items()}, "params"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return Model(config, params), doc["label_kind"]

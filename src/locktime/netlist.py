@@ -1,6 +1,10 @@
 """Gate-level combinational netlists: bench-format parsing, validation,
 simulation and graph-matrix extraction; also the package's one JSON reader.
 
+Each kind of JSON file the package reads has one declaration, beside its
+writer; :func:`read_json_object` checks a file against it with one walker,
+:func:`check_json`, so a refusal names the file and the key path.
+
 A circuit is a DAG of gates.  Primary inputs are ordinary nodes of type
 INPUT so that every fanin edge has a real endpoint.  Key inputs (the
 secret bits consumed by key-gates) are also INPUT-typed nodes but are
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -370,17 +375,75 @@ def emit_bench(c: Circuit) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_json_object(path, expected: str) -> dict:
-    """The JSON object in the file at path, else ValueError naming the file;
-    ``expected`` says what the object is ("a model config must be a JSON object")."""
+def read_json_object(path, decl):
+    """The JSON file at ``path`` checked against ``decl``, else ValueError naming the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except ValueError as exc:  # JSONDecodeError, or bytes that are no UTF-8
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: {expected}, got {doc!r:.40}")
-    return doc
+    try:
+        return check_json(doc, decl, "")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to the file at ``path`` as strict JSON (no NaN or infinity)."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n")
+
+
+def check_json(value, decl, at: str):
+    """``value``, decoded JSON at key path ``at`` ("" at the root), checked against
+    ``decl``.  A dict declares an object with exactly its keys (a key ending in
+    ``?`` may be absent; the one key ``str`` allows any), a one-element list a
+    list, a pair (what is expected, its test) a value that passes the test,
+    and a function returns the value the reader gets.  A refusal is a
+    ValueError that starts with the key path, as ``params.feat.data[0]: ...``."""
+    where, dot = (f"{at}: ", f"{at}.") if at else ("", "")
+    if isinstance(decl, tuple):
+        if decl[1](value):
+            return value
+        raise ValueError(f"{where}expected {decl[0]}, got {value!r:.40}")
+    if isinstance(decl, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where}expected a JSON list, got {value!r:.40}")
+        return [check_json(v, decl[0], f"{at}[{i}]") for i, v in enumerate(value)]
+    if not isinstance(decl, dict):
+        try:
+            return decl(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}{exc}") from exc
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}expected a JSON object, got {value!r:.40}")
+    if str in decl:
+        return {k: check_json(v, decl[str], dot + k) for k, v in value.items()}
+    out = {}
+    for key, spec in decl.items():
+        name = key.rstrip("?")
+        if name in value:
+            out[name] = check_json(value[name], spec, dot + name)
+        elif name == key:
+            raise ValueError(f"{dot}{name}: missing")
+    if len(out) < len(value):
+        raise ValueError(f"{dot}{min(value.keys() - out.keys())}: unknown field")
+    return out
+
+
+def json_choice(*options) -> tuple:
+    """The declaration of a value equal to one of ``options``, in type too."""
+    return (" or ".join(map(repr, options)),
+            lambda v: any(type(v) is type(o) and v == o for o in options))
+
+
+FLOAT_MAX = sys.float_info.max  # an int beyond it has no float; NaN and inf fail the bound
+TEXT = ("a string", lambda v: isinstance(v, str))
+COUNT = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+FINITE = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= FLOAT_MAX)
+NONNEGATIVE = ("a finite number >= 0", lambda v: type(v) in (int, float) and 0 <= v <= FLOAT_MAX)
+FILE_NAME = ("a file name with no directory part",
+             lambda v: isinstance(v, str) and v != "" and "/" not in v)
 
 
 def graph_matrix(c: Circuit, kind="adjacency"):

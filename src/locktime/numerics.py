@@ -133,19 +133,12 @@ def params_to_doc(params: dict) -> dict:
             for k, v in params.items()}
 
 
-def params_from_doc(doc) -> dict:
-    """The parameters of a :func:`params_to_doc` dict, each entry checked by name."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"parameters must be a JSON object, got {doc!r:.40}")
+def params_from_doc(doc: dict) -> dict:
+    """The parameters of a :func:`params_to_doc` dict whose shapes and
+    values are already checked; each value list must fill its shape."""
     arrays = {}
     for k, spec in doc.items():
-        if not (isinstance(spec, dict) and {"shape", "data"} <= spec.keys()):
-            raise ValueError(f"parameter {k!r} must be an object with 'shape' and 'data'")
-        shape = spec["shape"]
-        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
-            raise ValueError(f"parameter {k!r} has shape {shape!r:.40}; "
-                             f"expected a list of integers >= 0")
-        data = np.asarray(spec["data"], dtype=np.float64)
+        shape, data = spec["shape"], np.asarray(spec["data"], dtype=np.float64)
         size = math.prod(shape)
         if data.size != size:
             raise ValueError(f"parameter {k!r} has {data.size} values, "

@@ -28,8 +28,8 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .netlist import (KEY_INPUT_PREFIX, Circuit, Gate, GateType,
-                      all_input_vectors, gate_values, topo_order)
+from .netlist import (KEY_INPUT_PREFIX, TEXT, Circuit, Gate, GateType, all_input_vectors,
+                      check_json, gate_values, topo_order)
 
 LUT_MAX_ARITY = 4
 
@@ -216,6 +216,18 @@ def random_obfuscate(base: Circuit, n_locations: int, kind: ObfuscationKind,
     return apply_at_locations(base, kind, locations, seed)
 
 
+def kind_name(value) -> str:
+    """A declaration leaf: the name of a kind, as :meth:`ObfuscationKind.parse` reads it."""
+    ObfuscationKind.parse(check_json(value, TEXT, ""))
+    return value
+
+
+# an instance file, and a dataset record's "obfuscation", as instance_to_json writes it
+INSTANCE = {"base_file": TEXT, "kind": kind_name, "locations": [TEXT], "key_truth": TEXT,
+            "mask": TEXT, "seed": ("null or an integer >= 0",
+                                   lambda v: v is None or type(v) is int and v >= 0)}
+
+
 def instance_to_json(inst: ObfuscationInstance, base_file: str) -> dict:
     if inst.obfuscated.key_bits != len(inst.key_truth):
         raise ValueError(f"key layout has {inst.obfuscated.key_bits} bits but key_truth has "
@@ -230,28 +242,17 @@ def instance_to_json(inst: ObfuscationInstance, base_file: str) -> dict:
     }
 
 
-def instance_from_json(doc: dict, base: Circuit) -> ObfuscationInstance:
-    """Replay a serialized instance on ``base``.  A missing or mistyped
-    field, a location that is not a net of ``base`` or a replay that
-    differs from the document raises ``ValueError``."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"obfuscation record must be a JSON object, got {doc!r:.40}")
-    for key, typ, what in (("kind", str, "a string"), ("locations", list, "a list"),
-                           ("key_truth", str, "a string"), ("mask", str, "a string")):
-        if not isinstance(doc.get(key), typ):
-            raise ValueError(f"obfuscation record needs {key!r} as {what}, "
-                             f"got {doc.get(key)!r:.40}")
-    seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ValueError(f"obfuscation record has seed {seed!r:.40}; expected an integer or null")
-    unknown = [n for n in doc["locations"] if not (isinstance(n, str) and n in base.name_to_id)]
+def instance_from_json(doc, base: Circuit) -> ObfuscationInstance:
+    """Replay a serialized instance on ``base``.  A document that breaks
+    :data:`INSTANCE`, a location that is not a net of ``base`` or a replay
+    that differs from the document raises ``ValueError``."""
+    doc = check_json(doc, INSTANCE, "")
+    unknown = [n for n in doc["locations"] if n not in base.name_to_id]
     if unknown:
-        raise ValueError(f"obfuscation location {unknown[0]!r:.40} is not a net of the base circuit")
-    kind = ObfuscationKind.parse(doc["kind"])
+        raise ValueError(f"locations: {unknown[0]!r:.40} is not a net of the base circuit")
     locations = [base.name_to_id[name] for name in doc["locations"]]
-    inst = apply_at_locations(base, kind, locations, seed)
-    if "".join(str(b) for b in inst.key_truth) != doc["key_truth"]:
-        raise ValueError("replayed key_truth does not match serialized instance")
-    if "".join(str(b) for b in inst.mask) != doc["mask"]:
-        raise ValueError("replayed mask does not match serialized instance")
+    inst = apply_at_locations(base, ObfuscationKind.parse(doc["kind"]), locations, doc["seed"])
+    for key, bits in (("key_truth", inst.key_truth), ("mask", inst.mask)):
+        if "".join(map(str, bits)) != doc[key]:
+            raise ValueError(f"{key}: the replay does not match the serialized instance")
     return inst

@@ -207,17 +207,16 @@ def test_attack_names_an_instance_file_that_is_no_object(capsys, tmp_path):
     path = tmp_path / "instance.json"
     doc = _attack_error(capsys, path, [1])
     assert doc["error"] == "ValueError"
-    assert doc["message"] == (f"{path}: an instance record is a JSON object with "
-                              f"'base_file' as a string, got [1]")
+    assert doc["message"] == f"{path}: expected a JSON object, got [1]"
 
 
 def test_attack_names_an_instance_file_without_base_file(capsys, tmp_path):
     path = tmp_path / "instance.json"
-    for record in ({"kind": "xor"}, {"base_file": 3}):
+    for record, problem in (({"kind": "xor"}, "base_file: missing"),
+                            ({"base_file": 3}, "base_file: expected a string, got 3")):
         doc = _attack_error(capsys, path, record)
         assert doc["error"] == "ValueError"
-        assert doc["message"].startswith(f"{path}: an instance record is a JSON object "
-                                         f"with 'base_file' as a string, got {{")
+        assert doc["message"] == f"{path}: {problem}"
 
 
 # --- dataset / train / eval / report pipeline ---
@@ -309,17 +308,19 @@ def test_train_test_metrics_equal_eval_test_split(capsys, tmp_path, c17):
 
 @pytest.mark.parametrize("label", [-3.0, float("nan")])
 def test_train_names_the_record_whose_label_is_no_effort(capsys, tmp_path, c17, label):
+    # write_dataset writes no NaN, so the label is put into the file afterwards
     records, logs = generate_records(c17, 12, ObfuscationKind.parse("lut2"),
                                      (1, 3), seed=1)
-    records[0] = replace(records[0], labels={**records[0].labels, "conflicts": label})
     ds = tmp_path / "ds"
     write_dataset(ds, c17, records, logs)
+    path = ds / "instances" / f"{records[0].instance_id}.json"
+    _edit_json(path, lambda doc: {**doc, "labels": {**doc["labels"], "conflicts": label}})
     code, out, err = run_cli(capsys, "train", "--dataset", str(ds),
                              "--out", str(tmp_path / "m.json"))
     assert code == 1 and out == ""
-    doc = json.loads(err)
-    assert doc["error"] == "ValueError"
-    assert f"{records[0].instance_id!r} has label {label!r}" in doc["message"]
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"{path}: labels.conflicts: expected a finite number >= 0, got {label!r}"}
     assert not (tmp_path / "m.json").exists()
 
 
@@ -355,55 +356,64 @@ def _write_config(doc):
     return lambda root: (root / "config.json").write_text(json.dumps(doc))
 
 
-# command, edit of a copy of the pipeline dataset (or a config), message part
+# command, edit of a copy of the pipeline dataset (or a config), the message after the
+# temporary directory (or, for a decoder's message, its start)
 MALFORMED_INPUTS = {
     "manifest-list": ("report", _edit_manifest(lambda m: [m]),
-                      "manifest must be a JSON object"),
+                      "ds/manifest.json: expected a JSON object, got [{'base': 'base.bench', "
+                      "'count': 8, 'for"),
     "manifest-truncated": ("report", lambda root: (root / "ds" / "manifest.json").write_text(
         '{"format": "locktime-dataset", "vers'), "ds/manifest.json: not valid JSON: "),
     "instances-string": ("report", _edit_manifest(
         lambda m: {**m, "instances": m["instances"][0]}),
-        "'instances' must be a list of record ids"),
+        "ds/manifest.json: instances: expected a JSON list, got 'inst-00000'"),
     "label-negative": ("report", _edit_first_labels(
-        lambda lab: {**lab, "conflicts": -3.0}), "has label -3.0 for 'conflicts'"),
+        lambda lab: {**lab, "conflicts": -3.0}),
+        "ds/instances/inst-00000.json: labels.conflicts: expected a finite number >= 0, "
+        "got -3.0"),
     "label-missing": ("report", _edit_first_labels(
-        lambda lab: {"conflicts": lab["conflicts"]}), "has no 'wall_seconds' label"),
+        lambda lab: {"conflicts": lab["conflicts"]}),
+        "ds/instances/inst-00000.json: labels.wall_seconds: missing"),
     "label-string": ("report", _edit_first_labels(
-        lambda lab: {**lab, "conflicts": "many"}), "has label 'many' for 'conflicts'"),
+        lambda lab: {**lab, "conflicts": "many"}),
+        "ds/instances/inst-00000.json: labels.conflicts: expected a finite number >= 0, "
+        "got 'many'"),
     "censored-missing": ("report", _edit_first_record(_without("censored")),
-                         "dataset record 'inst-00000' has no 'censored' field "
-                         "(instances/inst-00000.json)"),
+                         "ds/instances/inst-00000.json: censored: missing"),
     "censored-string": ("report", _edit_first_record(lambda doc: {**doc, "censored": "no"}),
-                        "has censored 'no'; expected true or false"),
+                        "ds/instances/inst-00000.json: censored: expected true or false, "
+                        "got 'no'"),
     "censored-solved": ("report", _edit_first_record(lambda doc: {**doc, "censored": True}),
-                        "dataset record 'inst-00000' has censored True and status 'SOLVED'; "
-                        "a record is censored exactly when it timed out "
-                        "(instances/inst-00000.json)"),
+                        "ds/instances/inst-00000.json: censored: True with status 'SOLVED'; "
+                        "a record is censored exactly when it timed out"),
     "uncensored-timeout": ("report", _edit_first_record(
         lambda doc: {**doc, "status": "TIMEOUT"}),
-        "dataset record 'inst-00000' has censored False and status 'TIMEOUT'"),
+        "ds/instances/inst-00000.json: censored: False with status 'TIMEOUT'; "
+        "a record is censored exactly when it timed out"),
     "record-truncated": ("report", lambda root: (root / "ds" / "instances" /
                                                  "inst-00000.json").write_text('{"id'),
                          "ds/instances/inst-00000.json: not valid JSON: "),
     "record-list": ("report", _edit_first_record(lambda doc: [doc]),
-                    "ds/instances/inst-00000.json: dataset record 'inst-00000' "
-                    "must be a JSON object, got [{"),
+                    "ds/instances/inst-00000.json: expected a JSON object, got "
+                    "[{'censored': False, 'id': 'inst-00000',"),
     "iterations-negative": ("report", _edit_first_record(
-        lambda doc: {**doc, "iterations": -1}), "has iterations -1; expected an integer >= 0"),
+        lambda doc: {**doc, "iterations": -1}),
+        "ds/instances/inst-00000.json: iterations: expected an integer >= 0, got -1"),
     "iterations-bool": ("report", _edit_first_record(
-        lambda doc: {**doc, "iterations": True}), "has iterations True; expected an integer"),
+        lambda doc: {**doc, "iterations": True}),
+        "ds/instances/inst-00000.json: iterations: expected an integer >= 0, got True"),
     "id-mismatch": ("report", _edit_first_record(lambda doc: {**doc, "id": "other"}),
-                    "dataset record 'inst-00000' has id 'other'"),
+                    "ds/instances/inst-00000.json: id: expected 'inst-00000', got 'other'"),
     "key-truth-missing": ("report", _edit_first_obfuscation(_without("key_truth")),
-                          "dataset record 'inst-00000': obfuscation record needs "
-                          "'key_truth' as a string, got None (instances/inst-00000.json)"),
+                          "ds/instances/inst-00000.json: obfuscation.key_truth: missing"),
     "location-unknown": ("report", _edit_first_obfuscation(
         lambda ob: {**ob, "locations": ["nope"]}),
-        "obfuscation location 'nope' is not a net of the base circuit"),
+        "ds/instances/inst-00000.json: obfuscation: locations: 'nope' is not a net of the "
+        "base circuit"),
     "config-list": ("train", _write_config([1, 2]),
-                    "model config must be a JSON object"),
+                    "config.json: expected a JSON object, got [1, 2]"),
     "config-string": ("train", _write_config("x"),
-                      "model config must be a JSON object"),
+                      "config.json: expected a JSON object, got 'x'"),
     "config-no-json": ("train", lambda root: (root / "config.json").write_text("nope"),
                        "config.json: not valid JSON: Expecting value: line 1 column 1"),
 }
@@ -444,17 +454,23 @@ def test_eval_scores_the_label_kind_the_model_was_trained_on(pipeline, capsys, t
 
 
 @pytest.mark.parametrize("message,edit", [
-    ("'conv0'", lambda doc: doc["params"].pop("conv0")),
-    ("'feat'", lambda doc: doc["params"].update(feat={"shape": [2], "data": [0.5, 0.5]})),
-    ("parameters must be a JSON object, got []", lambda doc: doc.update(params=[])),
-    ("parameter 'conv0' must be an object with 'shape' and 'data'",
+    ("params.conv0: missing", lambda doc: doc["params"].pop("conv0")),
+    ("params.feat.shape: expected [3], got [2]",
+     lambda doc: doc["params"].update(feat={"shape": [2], "data": [0.5, 0.5]})),
+    ("params: expected a JSON object, got []", lambda doc: doc.update(params=[])),
+    ("params.conv0: expected a JSON object, got [0.5]",
      lambda doc: doc["params"].update(conv0=[0.5])),
-    ("parameter 'conv0' has shape 'x'; expected a list of integers >= 0",
+    ("params.conv0.shape: expected a JSON list, got 'x'",
      lambda doc: doc["params"]["conv0"].update(shape="x")),
-    ("parameter 'feat' has shape [-3, -1]; expected a list of integers >= 0",
+    ("params.feat.shape[0]: expected an integer >= 0, got -3",
      lambda doc: doc["params"]["feat"].update(shape=[-3, -1])),
+    ("config: expected a JSON object, got [1]", lambda doc: doc.update(config=[1])),
+    ("params.feat.data: expected a JSON list, got 'x'",
+     lambda doc: doc["params"]["feat"].update(data="x")),
+    ("params.feat.data[0]: expected a finite number, got [1]",
+     lambda doc: doc["params"]["feat"].update(data=[[1], [2, 3]])),
 ], ids=["missing", "misshapen", "params-list", "entry-list", "shape-string",
-        "shape-negative"])
+        "shape-negative", "config-list", "data-string", "data-nested"])
 def test_eval_rejects_checkpoint_params_that_do_not_fit_the_config(
         pipeline, capsys, tmp_path, message, edit):
     ds, model, *_ = pipeline
@@ -464,13 +480,12 @@ def test_eval_rejects_checkpoint_params_that_do_not_fit_the_config(
     bad.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "eval", "--dataset", str(ds), "--model", str(bad))
     assert code == 1 and out == ""
-    err = json.loads(err)
-    assert err["error"] == "ValueError" and message in err["message"]
+    assert json.loads(err) == {"error": "ValueError", "message": f"{bad}: {message}"}
 
 
 @pytest.mark.parametrize("text,message", [
     ("nope", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
-    ("[1]", "a model checkpoint must be a JSON object, got [1]"),
+    ("[1]", "expected a JSON object, got [1]"),
 ], ids=["no-json", "list"])
 def test_eval_and_report_name_a_checkpoint_file_that_is_no_json_object(
         pipeline, capsys, tmp_path, text, message):
@@ -496,24 +511,26 @@ def test_eval_and_report_name_an_unknown_checkpoint_label_kind(
         assert code == 1 and out == ""
         assert json.loads(err) == {
             "error": "ValueError",
-            "message": f"checkpoint {bad} has unknown label kind {label_kind!r}, "
-                       f"expected one of wall_seconds, conflicts"}
+            "message": f"{bad}: label_kind: expected 'wall_seconds' or 'conflicts', "
+                       f"got {label_kind!r}"}
 
 
 def test_eval_names_a_checkpoint_parameter_whose_data_misses_its_shape(
         pipeline, capsys, tmp_path):
     ds, model, *_ = pipeline
-    doc = json.loads(model.read_text())
-    size = len(doc["params"]["feat"]["data"])
-    doc["params"]["feat"]["shape"] = [size + 1]
+    size = len(json.loads(model.read_text())["params"]["feat"]["data"])
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "eval", "--dataset", str(ds), "--model", str(bad))
-    assert code == 1 and out == ""
-    assert json.loads(err) == {
-        "error": "ValueError",
-        "message": f"parameter 'feat' has {size} values, its shape [{size + 1}] "
-                   f"needs {size + 1}"}
+    for edit, message in (
+            (lambda p: p.update(shape=[size + 1]),
+             f"params.feat.shape: expected [{size}], got [{size + 1}]"),
+            (lambda p: p["data"].pop(),
+             f"parameter 'feat' has {size - 1} values, its shape [{size}] needs {size}")):
+        doc = json.loads(model.read_text())
+        edit(doc["params"]["feat"])
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(ds), "--model", str(bad))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": f"{bad}: {message}"}
 
 
 def test_train_rejects_unknown_config_keys(pipeline, capsys, tmp_path):
@@ -536,7 +553,7 @@ def test_train_rejects_removed_config_keys(pipeline, capsys, tmp_path):
                                "--config", str(old),
                                "--out", str(tmp_path / "m.json"))
         assert code == 1
-        assert json.loads(err)["message"] == f"unknown model config keys: ['{key}']"
+        assert json.loads(err)["message"] == f"{old}: {key}: unknown field"
 
 
 def test_train_divergence_is_json_error(pipeline, capsys, tmp_path):
@@ -595,6 +612,52 @@ def test_gen_data_rejects_nonpositive_workers(capsys, tmp_path):
                                  "--workers", workers, "--out", str(tmp_path / "ds"))
         assert code == 1 and out == ""
         assert json.loads(err)["message"] == f"workers must be >= 1, got {workers}"
+
+
+@pytest.mark.parametrize("text", ["1:x", "x", "", "2:"])
+def test_gen_data_names_a_malformed_locations_range(capsys, tmp_path, text):
+    code, out, err = run_cli(capsys, "gen-data", "builtin:c17", "--count", "1", "--kind",
+                             "xor", "--locations", text, "--out", str(tmp_path / "ds"))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"--locations must be K or LO:HI, with integers K, LO and HI, got {text!r}"}
+
+
+def test_every_written_file_is_strict_json(capsys, tmp_path, c17):
+    # an infinite timeout is stored as null, which already means no limit
+    ds = tmp_path / "ds"
+    manifest = run_json(capsys, "gen-data", "builtin:c17", "--count", "4", "--kind", "xor",
+                        "--locations", "1", "--timeout", "inf", "--out", str(ds))
+    assert manifest["timeout_seconds"] is None
+    run_json(capsys, "obfuscate", "builtin:c17", "--kind", "xor", "--locations", "1",
+             "--out", str(tmp_path / "inst"))
+    run_json(capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "model.json"),
+             "--config", str(_write_config_file(tmp_path, {"hidden_dims": [4, 2],
+                                                           "max_epochs": 2})))
+    written = [ds / "manifest.json", tmp_path / "inst" / "instance.json", tmp_path / "model.json"]
+    written += sorted((ds / "instances").glob("*.json"))
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    for line in (ds / "attacks.log.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+    assert json.loads((ds / "manifest.json").read_text())["timeout_seconds"] is None
+    # a manifest written with Infinity before infinite timeouts became null still loads
+    text = (ds / "manifest.json").read_text()
+    (ds / "manifest.json").write_text(text.replace('"timeout_seconds": null',
+                                                   '"timeout_seconds": Infinity'))
+    assert run_json(capsys, "report", "--dataset", str(ds))["dataset"]["count"] == 4
+    # and no writer puts a NaN into a file
+    records, logs = generate_records(c17, 1, ObfuscationKind.parse("xor"), (1, 1), seed=0)
+    records[0] = replace(records[0], labels={**records[0].labels, "conflicts": float("nan")})
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        write_dataset(tmp_path / "nan", c17, records, logs)
+
+
+def _write_config_file(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def test_gen_data_requires_out(capsys):

@@ -1,6 +1,7 @@
 """Dataset pipeline, ranking metrics, and report generation."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -242,7 +243,9 @@ def test_load_dataset_refuses_version_1(tmp_path, c17, small_records):
     for old in (1, 2, 3, 5):
         manifest["version"] = old
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=f"unsupported dataset version {old}"):
+        path = tmp_path / "manifest.json"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: version: "
+                                             f"expected 6, got {old}$"):
             load_dataset(tmp_path)
 
 

@@ -854,6 +854,7 @@ def test_checkpoint_rejects_version_1(tmp_path):
     for old in (1, 2, 3):
         doc["version"] = old
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"unsupported checkpoint version {old}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: version: "
+                                             f"expected 4, got {old}$"):
             load_checkpoint(path)
 

@@ -370,14 +370,22 @@ def test_later_luts_resort_only_to_pad(monkeypatch, mid12, kind):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda doc: [doc], "obfuscation record must be a JSON object"),
-    (lambda doc: {**doc, "kind": 2}, "obfuscation record needs 'kind' as a string, got 2"),
-    (lambda doc: {**doc, "locations": "16"}, "needs 'locations' as a list, got '16'"),
-    (lambda doc: {**doc, "locations": [["16"]]}, "location ['16'] is not a net of the base"),
-    (lambda doc: {**doc, "seed": "5"}, "has seed '5'; expected an integer or null"),
-    (lambda doc: {**doc, "mask": doc["mask"][::-1]}, "replayed mask does not match"),
+    (lambda doc: [doc], "expected a JSON object, got [{'base_file': 'c17.bench', 'seed': 5, '"),
+    (lambda doc: {**doc, "kind": 2}, "kind: expected a string, got 2"),
+    (lambda doc: {**doc, "locations": "16"}, "locations: expected a JSON list, got '16'"),
+    (lambda doc: {**doc, "locations": [["16"]]}, "locations[0]: expected a string, got ['16']"),
+    (lambda doc: {**doc, "seed": "5"}, "seed: expected null or an integer >= 0, got '5'"),
+    (lambda doc: {**doc, "mask": doc["mask"][::-1]},
+     "mask: the replay does not match the serialized instance"),
+], ids=[  # each case keeps the name it had when the messages read differently
+    "<lambda>-obfuscation record must be a JSON object",
+    "<lambda>-obfuscation record needs 'kind' as a string, got 2",
+    "<lambda>-needs 'locations' as a list, got '16'",
+    "<lambda>-location ['16'] is not a net of the base",
+    "<lambda>-has seed '5'; expected an integer or null",
+    "<lambda>-replayed mask does not match",
 ])
 def test_instance_from_json_refuses_malformed_documents(c17, edit, message):
     doc = instance_to_json(random_obfuscate(c17, 2, XOR, seed=5), "c17.bench")
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         instance_from_json(edit(doc), c17)
