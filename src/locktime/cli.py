@@ -42,7 +42,7 @@ from .icnet import (
     split_samples,
     train as train_model,
 )
-from .netlist import CircuitError, emit_bench, parse_bench, read_json_object, write_json
+from .netlist import CircuitError, emit_bench, read_bench, read_json_object, write_json
 from .numerics import NonFiniteError
 from .obfuscate import (
     INSTANCE,
@@ -58,7 +58,7 @@ BUILTIN_PREFIX = "builtin:"
 def _load_bench(spec: str):
     if spec.startswith(BUILTIN_PREFIX):
         return load_bundled(spec[len(BUILTIN_PREFIX):])
-    return parse_bench(Path(spec).read_text())
+    return read_bench(spec)
 
 
 def _json_safe(doc):
@@ -96,7 +96,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _load_instance(path: str):
     p = Path(path)
     doc = read_json_object(p, INSTANCE)
-    base = parse_bench((p.parent / doc["base_file"]).read_text())
+    base = read_bench(p.parent / doc["base_file"])
     try:
         return instance_from_json(doc, base)
     except ValueError as exc:

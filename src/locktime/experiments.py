@@ -41,7 +41,7 @@ from .icnet import (
     target_value,
 )
 from .netlist import (COUNT, FILE_NAME, NONNEGATIVE, ONE_HOT_ORDER, TEXT, Circuit, check_json,
-                      emit_bench, json_choice, parse_bench, read_json_object, write_json)
+                      emit_bench, json_choice, read_bench, read_json_object, write_json)
 from .numerics import no_fp_warnings
 from .obfuscate import (
     INSTANCE,
@@ -252,7 +252,10 @@ def load_dataset(dataset_dir):
     if manifest["count"] != len(ids):
         raise ValueError(f"{path}: count: expected {len(ids)}, the number of instances, "
                          f"got {manifest['count']}")
-    base = parse_bench((root / manifest["base"]).read_text())
+    if len(set(ids)) != len(ids):
+        twice = next(rec_id for i, rec_id in enumerate(ids) if rec_id in ids[:i])
+        raise ValueError(f"{path}: instances: {twice!r} is listed twice")
+    base = read_bench(root / manifest["base"])
     return base, [read_json_object(root / "instances" / f"{rec_id}.json",
                                    partial(_read_record, rec_id, base, manifest["base"]))
                   for rec_id in ids], manifest

@@ -57,6 +57,7 @@ from .numerics import (
     init_adam,
     init_params,
     no_fp_warnings,
+    param_shapes,
     params_from_doc,
     params_to_doc,
     relu_grad,
@@ -640,8 +641,9 @@ def load_checkpoint(path) -> tuple[Model, str]:
     config = doc["config"]
     try:
         params = params_from_doc(check_json(doc["params"], {
-            k: {"shape": json_choice(list(v.shape)), "data": [FINITE]}
-            for k, v in new_model(config).params.items()}, "params"))
+            k: {"shape": json_choice(list(shape)), "data": [FINITE]}
+            for k, shape in param_shapes(config.feature_dim, config.hidden_dims).items()},
+            "params"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return Model(config, params), doc["label_kind"]

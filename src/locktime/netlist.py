@@ -68,13 +68,11 @@ class CircuitError(ValueError):
 
 
 class BenchParseError(ValueError):
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", col {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
+    """Bench text that does not parse; ``line`` is the 1-based line to blame, if one is."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.column = column
 
 
 @dataclass(frozen=True)
@@ -243,10 +241,13 @@ class Circuit:
                 raise CircuitError(message)
 
 
-_LINE_RE = re.compile(r"^(?P<name>[^\s=()]+)\s*=\s*(?P<rhs>.+)$")
-_GATE_RE = re.compile(r"^(?P<type>[A-Za-z]+)\s*\((?P<args>[^)]*)\)\s*$")
-_LUT_RE = re.compile(r"^(?P<type>LUT)\s*\[(?P<bits>[01]+)\]\s*\((?P<args>[^)]*)\)\s*$", re.IGNORECASE)
-_IO_RE = re.compile(r"^(?P<kw>INPUT|OUTPUT)\s*\((?P<name>[^\s()]+)\)\s*$", re.IGNORECASE)
+# one bench line: INPUT(x), OUTPUT(y), or y = TYPE(args) with a [bits] table after
+# LUT; _DEFINED_TYPES holds every other TYPE a definition may name
+_BENCH_LINE = re.compile(
+    r"(?P<io>INPUT|OUTPUT)\s*\((?P<port>[^\s()]+)\)"
+    r"|(?P<name>[^\s=()]+)\s*=\s*(?:LUT\s*\[(?P<bits>[01]+)\]|(?P<type>[A-Za-z]+))"
+    r"\s*\((?P<args>[^)]*)\)", re.IGNORECASE)
+_DEFINED_TYPES = {t.value: t for t in REDUCTION} | {"BUF": GateType.BUFF}
 
 
 def parse_bench(text: str) -> Circuit:
@@ -257,68 +258,39 @@ def parse_bench(text: str) -> Circuit:
     truth table in fanin-indexed order (first fanin = most significant).
     ``#`` starts a comment.  Type keywords are case-insensitive; BUF is
     accepted as an alias of BUFF.  INPUT names starting with ``keyinput``
-    are treated as key inputs.
+    are treated as key inputs.  A refusal names its line, but a wrong fanin
+    count or table size, or a cycle, is refused by :class:`Circuit` by name.
     """
     inputs: list[str] = []
     outputs: list[tuple[str, int]] = []  # name, line
-    defs: list[tuple[str, GateType, list[str], tuple[int, ...] | None, int]] = []
+    defs: list[tuple[str, GateType, str, tuple[int, ...] | None, int]] = []  # args unsplit
     declared: dict[str, int] = {}  # name -> line of definition
-
-    def declare(name, lineno):
-        if name in declared:
-            raise BenchParseError(f"duplicate definition of net {name!r} "
-                                  f"(first defined on line {declared[name]})", lineno)
-        declared[name] = lineno
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        io = _IO_RE.match(line)
-        if io:
-            if io.group("kw").upper() == "INPUT":
-                declare(io.group("name"), lineno)
-                inputs.append(io.group("name"))
-            else:
-                outputs.append((io.group("name"), lineno))
-            continue
-        m = _LINE_RE.match(line)
+        m = _BENCH_LINE.fullmatch(line)
         if not m:
-            col = len(line) - len(line.lstrip()) + 1
-            raise BenchParseError(f"cannot parse line: {line!r}", lineno, col)
-        name, rhs = m.group("name"), m.group("rhs").strip()
-        lut = _LUT_RE.match(rhs)
-        if lut:
-            args = [a.strip() for a in lut.group("args").split(",") if a.strip()]
-            bits = tuple(int(b) for b in lut.group("bits"))
-            if len(args) < 1:
-                raise BenchParseError(f"LUT {name!r} needs at least one input", lineno)
-            if len(bits) != 2 ** len(args):
-                raise BenchParseError(
-                    f"LUT {name!r} has {len(bits)} table bits for {len(args)} inputs "
-                    f"(expected {2 ** len(args)})", lineno)
-            declare(name, lineno)
-            defs.append((name, GateType.LUT, args, bits, lineno))
+            raise BenchParseError(f"cannot parse line: {line!r:.40}", lineno)
+        io, name, bits, kw = m.group("io", "name", "bits", "type")
+        if io and io.upper() == "OUTPUT":
+            outputs.append((m["port"], lineno))
             continue
-        g = _GATE_RE.match(rhs)
-        if not g:
-            col = line.index("=") + 2
-            raise BenchParseError(f"cannot parse gate expression {rhs!r}", lineno, col)
-        type_kw = g.group("type").upper()
-        if type_kw == "BUF":
-            type_kw = "BUFF"
-        if type_kw == "LUT":
-            raise BenchParseError(f"LUT definition for {name!r} must carry a [bits] table", lineno)
-        try:
-            gtype = GateType[type_kw]
-        except KeyError:
-            col = line.index("=") + 2
-            raise BenchParseError(f"unknown gate type {g.group('type')!r}", lineno, col) from None
-        if gtype is GateType.INPUT:
-            raise BenchParseError(f"INPUT is not a gate type (use INPUT({name}))", lineno)
-        args = [a.strip() for a in g.group("args").split(",") if a.strip()]
-        declare(name, lineno)
-        defs.append((name, gtype, args, None, lineno))
+        if io:
+            name = m["port"]
+            inputs.append(name)
+        else:
+            gtype = GateType.LUT if bits else _DEFINED_TYPES.get(kw.upper())
+            if gtype is None:
+                raise BenchParseError(f"unknown gate type {kw!r}: a definition names one of "
+                                      f"{', '.join(_DEFINED_TYPES)} or LUT with a [bits] "
+                                      f"table", lineno)
+            defs.append((name, gtype, m["args"], bits and tuple(map(int, bits)), lineno))
+        if name in declared:
+            raise BenchParseError(f"duplicate definition of net {name!r} "
+                                  f"(first defined on line {declared[name]})", lineno)
+        declared[name] = lineno
 
     # ids: inputs first, then definitions in read order
     ids = {name: gid for gid, name in enumerate(chain(inputs, [d[0] for d in defs]))}
@@ -328,21 +300,32 @@ def parse_bench(text: str) -> Circuit:
         (keys if name.lower().startswith(KEY_INPUT_PREFIX) else pis).append(gid)
     for name, gtype, args, bits, lineno in defs:
         try:
-            fanin = tuple([ids[a] for a in args])
+            fanin = tuple([ids[a] for a in map(str.strip, args.split(",")) if a])
         except KeyError as exc:
             raise BenchParseError(f"gate {name!r} references undefined net {exc.args[0]!r}",
                                   lineno) from None
         gates.append(Gate(len(gates), name, gtype, fanin, bits))
 
-    pos = []
     for name, lineno in outputs:
         if name not in ids:
             raise BenchParseError(f"OUTPUT({name}) references undefined net", lineno)
-        pos.append(ids[name])
+    pos = tuple([ids[name] for name, _ in outputs])
     try:
-        return Circuit(tuple(gates), tuple(pis), tuple(pos), tuple(keys))
+        return Circuit(tuple(gates), tuple(pis), pos, tuple(keys))
     except CircuitError as exc:
         raise BenchParseError(str(exc)) from exc
+
+
+def read_bench(path) -> Circuit:
+    """Parse the bench file at ``path``; a refusal is a :class:`BenchParseError`
+    that starts with the path and keeps the line it names."""
+    try:
+        with open(path) as fh:
+            return parse_bench(fh.read())
+    except (BenchParseError, UnicodeDecodeError) as exc:  # the latter: no text file
+        error = BenchParseError(f"{path}: {exc}")
+        error.line = getattr(exc, "line", None)
+        raise error from exc
 
 
 def emit_bench(c: Circuit) -> str:

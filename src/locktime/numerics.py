@@ -53,25 +53,24 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _draw(rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
+def _draw(rng, shape) -> np.ndarray:
+    fan_in, fan_out = (*shape, 1)[:2]  # a vector's fan-out is 1
     bound = np.sqrt(6.0 / (fan_in + fan_out))  # uniform Glorot
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(feature_dim: int, hidden_dims, seed: int = 0) -> dict:
-    """Uniform-Glorot parameters for the conv + attention readout architecture.
+def param_shapes(feature_dim: int, hidden_dims) -> dict:
+    """Each parameter's shape for the conv + attention readout architecture:
+    conv<l>: (dims[l], dims[l+1]); feat: (h_last,); gate: (1,)."""
+    dims = [feature_dim, *hidden_dims]
+    shapes = {f"conv{l}": (dims[l], dims[l + 1]) for l in range(len(hidden_dims))}
+    return shapes | {"feat": (dims[-1],), "gate": (1,)}
 
-    conv<l>: (dims[l], dims[l+1]); feat: (h_last,); gate: (1,).
-    """
+
+def init_params(feature_dim: int, hidden_dims, seed: int = 0) -> dict:
+    """Uniform-Glorot parameters of :func:`param_shapes`, drawn in its order."""
     rng = np.random.default_rng(seed)
-    dims = [feature_dim] + list(hidden_dims)
-    arrays = {}
-    for l in range(len(hidden_dims)):
-        arrays[f"conv{l}"] = _draw(rng, (dims[l], dims[l + 1]), dims[l], dims[l + 1])
-    h_last = dims[-1]
-    arrays["feat"] = _draw(rng, (h_last,), h_last, 1)
-    arrays["gate"] = _draw(rng, (1,), 1, 1)
-    return arrays
+    return {k: _draw(rng, shape) for k, shape in param_shapes(feature_dim, hidden_dims).items()}
 
 
 def zeros_like(params: dict) -> dict:

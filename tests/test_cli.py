@@ -364,6 +364,9 @@ MALFORMED_INPUTS = {
                       "'count': 8, 'for"),
     "manifest-truncated": ("report", lambda root: (root / "ds" / "manifest.json").write_text(
         '{"format": "locktime-dataset", "vers'), "ds/manifest.json: not valid JSON: "),
+    "instances-twice": ("report", _edit_manifest(
+        lambda m: {**m, "count": 12, "instances": [m["instances"][0]] * 12}),
+        "ds/manifest.json: instances: 'inst-00000' is listed twice"),
     "instances-string": ("report", _edit_manifest(
         lambda m: {**m, "instances": m["instances"][0]}),
         "ds/manifest.json: instances: expected a JSON list, got 'inst-00000'"),
@@ -469,18 +472,23 @@ def test_eval_scores_the_label_kind_the_model_was_trained_on(pipeline, capsys, t
      lambda doc: doc["params"]["feat"].update(data="x")),
     ("params.feat.data[0]: expected a finite number, got [1]",
      lambda doc: doc["params"]["feat"].update(data=[[1], [2, 3]])),
+    # the shapes a config implies are checked without allocating them
+    ("params.conv0.shape: expected [11, 1099511627776], got [11, 6]",
+     lambda doc: doc["config"].update(hidden_dims=[2 ** 40, 4])),
 ], ids=["missing", "misshapen", "params-list", "entry-list", "shape-string",
-        "shape-negative", "config-list", "data-string", "data-nested"])
+        "shape-negative", "config-list", "data-string", "data-nested", "config-huge"])
 def test_eval_rejects_checkpoint_params_that_do_not_fit_the_config(
         pipeline, capsys, tmp_path, message, edit):
+    # report reads the checkpoint with the same reader, so it refuses alike
     ds, model, *_ = pipeline
     doc = json.loads(model.read_text())
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "eval", "--dataset", str(ds), "--model", str(bad))
-    assert code == 1 and out == ""
-    assert json.loads(err) == {"error": "ValueError", "message": f"{bad}: {message}"}
+    for command in ("eval", "report"):
+        code, out, err = run_cli(capsys, command, "--dataset", str(ds), "--model", str(bad))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": f"{bad}: {message}"}
 
 
 @pytest.mark.parametrize("text,message", [

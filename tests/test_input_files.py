@@ -1,5 +1,6 @@
-"""The five JSON files the CLI reads: every field is checked against its
-declaration, and a refusal names the file."""
+"""The input files the CLI reads.  Every field of the five JSON files is
+checked against its declaration, every line of the two bench files is
+parsed, and a refusal names the file."""
 
 import argparse
 import copy
@@ -13,7 +14,7 @@ from locktime.cli import _load_instance, _model_config, main
 from locktime.experiments import MANIFEST, RECORD, load_dataset, write_dataset
 from locktime.icnet import (CHECKPOINT, CONFIG, ModelConfig, load_checkpoint, new_model,
                             save_checkpoint)
-from locktime.netlist import FLOAT_MAX
+from locktime.netlist import FLOAT_MAX, parse_bench
 from locktime.obfuscate import INSTANCE, ObfuscationKind, instance_to_json, random_obfuscate
 
 README_CONFIG = {"hidden_dims": [8, 4], "max_epochs": 40, "learning_rate": 0.02, "batch_size": 4}
@@ -205,3 +206,61 @@ def test_an_unknown_key_is_refused_by_name(files, kind, keys, where):
     finally:
         path.write_text(text)
     assert str(excinfo.value) == f"{path}: {where}dropout: unknown field"
+
+
+# --- the bench files the README flow reads ---
+
+JSON_LINE = json.dumps({"base": "base.bench", "pad": "x" * 167})  # 200 characters
+# each line of a bench file is changed in turn by each of these
+LINE_MUTATIONS = (lambda line: [], lambda line: [line, line], lambda line: ["x = FROB("],
+                  lambda line: [JSON_LINE])
+
+
+def _bench_outcome(capsys, path, argv):
+    """None when the command loads the bench, or refuses it with one JSON line
+    that starts with the bench's path, else what went wrong."""
+    try:
+        code = main(argv)
+    except Exception as exc:  # main lets it through: a traceback
+        return type(exc).__name__
+    err = capsys.readouterr().err
+    if code == 0:
+        return None
+    lines = err.splitlines()
+    if len(lines) != 1:
+        return f"{len(lines)} lines on stderr"
+    if json.loads(lines[0])["message"].startswith(f"{path}: "):
+        return None
+    try:  # a bench that loads may still be refused by a file read after it
+        parse_bench(path.read_text())
+    except ValueError:
+        return "refused without the file's name"
+    return None
+
+
+def test_every_mutated_bench_line_loads_or_is_refused_by_name(files, capsys):
+    assert len(JSON_LINE) == 200
+    instance, ds = files["instance"][0], files["manifest"][0].parent
+    found = Counter()
+    examples = []
+    mutations = 0
+    for path, argv in ((instance.parent / "base.bench", ["attack", str(instance)]),
+                       (ds / "base.bench", ["report", "--dataset", str(ds)])):
+        text = path.read_text()
+        lines = text.splitlines()
+        variants = {"binary": b"\x00\xff\xfe\x80bench"}
+        variants.update({f"line {i + 1} mutation {j}": "\n".join(
+            lines[:i] + mutate(lines[i]) + lines[i + 1:] + [""]).encode()
+            for i in range(len(lines)) for j, mutate in enumerate(LINE_MUTATIONS)})
+        try:
+            for what, content in variants.items():
+                path.write_bytes(content)
+                mutations += 1
+                problem = _bench_outcome(capsys, path, argv)
+                if problem:
+                    found[f"{path.parent.name}: {problem}"] += 1
+                    examples.append(f"{path.parent.name} {what}: {problem}")
+        finally:
+            path.write_text(text)
+    assert mutations == 114
+    assert not found, f"{sorted(found.items())}; for example {examples[:5]}"

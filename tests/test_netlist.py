@@ -14,6 +14,7 @@ from locktime.netlist import (
     graph_matrix,
     key_cone,
     parse_bench,
+    read_bench,
     simulate,
     simulate_many,
 )
@@ -200,11 +201,31 @@ def test_parse_lut_msb_first():
     ("OUTPUT(z)\n", "undefined net"),
     ("INPUT(a)\nz = NOT(a, a)\n", "exactly 1 fanin"),
     ("INPUT(a)\nz = AND(a)\n", "at least 2"),
+    pytest.param("INPUT(a)\nz = AND[01](a, a)\n", "cannot parse line", id="bits-on-and"),
+    pytest.param("INPUT(a)\nz = INPUT()\n", "unknown gate type 'INPUT'", id="input-as-type"),
+    pytest.param("INPUT(a)\n" + "z" * 10_000 + "\n", "cannot parse line: 'zzz",
+                 id="long-line"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(BenchParseError) as exc:
         parse_bench(text)
     assert fragment in str(exc.value)
+    assert len(str(exc.value)) < 200
+
+
+def test_read_bench_names_the_file_and_keeps_the_line(tmp_path):
+    path = tmp_path / "bad.bench"
+    path.write_text("INPUT(a)\n\nz = FROB(a, a)\n")
+    with pytest.raises(BenchParseError) as exc:
+        read_bench(path)
+    assert str(exc.value).startswith(f"{path}: unknown gate type 'FROB'")
+    assert exc.value.line == 3
+    path.write_bytes(b"\xff\xfe\x00bench")
+    with pytest.raises(BenchParseError) as exc:
+        read_bench(path)
+    assert str(exc.value).startswith(f"{path}: ") and exc.value.line is None
+    path.write_text("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
+    assert read_bench(path).gates == parse_bench(path.read_text()).gates
 
 
 def test_parse_error_reports_line():

@@ -153,20 +153,29 @@ def test_every_package_function_has_a_package_caller():
     assert not found, f"package names that only tests use: {found}"
 
 
+def _found_outside(allowed, match) -> list[str]:
+    """``file:line`` of each node that ``match`` accepts, in every package
+    file but inside none of the top-level definitions ``allowed`` names."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if f"{path.name}:{getattr(top, 'name', '')}" not in allowed:
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(top) if match(node)]
+    return found
+
+
+def _names(node) -> tuple:
+    return getattr(node, "id", None), getattr(node, "attr", None)
+
+
 # the only functions that may build a Circuit: each build validates and sorts
 CIRCUIT_BUILDERS = {"netlist.py:parse_bench", "obfuscate.py:apply_at_locations"}
 
 
 def test_circuits_are_built_only_by_the_parser_and_the_locker():
     # a throwaway Circuit pays a full validation and Kahn sort for one answer
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            if f"{path.name}:{getattr(top, 'name', '')}" in CIRCUIT_BUILDERS:
-                continue
-            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
-                      if isinstance(node, ast.Call) and "Circuit" in
-                      (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    found = _found_outside(CIRCUIT_BUILDERS, lambda node: isinstance(node, ast.Call)
+                           and "Circuit" in _names(node.func))
     assert not found, f"Circuit built outside {sorted(CIRCUIT_BUILDERS)}: {found}"
 
 
@@ -177,16 +186,22 @@ JSON_READER = "netlist.py:read_json_object"
 def test_json_files_are_read_only_by_the_one_reader():
     # every file the package decodes is refused by name in one place when it
     # is no JSON or no object
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            if f"{path.name}:{getattr(top, 'name', '')}" == JSON_READER:
-                continue
-            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
-                      if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
-                          and getattr(node.value, "id", None) == "json")
-                      or (isinstance(node, ast.ImportFrom) and node.module == "json")]
+    found = _found_outside({JSON_READER}, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+        and getattr(node.value, "id", None) == "json")
+        or (isinstance(node, ast.ImportFrom) and node.module == "json"))
     assert not found, f"JSON decoded outside {JSON_READER}: {found}"
+
+
+# the functions that may parse bench text: the file reader, and the reader of
+# the bench files shipped with the package
+BENCH_READERS = {"netlist.py:read_bench", "__init__.py:load_bundled"}
+
+
+def test_bench_files_are_read_only_by_the_one_reader():
+    # every bench file the package parses is refused in one place, by name
+    found = _found_outside(BENCH_READERS, lambda node: "parse_bench" in _names(node))
+    assert not found, f"parse_bench named outside {sorted(BENCH_READERS)}: {found}"
 
 
 # the logic types whose function netlist.REDUCTION declares
