@@ -13,7 +13,6 @@ from .netlist import (
     graph_matrix,
     parse_bench,
     simulate,
-    simulate_many,
 )
 from .obfuscate import (
     ObfuscationInstance,

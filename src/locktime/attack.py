@@ -16,7 +16,10 @@ an output outside the cone whose model value disagrees with the oracle
 stops the attack with RuntimeError.  When the miter goes
 unsatisfiable, every key consistent with the accumulated constraints is
 functionally correct; one is extracted by one more solve on the same
-solver, with ``act`` false.
+solver, with ``act`` false.  Both simulations are word-parallel
+(``netlist.simulate_words``): the oracle query is a batch of one vector,
+and the key check simulates the base and the locked circuit once each
+over the same input words and compares their output words.
 
 Effort counters from all solver calls are summed and exposed as runtime
 labels, raw counts that the regressor log-transforms itself;
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnf import CnfFormula, add_dip_constraint, build_miter
-from .netlist import Circuit, all_input_vectors, simulate, simulate_many
+from .netlist import Circuit, exhaustive_words, pack_words, simulate, simulate_words
 from .obfuscate import ObfuscationInstance
 from .satsolve import Solver, SolverStats, SolveStatus, solve
 
@@ -58,19 +61,21 @@ class AttackResult:
 LABEL_KINDS = ("wall_seconds", "conflicts")
 
 
-def verification_vectors(c: Circuit) -> np.ndarray:
-    """Exhaustive inputs when |PI| <= 16, else 1000 seeded random vectors."""
+def verification_words(c: Circuit) -> tuple[list[int], int]:
+    """Each primary input's word over the verification vectors, and their
+    count: every input vector when |PI| <= 16, else 1000 seeded random ones."""
     n = len(c.primary_inputs)
     if n <= EXHAUSTIVE_PI_LIMIT:
-        return all_input_vectors(n)
+        return exhaustive_words(n), 1 << n
     rng = np.random.default_rng(VERIFY_SEED)
-    return rng.integers(0, 2, size=(RANDOM_VERIFY_VECTORS, n), dtype=np.uint8)
+    vecs = rng.integers(0, 2, size=(RANDOM_VERIFY_VECTORS, n), dtype=np.uint8)
+    return pack_words(vecs), RANDOM_VERIFY_VECTORS
 
 
 def keys_equivalent(base: Circuit, obf: Circuit, key) -> bool:
-    vecs = verification_vectors(base)
-    return bool(np.array_equal(simulate_many(base, vecs),
-                               simulate_many(obf, vecs, key)))
+    words, count = verification_words(base)
+    ones = (1 << count) - 1
+    return simulate_words(base, words, (), ones) == simulate_words(obf, words, key, ones)
 
 
 def sat_attack(inst: ObfuscationInstance,

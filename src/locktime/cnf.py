@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import and_, or_
 
 from .netlist import REDUCTION, Circuit, GateType, key_cone
 
@@ -84,11 +83,11 @@ def _gate_clauses(gtype: GateType, y: int, xs: list[int], alloc: _Alloc,
     op, inverted = REDUCTION[gtype]
     if inverted:
         y = -y
-    if op is np.logical_and:
+    if op is and_:
         for x in xs:
             clauses.append((-y, x))
         clauses.append(tuple([y] + [-x for x in xs]))
-    elif op is np.logical_or:
+    elif op is or_:
         for x in xs:
             clauses.append((y, -x))
         clauses.append(tuple([-y] + xs))

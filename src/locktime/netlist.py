@@ -15,6 +15,11 @@ LUT gates are k-input programmable gates.  Their truth table is a *key*:
 simulation reads it from the key vector.  The ``lut_bits`` stored on the
 gate record the ground-truth table so a locked netlist can round-trip
 through the bench format; nothing on the attack path reads them.
+
+Simulation is word-parallel: a net's values over a batch of input vectors
+are one Python int, bit b its value under vector b.  :func:`gate_word`
+evaluates one gate on its fanins' words, :func:`simulate_words` a circuit
+on a batch, and :func:`simulate` on one vector, where every word is a bit.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from operator import ne
+from functools import reduce
+from operator import and_, ne, or_, xor
 
 import numpy as np
 
@@ -56,10 +62,10 @@ ONE_HOT_INDEX = {t: i for i, t in enumerate(ONE_HOT_ORDER)}
 # and the Tseitin encoder: an AND, OR or XOR reduction of the fanins, its
 # output inverted or not.  NOT is a one-fanin NAND, BUFF a one-fanin AND.
 REDUCTION = {
-    GateType.AND: (np.logical_and, False), GateType.NAND: (np.logical_and, True),
-    GateType.OR: (np.logical_or, False), GateType.NOR: (np.logical_or, True),
-    GateType.XOR: (np.logical_xor, False), GateType.XNOR: (np.logical_xor, True),
-    GateType.NOT: (np.logical_and, True), GateType.BUFF: (np.logical_and, False),
+    GateType.AND: (and_, False), GateType.NAND: (and_, True),
+    GateType.OR: (or_, False), GateType.NOR: (or_, True),
+    GateType.XOR: (xor, False), GateType.XNOR: (xor, True),
+    GateType.NOT: (and_, True), GateType.BUFF: (and_, False),
 }
 
 
@@ -206,11 +212,13 @@ class Circuit:
         if types.count("INPUT") != len(listed):
             g = next(g for g in gates if g.type is GateType.INPUT and g.id not in listed)
             raise CircuitError(f"INPUT gate {g.name!r} not listed in primary_inputs or key_inputs")
-        for what, gids, unique in (("primary input", pis, pi_set), ("key input", keys, key_set)):
+        pos = self.primary_outputs
+        _check_ids("primary output", pos, n)
+        for what, gids, unique in (("primary input", pis, pi_set), ("key input", keys, key_set),
+                                   ("primary output", pos, set(pos))):
             if len(unique) != len(gids):
                 gid = next(gid for i, gid in enumerate(gids) if gid in gids[:i])
                 raise CircuitError(f"{what} id {gid} is listed twice")
-        _check_ids("primary output", self.primary_outputs, n)
         self.topo_order = topo_order(gates)
         # only INPUTs have no fanin, and Kahn's queue starts with every such gate
         self.logic_gates = self.topo_order[len(listed):]
@@ -247,7 +255,8 @@ _BENCH_LINE = re.compile(
     r"(?P<io>INPUT|OUTPUT)\s*\((?P<port>[^\s()]+)\)"
     r"|(?P<name>[^\s=()]+)\s*=\s*(?:LUT\s*\[(?P<bits>[01]+)\]|(?P<type>[A-Za-z]+))"
     r"\s*\((?P<args>[^)]*)\)", re.IGNORECASE)
-_DEFINED_TYPES = {t.value: t for t in REDUCTION} | {"BUF": GateType.BUFF}
+_DEFINED_TYPES = {t.value: t for t in GateType if t.value not in ("INPUT", "LUT")}
+_DEFINED_TYPES["BUF"] = GateType.BUFF
 
 
 def parse_bench(text: str) -> Circuit:
@@ -306,9 +315,14 @@ def parse_bench(text: str) -> Circuit:
                                   lineno) from None
         gates.append(Gate(len(gates), name, gtype, fanin, bits))
 
+    listed: dict[str, int] = {}  # output name -> its first OUTPUT line
     for name, lineno in outputs:
         if name not in ids:
             raise BenchParseError(f"OUTPUT({name}) references undefined net", lineno)
+        if name in listed:
+            raise BenchParseError(f"OUTPUT({name}) is listed twice (first on line "
+                                  f"{listed[name]})", lineno)
+        listed[name] = lineno
     pos = tuple([ids[name] for name, _ in outputs])
     try:
         return Circuit(tuple(gates), tuple(pis), pos, tuple(keys))
@@ -476,73 +490,68 @@ def key_cone(c: Circuit) -> set[int]:
     return cone
 
 
-def gate_values(t: GateType, fin: list, table) -> np.ndarray:
-    """One logic gate's values over a batch: ``fin`` holds its fanins' bool
-    arrays, ``table`` a LUT's truth table as a bool array (first fanin is
-    the most significant index bit) and is None for every other type.
+def gate_word(t: GateType, words: list[int], table, ones: int) -> int:
+    """One logic gate's word: ``words`` holds its fanins' words, ``ones``
+    the all-ones word of the batch, and ``table`` a LUT's truth table (first
+    fanin is the most significant index bit), None for every other type.
 
     A non-LUT gate is the AND, OR or XOR reduction of its fanins that
-    :data:`REDUCTION` names for ``t``, inverted when the table says so.
+    :data:`REDUCTION` names for ``t``, inverted when the table says so; a
+    LUT is the OR of its true minterms.
     """
-    if table is not None:
-        k = len(fin)
-        idx = np.zeros(len(fin[0]), dtype=np.int64)
-        for i, f in enumerate(fin):
-            idx |= f.astype(np.int64) << (k - 1 - i)
-        return table[idx]
-    op, inverted = REDUCTION[t]
-    out = op.reduce(fin)
-    return ~out if inverted else out
-
-
-def simulate_many(c: Circuit, inputs: np.ndarray, key=()) -> np.ndarray:
-    """Evaluate the circuit on a batch of input vectors.
-
-    ``inputs`` is (batch, |PI|) of 0/1; ``key`` is a flat key vector laid
-    out per ``Circuit.key_slices``.  Returns (batch, |PO|) uint8.
-    """
-    inputs = np.asarray(inputs, dtype=np.uint8)
-    if inputs.ndim != 2 or inputs.shape[1] != len(c.primary_inputs):
-        raise ValueError(f"expected inputs of shape (batch, {len(c.primary_inputs)}), got {inputs.shape}")
-    key = np.asarray(key, dtype=np.uint8).ravel()
-    if key.size != c.key_bits:
-        raise ValueError(f"expected {c.key_bits} key bits, got {key.size}")
-    slices = c.key_slices
-
-    batch = inputs.shape[0]
-    vals: list[np.ndarray | None] = [None] * c.n
-    for idx, gid in enumerate(c.primary_inputs):
-        vals[gid] = inputs[:, idx].astype(bool)
-    for gid in c.key_inputs:
-        bit = bool(key[slices[gid]][0])
-        vals[gid] = np.full(batch, bit, dtype=bool)
-
-    for gid in c.logic_gates:
-        g = c.gates[gid]
-        s = slices.get(gid)  # of the logic gates, only a LUT has a key slot
-        vals[gid] = gate_values(g.type, [vals[f] for f in g.fanin],
-                                None if s is None else key[s].astype(bool))
-
-    out = np.empty((batch, len(c.primary_outputs)), dtype=np.uint8)
-    for j, gid in enumerate(c.primary_outputs):
-        out[:, j] = vals[gid]
+    if table is None:
+        op, inverted = REDUCTION[t]
+        out = reduce(op, words)
+        return out ^ ones if inverted else out
+    k = len(words)
+    out = 0
+    for j, bit in enumerate(table):
+        if bit:
+            m = ones
+            for i, w in enumerate(words):
+                m &= w if j >> (k - 1 - i) & 1 else w ^ ones
+            out |= m
     return out
+
+
+def simulate_words(c: Circuit, words: list[int], key, ones: int) -> list[int]:
+    """The primary outputs' words, given each primary input's word over a
+    batch of vectors (bit b is its value under vector b) and the batch's
+    all-ones word ``ones``.  ``key`` is a flat key vector laid out per
+    ``Circuit.key_slices``."""
+    if len(key) != c.key_bits:
+        raise ValueError(f"expected {c.key_bits} key bits, got {len(key)}")
+    slices, gates = c.key_slices, c.gates
+    vals = [0] * c.n
+    for gid, w in zip(c.primary_inputs, words):
+        vals[gid] = w
+    for gid in c.key_inputs:
+        vals[gid] = ones if key[slices[gid].start] else 0
+    for gid in c.logic_gates:
+        g = gates[gid]
+        s = slices.get(gid)  # of the logic gates, only a LUT has a key slot
+        vals[gid] = gate_word(g.type, [vals[f] for f in g.fanin],
+                              None if s is None else key[s], ones)
+    return [vals[gid] for gid in c.primary_outputs]
+
+
+def pack_words(inputs: np.ndarray) -> list[int]:
+    """Each column of a (batch, n) 0/1 array as one word."""
+    rows = np.packbits(np.asarray(inputs).T.astype(bool), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def exhaustive_words(n_inputs: int) -> list[int]:
+    """Each of ``n_inputs`` inputs' word over all 2^n vectors, vector r
+    holding input i at bit n-1-i of r (MSB-first, first input most
+    significant): input i is 2^p zeros then 2^p ones, p = n-1-i, repeated."""
+    size = 1 << n_inputs
+    return [(((1 << (1 << p)) - 1) << (1 << p)) * (((1 << size) - 1) // ((1 << (2 << p)) - 1))
+            for p in reversed(range(n_inputs))]
 
 
 def simulate(c: Circuit, inputs, key=()) -> tuple[int, ...]:
     """Evaluate one input vector; returns the primary-output bits."""
-    row = np.asarray(inputs, dtype=np.uint8).ravel()
-    if row.size != len(c.primary_inputs):
-        raise ValueError(f"expected {len(c.primary_inputs)} input bits, got {row.size}")
-    out = simulate_many(c, row[None, :], key)
-    return tuple(int(b) for b in out[0])
-
-
-def all_input_vectors(n_inputs: int) -> np.ndarray:
-    """All 2^n input vectors as a (2^n, n) array, MSB-first row encoding."""
-    if n_inputs < 0:
-        raise ValueError("n_inputs must be >= 0")
-    count = 1 << n_inputs
-    idx = np.arange(count, dtype=np.int64)
-    cols = [(idx >> (n_inputs - 1 - i)) & 1 for i in range(n_inputs)]
-    return np.stack(cols, axis=1).astype(np.uint8) if n_inputs else np.zeros((1, 0), np.uint8)
+    if len(inputs) != len(c.primary_inputs):
+        raise ValueError(f"expected {len(c.primary_inputs)} input bits, got {len(inputs)}")
+    return tuple(simulate_words(c, [1 if b else 0 for b in inputs], key, 1))

@@ -16,7 +16,7 @@ identified by the same gate id in the base and obfuscated circuits.
 location into one gate list and builds one :class:`Circuit` per
 instance.  A LUT wider than its gate's fanin is padded from the
 topological order of the circuit as locked so far; its truth table comes
-from the simulator's gate step, :func:`netlist.gate_values`, with no
+from the simulator's gate step, :func:`netlist.gate_word`, with no
 circuit of its own.  Generated names (``keyinput<i>``, ``<name>$in``) count up past
 any net already present.
 """
@@ -28,8 +28,8 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .netlist import (KEY_INPUT_PREFIX, TEXT, Circuit, Gate, GateType, all_input_vectors,
-                      check_json, gate_values, topo_order)
+from .netlist import (KEY_INPUT_PREFIX, TEXT, Circuit, Gate, GateType, check_json,
+                      exhaustive_words, gate_word, topo_order)
 
 LUT_MAX_ARITY = 4
 
@@ -107,8 +107,8 @@ def _lut_table(target: Gate, arity_k: int) -> tuple[int, ...]:
     """Truth table of ``target`` alone over its own fanins (MSB-first), each
     row repeated across the padding bits, which are the low index bits."""
     m = len(target.fanin)
-    own = gate_values(target.type, list(all_input_vectors(m).T.astype(bool)), None)
-    return tuple(int(b) for b in np.repeat(own, 2 ** (arity_k - m)))
+    own = gate_word(target.type, exhaustive_words(m), None, (1 << 2 ** m) - 1)
+    return tuple(own >> r & 1 for r in range(2 ** m) for _ in range(2 ** (arity_k - m)))
 
 
 # looked up once: reading a member off an Enum class costs more than the test

@@ -1,5 +1,6 @@
 """Independent reference implementations used to cross-check the package,
-and the test-only circuits, datasets and DIMACS reader built on it.
+and the test-only circuits, datasets, batch simulation and DIMACS reader
+built on it.
 
 Everything here is deliberately written in a different style from the
 library code: event-driven scalar simulation instead of vectorized
@@ -18,8 +19,8 @@ import numpy as np
 from locktime.cnf import CnfFormula, MiterContext, tseitin
 from locktime.experiments import DatasetRecord
 from locktime.icnet import Model, batch_mse, loss_and_grads, new_model, split_indices
-from locktime.netlist import (KEY_INPUT_PREFIX, Circuit, Gate, GateType, all_input_vectors,
-                              parse_bench, simulate_many)
+from locktime.netlist import (KEY_INPUT_PREFIX, Circuit, Gate, GateType, pack_words,
+                              parse_bench, simulate_words)
 from locktime.numerics import adam_step, init_adam
 from locktime.obfuscate import ObfuscationKind, random_obfuscate
 
@@ -33,6 +34,39 @@ _BOOL_FUNCS = {
     GateType.NOT: lambda vs: not vs[0],
     GateType.BUFF: lambda vs: vs[0],
 }
+
+
+def simulate_many(c: Circuit, inputs, key=()) -> np.ndarray:
+    """The package's word simulator on a batch of input vectors, packed and
+    unpacked at the edge: ``inputs`` is (batch, |PI|) of 0/1, ``key`` a flat
+    key vector laid out per ``Circuit.key_slices``.  Returns (batch, |PO|)
+    uint8."""
+    inputs = np.asarray(inputs, dtype=np.uint8)
+    if inputs.ndim != 2 or inputs.shape[1] != len(c.primary_inputs):
+        raise ValueError(f"expected inputs of shape (batch, {len(c.primary_inputs)}), "
+                         f"got {inputs.shape}")
+    batch = inputs.shape[0]
+    nbytes = (batch + 7) // 8
+    outs = simulate_words(c, pack_words(inputs), np.asarray(key, dtype=np.uint8).ravel().tolist(),
+                          (1 << batch) - 1)
+    raw = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in outs), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(outs), nbytes), axis=1, count=batch, bitorder="little")
+    return np.ascontiguousarray(bits.T)
+
+
+def word_rows(words, count: int) -> np.ndarray:
+    """(count, len(words)) uint8 array whose row b holds bit b of each word."""
+    return np.array([[w >> b & 1 for w in words] for b in range(count)],
+                    dtype=np.uint8).reshape(count, len(words))
+
+
+def all_input_vectors(n_inputs: int) -> np.ndarray:
+    """All 2^n input vectors as a (2^n, n) array, MSB-first row encoding."""
+    if n_inputs < 0:
+        raise ValueError("n_inputs must be >= 0")
+    idx = np.arange(1 << n_inputs, dtype=np.int64)
+    cols = [(idx >> (n_inputs - 1 - i)) & 1 for i in range(n_inputs)]
+    return np.stack(cols, axis=1).astype(np.uint8) if n_inputs else np.zeros((1, 0), np.uint8)
 
 
 def eval_gate(gtype: GateType, values, lut_table=None) -> bool:

@@ -36,11 +36,12 @@ from locktime.icnet import (
     save_checkpoint,
     train,
 )
-from locktime.netlist import Circuit, GateType, all_input_vectors, simulate
+from locktime.netlist import Circuit, GateType, simulate
 from locktime.obfuscate import ObfuscationKind, random_obfuscate
 from locktime.satsolve import SolveStatus, solve
 
 from oracles import (
+    all_input_vectors,
     cnf_is_satisfiable,
     enumerate_models_np,
     event_driven_simulate,

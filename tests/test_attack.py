@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,13 +9,15 @@ import locktime.attack
 import locktime.satsolve
 from locktime.attack import (
     LABEL_KINDS,
+    RANDOM_VERIFY_VECTORS,
+    VERIFY_SEED,
     AttackResult,
     AttackStatus,
     attack_log_record,
     keys_equivalent,
     runtime_labels,
     sat_attack,
-    verification_vectors,
+    verification_words,
 )
 from locktime.cnf import add_dip_constraint, build_miter, tseitin
 from locktime.experiments import generate_records
@@ -26,6 +29,7 @@ from locktime.obfuscate import (
     random_obfuscate,
 )
 from locktime.satsolve import SolveResult, SolverStats, SolveStatus
+from oracles import all_input_vectors, event_driven_simulate, random_circuit, word_rows
 
 XOR = ObfuscationKind("xor")
 LUT2 = ObfuscationKind("lut", 2)
@@ -279,14 +283,41 @@ def test_conflicts_label_reproducible_wall_not_required(c17):
 
 
 def test_verification_vectors_bounds(c17):
-    v = verification_vectors(c17)
-    assert v.shape == (32, 5)
+    # every input vector up to 16 inputs; 1000 seeded random ones above
+    words, count = verification_words(c17)
+    assert count == 32
+    np.testing.assert_array_equal(word_rows(words, count), all_input_vectors(5))
     big = parse_bench(
         "\n".join(f"INPUT(i{k})" for k in range(17)) + "\nOUTPUT(z)\n"
         + "z = AND(" + ", ".join(f"i{k}" for k in range(17)) + ")\n")
-    v = verification_vectors(big)
-    assert v.shape == (1000, 17)
-    np.testing.assert_array_equal(v, verification_vectors(big))
+    words, count = verification_words(big)
+    assert (len(words), count) == (17, 1000)
+    assert all(0 <= w < 1 << 1000 for w in words)
+    expect = np.random.default_rng(VERIFY_SEED).integers(0, 2, (1000, 17), dtype=np.uint8)
+    np.testing.assert_array_equal(word_rows(words, count), expect)
+    assert verification_words(big) == (words, count)
+
+
+@pytest.mark.parametrize("kind", ["xor", "lut2"])
+def test_keys_equivalent_on_the_sampled_vectors_above_16_inputs(kind):
+    # 18 inputs take the random-vector path: the true key passes, and a
+    # one-bit-flipped key fails exactly when it changes an output on a sample
+    base = random_circuit(random.Random(18), 18, 30)
+    inst = random_obfuscate(base, 4, ObfuscationKind.parse(kind), seed=3)
+    words, count = verification_words(base)
+    assert count == RANDOM_VERIFY_VECTORS
+    vecs = word_rows(words, count)
+    expect = [event_driven_simulate(base, row) for row in vecs]
+    assert keys_equivalent(base, inst.obfuscated, inst.key_truth)
+    failing = 0
+    for i in range(len(inst.key_truth)):
+        key = list(inst.key_truth)
+        key[i] ^= 1
+        differs = any(event_driven_simulate(inst.obfuscated, row, key) != out
+                      for row, out in zip(vecs, expect))
+        assert keys_equivalent(base, inst.obfuscated, key) is not differs, i
+        failing += differs
+    assert 0 < failing < len(inst.key_truth)
 
 
 def test_attack_log_record_fields(c17):

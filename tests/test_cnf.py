@@ -12,12 +12,12 @@ from locktime.cnf import (
     to_dimacs,
     tseitin,
 )
-from locktime.netlist import GateType, key_cone, parse_bench, simulate, simulate_many
+from locktime.netlist import GateType, key_cone, parse_bench, simulate
 from locktime.obfuscate import (ObfuscationKind, apply_at_locations, eligible_gates,
                                 random_obfuscate)
 from locktime.satsolve import Solver, SolveStatus, solve
 from oracles import (dip_model, enumerate_cnf, enumerate_models_np, full_copy_dip_constraint,
-                     layered_dag, parse_dimacs, random_circuit, two_copy_miter)
+                     layered_dag, parse_dimacs, random_circuit, simulate_many, two_copy_miter)
 
 
 def test_single_and_clause_set():

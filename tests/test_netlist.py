@@ -9,18 +9,18 @@ from locktime.netlist import (
     CircuitError,
     Gate,
     GateType,
-    all_input_vectors,
     emit_bench,
+    exhaustive_words,
     graph_matrix,
     key_cone,
     parse_bench,
     read_bench,
     simulate,
-    simulate_many,
 )
 from locktime.obfuscate import ObfuscationKind, eligible_gates, random_obfuscate
-from oracles import (dense_graph_matrix, densify, event_driven_simulate, fanout_closure,
-                     key_layout_reference, layered_dag, random_circuit)
+from oracles import (all_input_vectors, dense_graph_matrix, densify, event_driven_simulate,
+                     fanout_closure, key_layout_reference, layered_dag, random_circuit,
+                     simulate_many, word_rows)
 
 
 def test_c17_structure(c17):
@@ -69,6 +69,53 @@ def test_simulate_matches_oracle_on_random_circuits():
         batch = simulate_many(c, vecs)
         for row, expect in zip(vecs, batch):
             assert event_driven_simulate(c, row) == tuple(expect)
+
+
+# every REDUCTION type, LUT1-LUT4 and two key inputs; the tables come from the key
+EVERY_GATE = parse_bench("""
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+INPUT(keyinput0)
+INPUT(keyinput1)
+g_and = AND(a, b, c)
+g_nand = NAND(a, d)
+g_or = OR(b, c, d)
+g_nor = NOR(a, c)
+g_xor = XOR(a, b, c, d)
+g_xnor = XNOR(b, d)
+g_not = NOT(c)
+g_buff = BUFF(d)
+k0 = XOR(g_and, keyinput0)
+k1 = XNOR(g_or, keyinput1)
+l1 = LUT[10](g_nor)
+l2 = LUT[0110](g_xor, k0)
+l3 = LUT[00010111](a, k1, g_not)
+l4 = LUT[0110100110010110](g_nand, g_xnor, g_buff, l2)
+""" + "".join(f"OUTPUT({name})\n" for name in (
+    "g_and g_nand g_or g_nor g_xor g_xnor g_not g_buff k0 k1 l1 l2 l3 l4".split())))
+
+
+@pytest.mark.parametrize("batch", [0, 1, 7, 8, 9, 63, 64, 65, 1000])
+def test_word_simulator_matches_the_oracle_at_word_boundaries(batch):
+    c = EVERY_GATE
+    assert c.key_bits == 2 + 2 + 4 + 8 + 16
+    rng = np.random.default_rng(batch)
+    vecs = rng.integers(0, 2, (batch, 4), dtype=np.uint8)
+    for key in rng.integers(0, 2, (4, c.key_bits), dtype=np.uint8):
+        out = simulate_many(c, vecs, key)
+        assert out.shape == (batch, 14) and out.dtype == np.uint8
+        for row, got in zip(vecs, out):
+            expect = event_driven_simulate(c, row, key)
+            assert tuple(got) == expect
+            assert simulate(c, row, key) == expect
+
+
+def test_exhaustive_words_are_the_msb_first_vectors():
+    for n in range(9):
+        np.testing.assert_array_equal(word_rows(exhaustive_words(n), 1 << n),
+                                      all_input_vectors(n))
 
 
 def test_key_cone_is_the_fanout_of_the_key_slots(c17, mid12):
@@ -205,6 +252,8 @@ def test_parse_lut_msb_first():
     pytest.param("INPUT(a)\nz = INPUT()\n", "unknown gate type 'INPUT'", id="input-as-type"),
     pytest.param("INPUT(a)\n" + "z" * 10_000 + "\n", "cannot parse line: 'zzz",
                  id="long-line"),
+    pytest.param("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\nOUTPUT(z)\n",
+                 "OUTPUT(z) is listed twice (first on line 2) (line 4)", id="output-twice"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(BenchParseError) as exc:
@@ -312,10 +361,13 @@ def test_circuit_validation_messages(gates, pis, pos, keys, message):
     ((0, 1, 1), (), "primary input id 1 is listed twice"),
     ((0,), (1, 5), "key input id 5 does not exist"),
     ((0,), (1, 1), "key input id 1 is listed twice"),
+    ((0, 1), (), "primary output id 2 is listed twice"),
 ])
 def test_circuit_checks_input_ids(pis, keys, message):
+    # the one logic gate is the output, listed twice in the row about outputs
+    pos = (2, 2) if "primary output" in message else (2,)
     with pytest.raises(CircuitError) as exc:
-        Circuit((A, B, _z(T.AND, (0, 1))), pis, (2,), keys)
+        Circuit((A, B, _z(T.AND, (0, 1))), pis, pos, keys)
     assert str(exc.value) == message
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from locktime import netlist, obfuscate
-from locktime.netlist import (Circuit, CircuitError, Gate, GateType, all_input_vectors,
-                              emit_bench, parse_bench, simulate_many, topo_order)
+from locktime.netlist import (Circuit, CircuitError, Gate, GateType, emit_bench, parse_bench,
+                              topo_order)
 from locktime.obfuscate import (
     ObfuscationKind,
     _lut_table,
@@ -19,7 +19,8 @@ from locktime.obfuscate import (
     instance_to_json,
     random_obfuscate,
 )
-from oracles import layered_dag, random_circuit, reference_lut_table, sequential_lock
+from oracles import (all_input_vectors, layered_dag, random_circuit, reference_lut_table,
+                     sequential_lock, simulate_many)
 
 XOR = ObfuscationKind("xor")
 XNOR = ObfuscationKind("xnor")

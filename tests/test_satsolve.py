@@ -7,7 +7,7 @@ import pytest
 import locktime.satsolve
 
 from locktime.cnf import CnfFormula, tseitin
-from locktime.netlist import all_input_vectors, simulate
+from locktime.netlist import simulate
 from locktime.satsolve import (
     Solver,
     SolverStats,
@@ -15,7 +15,8 @@ from locktime.satsolve import (
     solve,
     verify_model,
 )
-from oracles import cnf_is_satisfiable, enumerate_cnf, random_3sat, random_circuit
+from oracles import (all_input_vectors, cnf_is_satisfiable, enumerate_cnf, random_3sat,
+                     random_circuit)
 
 
 def F(clauses, n):

@@ -220,6 +220,22 @@ def test_the_encoder_reads_gate_function_only_from_the_reduction_table():
     assert not found, f"cnf.py names reduction types itself: {found}"
 
 
+# the functions that read netlist.REDUCTION: the encoder and the simulator's gate step
+REDUCTION_READERS = {"cnf.py:_gate_clauses", "netlist.py:gate_word"}
+NUMPY_LOGICAL = {"logical_and", "logical_or", "logical_xor"}
+
+
+def test_one_simulator():
+    # every value the package simulates is a word through netlist.gate_word; a
+    # numpy boolean gate would be a second simulator
+    logical = _found_outside(set(), lambda node: NUMPY_LOGICAL & {*_names(node),
+                                                                  getattr(node, "name", None)})
+    assert not logical, f"numpy logical gates in the package: {logical}"
+    readers = _found_outside(REDUCTION_READERS, lambda node: isinstance(node, ast.Name)
+                             and node.id == "REDUCTION" and isinstance(node.ctx, ast.Load))
+    assert not readers, f"REDUCTION read outside {sorted(REDUCTION_READERS)}: {readers}"
+
+
 # the encoder's private functions, each named only in the file that holds it
 ENCODER_HOMES = {"_encode_copy": "cnf.py", "_gate_clauses": "cnf.py"}
 KEY_CONE_HOME = "netlist.py"  # the one file that defines key_cone
