@@ -8,8 +8,8 @@ numbering is deterministic — inputs first, then key bits (copy 1 before
 copy 2 in the miter), then gate outputs in topological order, then
 auxiliary variables — so emitted DIMACS is reproducible byte for byte.
 Every variable comes from one allocator.  The miter only ever appends
-clauses and variables, and carries no net names: only :func:`tseitin`
-returns a ``var_map``.
+clauses and variables.  No formula carries net names: a net's variable
+follows from the numbering alone.
 
 The miter encodes the gates outside the key cone (``netlist.key_cone``)
 once, over variables both key copies share: whatever the key, they
@@ -29,7 +29,7 @@ output literal negated.  A LUT is the gate with a key slot.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import and_, or_
 
 from .netlist import REDUCTION, Circuit, GateType, key_cone
@@ -41,7 +41,6 @@ Clause = tuple[int, ...]
 class CnfFormula:
     clauses: list[Clause]
     n_vars: int
-    var_map: dict = field(default_factory=dict)  # net name -> variable
 
     def __post_init__(self):
         for cl in self.clauses:
@@ -131,22 +130,18 @@ def _encode_copy(c: Circuit, alloc: _Alloc, net: dict[int, int], gates: Sequence
 def tseitin(c: Circuit) -> CnfFormula:
     """Tseitin-encode a circuit (one copy, one key).
 
-    Variables: primary inputs, key bits in layout order, gate outputs in
-    topological order, auxiliaries, numbered from 1.  var_map carries net
-    names; LUT table bits appear as ``<gate>$k<j>``.
+    Variables, numbered from 1: the primary inputs in order, the key bits
+    laid out per ``Circuit.key_slices`` (a key input is its slot's one
+    bit, a LUT's table its slot's block), the gate outputs in
+    ``logic_gates`` order, then auxiliaries.
     """
     alloc = _Alloc()
     input_vars = alloc.new(len(c.primary_inputs))
     key_vars = alloc.new(c.key_bits)
     clauses: list[Clause] = []
-    net = _encode_copy(c, alloc, dict(zip(c.primary_inputs, input_vars)), c.logic_gates,
-                       key_vars, clauses)
-    var_map = {c.gates[gid].name: v for gid, v in net.items()}
-    for gid, s in c.key_slices.items():
-        g = c.gates[gid]
-        if g.type is GateType.LUT:
-            var_map.update((f"{g.name}$k{j}", v) for j, v in enumerate(key_vars[s]))
-    return CnfFormula(clauses, alloc.n, var_map)
+    _encode_copy(c, alloc, dict(zip(c.primary_inputs, input_vars)), c.logic_gates,
+                 key_vars, clauses)
+    return CnfFormula(clauses, alloc.n)
 
 
 @dataclass

@@ -335,10 +335,7 @@ class AttentionReport:
     gate_entropy: float | None  # mean normalized gate-attention entropy
 
     def to_dict(self) -> dict:
-        return {"input_shares": self.input_shares,
-                "feat_attention": (list(self.feat_attention)
-                                   if self.feat_attention is not None else None),
-                "gate_entropy": self.gate_entropy}
+        return asdict(self)
 
 
 def attention_report(model: Model, samples) -> AttentionReport:

@@ -74,11 +74,11 @@ class CircuitError(ValueError):
 
 
 class BenchParseError(ValueError):
-    """Bench text that does not parse; ``line`` is the 1-based line to blame, if one is."""
+    """Bench text that does not parse; the message ends in "(line N)" when
+    a 1-based line is to blame."""
 
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"{message} (line {line})")
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -332,14 +332,12 @@ def parse_bench(text: str) -> Circuit:
 
 def read_bench(path) -> Circuit:
     """Parse the bench file at ``path``; a refusal is a :class:`BenchParseError`
-    that starts with the path and keeps the line it names."""
+    whose message is the parser's, prefixed by the path."""
     try:
         with open(path) as fh:
             return parse_bench(fh.read())
     except (BenchParseError, UnicodeDecodeError) as exc:  # the latter: no text file
-        error = BenchParseError(f"{path}: {exc}")
-        error.line = getattr(exc, "line", None)
-        raise error from exc
+        raise BenchParseError(f"{path}: {exc}") from exc
 
 
 def emit_bench(c: Circuit) -> str:

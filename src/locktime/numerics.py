@@ -19,7 +19,6 @@ import numpy as np
 class NonFiniteError(FloatingPointError):
     def __init__(self, where: str):
         super().__init__(f"non-finite values in {where}")
-        self.where = where
 
 
 def no_fp_warnings():

@@ -93,7 +93,8 @@ class Solver:
     ``val`` and ``watches`` hold ``+1..+n``, then ``-n..-1``, so negative
     indexing makes ``val[lit]`` True, False or None (unassigned) and
     ``watches[lit]`` the clauses watched by ``lit``, one of their first
-    two literals.  ``reason[v]`` is the clause that made ``v`` true, its
+    two literals; those lists are the only record of the stored clauses,
+    input and learnt.  ``reason[v]`` is the clause that made ``v`` true, its
     other literals all false, or None for a decision.
 
     ``_load`` reads level-0 status straight from ``val``: right after
@@ -115,7 +116,6 @@ class Solver:
         self.trail: list[int] = []  # literals in assignment order (true literals)
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.clauses: list[list[int]] = []  # watched: input, then learnt
         self.activity = np.zeros(0, dtype=np.float64)
         self.free = np.zeros(0, dtype=np.float64)
         self.var_inc = 1.0
@@ -160,7 +160,7 @@ class Solver:
         self.loaded.n_vars = self.n
         if not self.ok:
             return
-        val, clauses, watches = self.val, self.clauses, self.watches
+        val, watches = self.val, self.watches
         units = []
         for cl in f.clauses:
             out = []
@@ -174,7 +174,6 @@ class Solver:
                     break  # true at level 0
             else:
                 if len(out) > 1:
-                    clauses.append(out)
                     watches[out[0]].append(out)
                     watches[out[1]].append(out)
                 elif out:
@@ -359,7 +358,6 @@ class Solver:
 
     def _learn(self, learnt: list[int]):
         if len(learnt) > 1:
-            self.clauses.append(learnt)
             self.watches[learnt[0]].append(learnt)
             self.watches[learnt[1]].append(learnt)
         self._enqueue(learnt[0], learnt)

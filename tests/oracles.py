@@ -204,6 +204,29 @@ def fanout_closure(c: Circuit, sources) -> set[int]:
     return seen
 
 
+def tseitin_vars(c: Circuit) -> dict[str, int]:
+    """The variable ``cnf.tseitin`` gives each net and each LUT table bit,
+    rebuilt from the numbering its docstring documents: the primary inputs
+    in order from 1, then the key bits slot by slot per
+    :func:`key_layout_reference` (a key input is its slot's one bit; bit j
+    of a LUT ``y``'s table is named ``y$k<j>``), then the logic gates in
+    ``logic_gates`` order.  Auxiliaries come after and have no name."""
+    names = {}
+    var = 0
+    for gid in c.primary_inputs:
+        var += 1
+        names[c.gates[gid].name] = var
+    for gid, width in key_layout_reference(c):
+        g = c.gates[gid]
+        for j in range(width):
+            var += 1
+            names[g.name if g.type is GateType.INPUT else f"{g.name}$k{j}"] = var
+    for gid in c.logic_gates:
+        var += 1
+        names[c.gates[gid].name] = var
+    return names
+
+
 def two_copy_miter(obf: Circuit) -> MiterContext:
     """The miter with two full circuit copies, one per key, and a difference
     variable for every output: ``cnf.build_miter`` before it shared the
@@ -229,7 +252,8 @@ def two_copy_miter(obf: Circuit) -> MiterContext:
     clauses = []
     for copy in (0, 1):
         clauses += [tuple(map(renumber(copy), cl)) for cl in t.clauses]
-    outs = [t.var_map[obf.gates[g].name] for g in obf.primary_outputs]
+    names = tseitin_vars(obf)
+    outs = [names[obf.gates[g].name] for g in obf.primary_outputs]
     first = n_pi + 2 * k + 2 * body
     dvars = list(range(first + 1, first + len(outs) + 1))
     for y, d in zip(outs, dvars):
@@ -257,7 +281,8 @@ def full_copy_dip_constraint(m: MiterContext, dip, oracle_out) -> None:
     """
     t = tseitin(m.obf)
     n_pi, k = len(m.obf.primary_inputs), m.obf.key_bits
-    outs = [t.var_map[m.obf.gates[g].name] for g in m.obf.primary_outputs]
+    names = tseitin_vars(m.obf)
+    outs = [names[m.obf.gates[g].name] for g in m.obf.primary_outputs]
     for kvars in (m.key1_vars, m.key2_vars):
         base = m.n_vars
 

@@ -50,6 +50,7 @@ from oracles import (
     random_circuit,
     random_structure,
     synthetic_mask_records,
+    tseitin_vars,
 )
 
 
@@ -92,7 +93,8 @@ def test_c02_cnf_model_projection(capsys):
         models = enumerate_models_np(f.clauses, f.n_vars)
         assert models.shape[0] == 2 ** n_inputs, \
             f"{models.shape[0]} models for {n_inputs} inputs"
-        net_cols = [f.var_map[g.name] - 1 for g in c.gates]
+        v = tseitin_vars(c)
+        net_cols = [v[g.name] - 1 for g in c.gates]
         got = {tuple(int(b) for b in row) for row in models[:, net_cols]}
         probe = Circuit(c.gates, c.primary_inputs, tuple(range(c.n)))
         expect = {event_driven_simulate(probe, vec)
@@ -124,10 +126,11 @@ def test_c03_solver_vs_enumeration(capsys):
         n_inputs = rng.randint(2, 4)
         c = random_circuit(rng, n_inputs, rng.randint(4, 16 - n_inputs))
         f = tseitin(c)
-        out_vars = [f.var_map[c.gates[g].name] for g in c.primary_outputs]
+        v = tseitin_vars(c)
+        out_vars = [v[c.gates[g].name] for g in c.primary_outputs]
         pattern = tuple(rng.randint(0, 1) for _ in out_vars)
-        units = [(v,) if b else (-v,) for v, b in zip(out_vars, pattern)]
-        res = solve(CnfFormula(f.clauses + units, f.n_vars, f.var_map))
+        units = [(y,) if b else (-y,) for y, b in zip(out_vars, pattern)]
+        res = solve(CnfFormula(f.clauses + units, f.n_vars))
         reachable = {event_driven_simulate(c, vec)
                      for vec in all_input_vectors(n_inputs)}
         circuit_agree += (res.status is SolveStatus.SAT) == (pattern in reachable)

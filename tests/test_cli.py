@@ -1,12 +1,17 @@
 """End-to-end command-line workflows."""
 
+import importlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import locktime
 from locktime.cli import main
 from locktime.experiments import generate_records, write_dataset
 from locktime.netlist import parse_bench
@@ -683,3 +688,21 @@ def test_console_script_installed():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0
     assert json.loads(out.stdout)["nodes"] == 11
+
+
+def test_console_script_entry_and_module_run():
+    # the entry point pyproject.toml declares is the main these tests call,
+    # and the module runs as a program without the script installed
+    tomllib = pytest.importorskip("tomllib")
+    src = Path(locktime.__file__).parent.parent
+    project = tomllib.loads((src.parent / "pyproject.toml").read_text())
+    target = project["project"]["scripts"]["locktime"]
+    assert target == "locktime.cli:main"
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-m", "locktime.cli", "parse", "builtin:c17"],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert '"nodes": 11' in out.stdout

@@ -12,18 +12,19 @@ from locktime.cnf import (
     to_dimacs,
     tseitin,
 )
-from locktime.netlist import GateType, key_cone, parse_bench, simulate
+from locktime.netlist import Circuit, GateType, key_cone, parse_bench, simulate
 from locktime.obfuscate import (ObfuscationKind, apply_at_locations, eligible_gates,
                                 random_obfuscate)
 from locktime.satsolve import Solver, SolveStatus, solve
 from oracles import (dip_model, enumerate_cnf, enumerate_models_np, full_copy_dip_constraint,
-                     layered_dag, parse_dimacs, random_circuit, simulate_many, two_copy_miter)
+                     layered_dag, parse_dimacs, random_circuit, simulate_many, tseitin_vars,
+                     two_copy_miter)
 
 
 def test_single_and_clause_set():
     c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n")
-    f = tseitin(c)
-    a, b, y = f.var_map["a"], f.var_map["b"], f.var_map["y"]
+    f, v = tseitin(c), tseitin_vars(c)
+    a, b, y = v["a"], v["b"], v["y"]
     assert (a, b, y) == (1, 2, 3)  # inputs first, then internals in topo order
     got = {frozenset(cl) for cl in f.clauses}
     assert got == {frozenset({-y, a}), frozenset({-y, b}), frozenset({y, -a, -b})}
@@ -35,8 +36,8 @@ def test_single_and_clause_set():
 
 def test_not_clause_set():
     c = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
-    f = tseitin(c)
-    a, y = f.var_map["a"], f.var_map["y"]
+    f, v = tseitin(c), tseitin_vars(c)
+    a, y = v["a"], v["y"]
     assert {frozenset(cl) for cl in f.clauses} == {frozenset({y, a}), frozenset({-y, -a})}
 
 
@@ -123,9 +124,9 @@ def test_miter_bytes_are_pinned(c17, mid12):
 
 def test_lut1_models_are_inverter():
     c = parse_bench("INPUT(a)\nOUTPUT(y)\ny = LUT[10](a)\n")
-    f = tseitin(c)
-    a, y = f.var_map["a"], f.var_map["y"]
-    k0, k1 = f.var_map["y$k0"], f.var_map["y$k1"]
+    f, v = tseitin(c), tseitin_vars(c)
+    a, y = v["a"], v["y"]
+    k0, k1 = v["y$k0"], v["y$k1"]
     clauses = [list(cl) for cl in f.clauses] + [[k0], [-k1]]  # key = (1, 0)
     models = enumerate_cnf(clauses, f.n_vars)
     assert {(m[a], m[y]) for m in models} == {(False, True), (True, False)}
@@ -134,9 +135,9 @@ def test_lut1_models_are_inverter():
 
 def test_lut2_models_match_every_table():
     c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = LUT[0000](a, b)\n")
-    f = tseitin(c)
-    a, b, y = f.var_map["a"], f.var_map["b"], f.var_map["y"]
-    kv = [f.var_map[f"y$k{j}"] for j in range(4)]
+    f, v = tseitin(c), tseitin_vars(c)
+    a, b, y = v["a"], v["b"], v["y"]
+    kv = [v[f"y$k{j}"] for j in range(4)]
     for table in range(16):
         bits = [(table >> (3 - j)) & 1 for j in range(4)]
         clauses = [list(cl) for cl in f.clauses]
@@ -159,8 +160,9 @@ def test_projection_matches_simulation():
         models = enumerate_models_np([list(cl) for cl in f.clauses], f.n_vars)
         n_pi = len(c.primary_inputs)
         assert models.shape[0] == 2 ** n_pi  # exactly one model per input vector
-        pi_vars = [f.var_map[c.gates[g].name] - 1 for g in c.primary_inputs]
-        net_vars = {g.id: f.var_map[g.name] - 1 for g in c.gates}
+        names = tseitin_vars(c)
+        pi_vars = [names[c.gates[g].name] - 1 for g in c.primary_inputs]
+        net_vars = {g.id: names[g.name] - 1 for g in c.gates}
         for row in models:
             invec = [row[v] for v in pi_vars]
             expect = {g.id: v for g, v in zip(c.gates, _all_values(c, invec))}
@@ -170,19 +172,33 @@ def test_projection_matches_simulation():
 
 def _all_values(c, invec):
     """Recompute every net value via the public simulator, one net at a time."""
-    from locktime.netlist import Circuit
     probe = Circuit(c.gates, c.primary_inputs, tuple(range(c.n)), c.key_inputs)
     return simulate(probe, invec)
 
 
 def test_tseitin_var_numbering_with_keys(c17):
     inst = random_obfuscate(c17, 2, ObfuscationKind("xor"), seed=1)
-    f = tseitin(inst.obfuscated)
+    v = tseitin_vars(inst.obfuscated)
     n_pi = len(c17.primary_inputs)
     for i, gid in enumerate(inst.obfuscated.primary_inputs):
-        assert f.var_map[inst.obfuscated.gates[gid].name] == i + 1
-    key_vars = [f.var_map[inst.obfuscated.gates[g].name] for g in inst.obfuscated.key_inputs]
+        assert v[inst.obfuscated.gates[gid].name] == i + 1
+    key_vars = [v[inst.obfuscated.gates[g].name] for g in inst.obfuscated.key_inputs]
     assert key_vars == [n_pi + 1, n_pi + 2]
+    # through that numbering, the one model of each input vector and key
+    # (key bit i is variable n_pi + 1 + i) gives every net its simulated value
+    rng = np.random.default_rng(3)
+    for kind in ("xor", "lut2"):
+        obf = random_obfuscate(c17, 2, ObfuscationKind.parse(kind), seed=1).obfuscated
+        f, v = tseitin(obf), tseitin_vars(obf)
+        probe = Circuit(obf.gates, obf.primary_inputs, tuple(range(obf.n)), obf.key_inputs)
+        for _ in range(8):
+            vec = rng.integers(0, 2, n_pi).tolist()
+            key = rng.integers(0, 2, obf.key_bits).tolist()
+            fixed = [v[obf.gates[g].name] for g in obf.primary_inputs]
+            fixed += range(n_pi + 1, n_pi + 1 + obf.key_bits)
+            units = [(x,) if b else (-x,) for x, b in zip(fixed, vec + key)]
+            r = solve(CnfFormula(f.clauses + units, f.n_vars))
+            assert [int(r.model[v[g.name]]) for g in obf.gates] == list(simulate(probe, vec, key))
 
 
 def test_cnf_formula_validation():
@@ -307,7 +323,8 @@ def test_miter_variable_layout(c17):
     # selectors, which follow the nets of copy 1's cone)
     t = tseitin(obf)
     t_last_net = n_pi + k + len(logic)
-    t_net = {t.var_map[obf.gates[g].name]: v for g, v in net.items()}
+    t_vars = tseitin_vars(obf)
+    t_net = {t_vars[obf.gates[g].name]: v for g, v in net.items()}
 
     def from_tseitin(lit):
         v = abs(lit)

@@ -268,11 +268,11 @@ def test_read_bench_names_the_file_and_keeps_the_line(tmp_path):
     with pytest.raises(BenchParseError) as exc:
         read_bench(path)
     assert str(exc.value).startswith(f"{path}: unknown gate type 'FROB'")
-    assert exc.value.line == 3
+    assert str(exc.value).endswith(" (line 3)")
     path.write_bytes(b"\xff\xfe\x00bench")
     with pytest.raises(BenchParseError) as exc:
         read_bench(path)
-    assert str(exc.value).startswith(f"{path}: ") and exc.value.line is None
+    assert str(exc.value).startswith(f"{path}: ") and "(line " not in str(exc.value)
     path.write_text("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
     assert read_bench(path).gates == parse_bench(path.read_text()).gates
 
@@ -282,7 +282,7 @@ def test_parse_error_reports_line():
                        ("INPUT(a)\nOUTPUT(zz)\ny = NOT(a)\n", 2)):
         with pytest.raises(BenchParseError) as exc:
             parse_bench(text)
-        assert exc.value.line == line, text
+        assert str(exc.value).endswith(f" (line {line})"), text
 
 
 def test_cycle_detection():

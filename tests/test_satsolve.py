@@ -16,7 +16,7 @@ from locktime.satsolve import (
     verify_model,
 )
 from oracles import (all_input_vectors, cnf_is_satisfiable, enumerate_cnf, random_3sat,
-                     random_circuit)
+                     random_circuit, tseitin_vars)
 
 
 def F(clauses, n):
@@ -125,7 +125,8 @@ def test_circuit_formulas_sat_and_unsat():
     for _ in range(30):
         c = random_circuit(rng, n_inputs=rng.randint(2, 4), n_gates=rng.randint(2, 8))
         f = tseitin(c)
-        out_vars = [f.var_map[c.gates[g].name] for g in c.primary_outputs]
+        names = tseitin_vars(c)
+        out_vars = [names[c.gates[g].name] for g in c.primary_outputs]
         vecs = all_input_vectors(len(c.primary_inputs))
         reachable = {tuple(int(b) for b in simulate(c, v)) for v in vecs}
         all_pats = {tuple(int(b) for b in p)
@@ -245,17 +246,23 @@ def test_incremental_verdicts_equal_fresh_solves_of_the_union():
     assert unsat_seen >= 20 and grown >= 20
 
 
+def _stored(solver):
+    """The clauses the solver stores, input and learnt: those its watch lists hold."""
+    return {id(cl): cl for watching in solver.watches for cl in watching}
+
+
 def test_level_zero_literals_in_later_chunks():
     solver = Solver()
     r = solve(F([[1], [-2], [1, 2, 3]], 3), solver=solver)
     assert r.status is SolveStatus.SAT and r.model[1] and not r.model[2]
-    watched = len(solver.clauses)
+    watched = _stored(solver)
     # (1 ∨ 4) is true at level 0 and skipped; -1 and 2 are false there and
     # dropped: (-1 ∨ 3 ∨ 4) is watched as (3 ∨ 4), (-1 ∨ 2 ∨ 5) becomes the
     # unit 5, and (4 ∨ -5 ∨ 3) is watched as given
     r = solve(F([[1, 4], [-1, 3, 4], [-1, 2, 5], [4, -5, 3]], 5), solver=solver)
     assert r.status is SolveStatus.SAT and r.model[5]
-    assert [sorted(cl) for cl in solver.clauses[watched:watched + 2]] == [[3, 4], [-5, 3, 4]]
+    new = [cl for key, cl in _stored(solver).items() if key not in watched]
+    assert sorted(sorted(cl) for cl in new) == [[-5, 3, 4], [3, 4]]
     assert verify_model(solver.loaded, r.model)
     r = solve(F([[-3]], 5), solver=solver)
     assert r.status is SolveStatus.SAT and r.model[4] and not r.model[3]
@@ -354,11 +361,10 @@ def _check_watches_and_reasons(solver):
     for lit in lits:
         for cl in solver.watches[lit]:
             watched_by.setdefault(id(cl), []).append(lit)
-    # each stored clause (all have length >= 2) is watched by its first two
-    # literals and by no other; no list watches a clause that is not stored
-    assert len(watched_by) == len(solver.clauses)
-    for cl in solver.clauses:
-        assert sorted(watched_by.get(id(cl), [])) == sorted(cl[:2]), cl
+    # each stored clause, the watch lists' content, has two or more literals
+    # and is watched by its first two and by no other
+    for key, cl in _stored(solver).items():
+        assert len(cl) >= 2 and sorted(watched_by[key]) == sorted(cl[:2]), cl
     assert all((val[v], val[-v]) in ((True, False), (False, True), (None, None))
                for v in range(1, n + 1))
     assert {l for l in lits if val[l] is True} == set(solver.trail)
@@ -486,14 +492,16 @@ def test_load_equals_the_set_based_rule():
                 watched, trail, ok = _reference_load(level0, chunk.clauses)
             else:  # UNSAT for good: nothing more is loaded
                 watched, trail, ok = [], level0, False
-            stored = list(solver.clauses)
+            stored = _stored(solver)
             watches = {l: list(solver.watches[l]) for l in lits if abs(l) <= solver.n}
             solver._load(chunk)
-            assert solver.clauses[:len(stored)] == stored
-            new = solver.clauses[len(stored):]
-            assert new == watched
+            new = [cl for key, cl in _stored(solver).items() if key not in stored]
+            assert sorted(new) == sorted(watched)
+            # the clauses stored before keep their places; each new one is
+            # appended, in load order, to the lists of its first two literals
             for l in lits:
-                assert solver.watches[l] == watches.get(l, []) + [cl for cl in new if l in cl[:2]]
+                assert solver.watches[l] == watches.get(l, []) + [cl for cl in watched
+                                                                  if l in cl[:2]]
             assert solver.trail == trail
             assert solver.ok is ok
             _check_watches_and_reasons(solver)

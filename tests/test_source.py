@@ -261,13 +261,6 @@ def test_one_encoding_path_and_one_key_cone():
     assert defined == [f"locktime/{KEY_CONE_HOME}"], f"key_cone defined in {defined}"
 
 
-# dataclass fields that no package or benchmark code reads, kept on purpose
-FIELD_EXEMPT = {
-    "CnfFormula.var_map": "names tseitin's variables for the CNF tests and acceptance "
-                          "checks C2 and C3; export-dimacs prints no names",
-}
-
-
 def _is_dataclass(cls: ast.ClassDef) -> bool:
     return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
                for d in cls.decorator_list)
@@ -300,6 +293,5 @@ def test_every_dataclass_field_is_read():
                 found += [f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
                           for stmt in cls.body
                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                          and not _is_initvar(stmt.annotation) and stmt.target.id not in read
-                          and f"{cls.name}.{stmt.target.id}" not in FIELD_EXEMPT]
+                          and not _is_initvar(stmt.annotation) and stmt.target.id not in read]
     assert not found, f"dataclass fields that no package or benchmark code reads: {found}"
