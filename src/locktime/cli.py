@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import load_bundled
@@ -42,7 +41,7 @@ from .icnet import (
     split_samples,
     train as train_model,
 )
-from .netlist import CircuitError, emit_bench, read_bench, read_json_object, write_json
+from .netlist import emit_bench, read_bench, read_json_object, write_json
 from .numerics import NonFiniteError
 from .obfuscate import (
     INSTANCE,
@@ -176,14 +175,9 @@ def _cmd_gen_data(args) -> None:
     _emit(manifest)
 
 
-def _model_config(args) -> ModelConfig:
-    config = read_json_object(args.config, ModelConfig.from_dict) if args.config else ModelConfig()
-    return config if args.seed is None else replace(config, seed=args.seed)
-
-
 def _cmd_train(args) -> None:
     _, records, _ = load_dataset(args.dataset)
-    config = _model_config(args)
+    config = read_json_object(args.config, ModelConfig.from_dict) if args.config else ModelConfig()
     samples = records_to_samples(records, config, args.label_kind)
     res = train_model(samples, config)
     save_checkpoint(res.model, args.out, args.label_kind)
@@ -207,9 +201,6 @@ def _cmd_train(args) -> None:
 
 def _cmd_eval(args) -> None:
     model, label_kind = load_checkpoint(args.model)
-    if args.label_kind not in (None, label_kind):
-        raise ValueError(f"model was trained on label kind {label_kind!r}, "
-                         f"not {args.label_kind!r}")
     _, records, _ = load_dataset(args.dataset)
     samples = records_to_samples(records, model.config, label_kind)
     usable, train_idx, test_idx = split_samples(samples, model.config.seed)
@@ -249,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=fn)
         p.add_argument("--out", default=None, help="write output here instead "
-                       "of stdout (directory for obfuscate/gen-data)")
+                       "of stdout (directory for obfuscate/gen-data, checkpoint for train)")
         return p
 
     p = add("parse", _cmd_parse, "validate a bench netlist")
@@ -280,15 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--label-kind", default="conflicts", choices=LABEL_KINDS)
     p.add_argument("--config", default=None, help="model config JSON file")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--log-csv", default=None, help="write the per-epoch log here")
     p.set_defaults(out="model.json")
 
     p = add("eval", _cmd_eval, "score a trained model")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--label-kind", default=None, choices=LABEL_KINDS,
-                   help="the kind the model was trained on (the default)")
     p.add_argument("--split", default="test", choices=("train", "test", "all"))
 
     p = add("report", _cmd_report, "dataset / attention report")
@@ -307,7 +295,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except (CircuitError, NonFiniteError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (NonFiniteError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)},
             sort_keys=True) + "\n")

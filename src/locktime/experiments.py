@@ -366,7 +366,7 @@ def attention_report(model: Model, samples) -> AttentionReport:
         hidden_w = np.full(cfg.hidden_dims[-1], 1.0 / cfg.hidden_dims[-1])
         feat_attention = None
     chain = np.abs(model.params["conv0"])
-    for l in range(1, cfg.conv_layers):
+    for l in range(1, len(cfg.hidden_dims)):
         chain = chain @ np.abs(model.params[f"conv{l}"])
     attribution = chain @ hidden_w
     total = attribution.sum()

@@ -1,9 +1,10 @@
 """Graph-convolutional runtime regressor with attention readouts.
 
-Architecture: two graph convolutions H_l = ReLU(A · H_{l-1} · Θ_l) over a
-per-gate feature matrix, a feature-level aggregation collapsing hidden
-features to one scalar per gate, a gate-level aggregation collapsing
-gates to one scalar z, and an exp output head.
+Architecture: graph convolutions H_l = ReLU(A · H_{l-1} · Θ_l), one per
+``hidden_dims`` entry (two by default), over a per-gate feature matrix,
+a feature-level aggregation collapsing hidden features to one scalar per
+gate, a gate-level aggregation collapsing gates to one scalar z, and an
+exp output head.
 
 The structure A is an edge list ``(rows, cols, vals)`` (see
 ``netlist.graph_matrix``).  ``_layouts`` lays it out for ``_propagate``.
@@ -71,7 +72,7 @@ AGG_MODES = ("attention", "mean")
 FEATURE_SETS = ("location_only", "all_features")
 
 CHECKPOINT_FORMAT = "icnet-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 TEST_FRACTION = 0.2  # share of usable samples held out by train's split
 # largest graph laid out as a dense n x n array (128 KiB); larger ones train faster jagged
 DENSE_MAX_GATES = 128
@@ -83,9 +84,9 @@ _POSITIVE = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
 # every ModelConfig field, checked on construction; a --config file or a
 # checkpoint's config may leave any of them out
 CONFIG = {
-    "graph_repr?": json_choice(*GRAPH_REPRS), "conv_layers?": _POSITIVE,
-    "hidden_dims?": [_POSITIVE], "feat_agg?": json_choice(*AGG_MODES),
-    "gate_agg?": json_choice(*AGG_MODES), "feature_set?": json_choice(*FEATURE_SETS),
+    "graph_repr?": json_choice(*GRAPH_REPRS), "hidden_dims?": [_POSITIVE],
+    "feat_agg?": json_choice(*AGG_MODES), "gate_agg?": json_choice(*AGG_MODES),
+    "feature_set?": json_choice(*FEATURE_SETS),
     "learning_rate?": ("a finite number > 0",
                        lambda v: type(v) in (int, float) and 0 < v <= FLOAT_MAX),
     "batch_size?": _POSITIVE, "max_epochs?": _POSITIVE, "convergence_tol?": NONNEGATIVE,
@@ -103,8 +104,7 @@ def _plain(value):
 @dataclass(frozen=True)
 class ModelConfig:
     graph_repr: str = "adjacency"
-    conv_layers: int = 2
-    hidden_dims: tuple = (32, 16)
+    hidden_dims: tuple = (32, 16)  # one width per graph convolution
     feat_agg: str = "attention"
     gate_agg: str = "attention"
     feature_set: str = "all_features"
@@ -117,9 +117,8 @@ class ModelConfig:
     def __post_init__(self):
         """Every field checked against :data:`CONFIG` and stored as a Python value."""
         fields = check_json({k: _plain(v) for k, v in vars(self).items()}, CONFIG, "")
-        if len(fields["hidden_dims"]) != fields["conv_layers"]:
-            raise ValueError(f"hidden_dims: {len(fields['hidden_dims'])} entries, but "
-                             f"conv_layers is {fields['conv_layers']}")
+        if not fields["hidden_dims"]:
+            raise ValueError("hidden_dims: expected at least one width, got []")
         fields.update(hidden_dims=tuple(fields["hidden_dims"]),
                       learning_rate=float(fields["learning_rate"]),
                       convergence_tol=float(fields["convergence_tol"]))
@@ -329,7 +328,7 @@ def _forward(model: Model, layout: Layout, ax: np.ndarray) -> _Cache:
         raise ValueError(f"feature matrix must be {(n, cfg.feature_dim)} "
                          f"for feature_set={cfg.feature_set!r}, got {ax.shape}")
     ps = []
-    for l in range(cfg.conv_layers):
+    for l in range(len(cfg.hidden_dims)):
         z = ax @ p["conv0"] if l == 0 else _propagate(layout, ps[-1] @ p[f"conv{l}"])
         check_finite(f"conv{l} pre-activation", z)
         ps.append(np.maximum(z, 0.0, out=z))
@@ -414,7 +413,7 @@ def _backward(model: Model, layout_t: Layout, ax: np.ndarray, cache: _Cache,
         dp = np.repeat(ds[:, None], hw, axis=1) / hw
 
     # P_l > 0 exactly where Z_l > 0, so P_l masks the relu gradient
-    for l in range(cfg.conv_layers - 1, 0, -1):
+    for l in range(len(cache.ps) - 1, 0, -1):
         u = _propagate(layout_t, relu_grad(cache.ps[l], dp))
         grads[f"conv{l}"] += cache.ps[l - 1].T @ u
         dp = u @ p[f"conv{l}"].T

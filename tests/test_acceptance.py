@@ -194,7 +194,7 @@ def test_c05_gradient_fidelity(capsys):
     combos = 0
     for feat_agg in ("attention", "mean"):
         for gate_agg in ("attention", "mean"):
-            cfg = ModelConfig(conv_layers=2, hidden_dims=(5, 4),
+            cfg = ModelConfig(hidden_dims=(5, 4),
                               feature_set="location_only", seed=2,
                               feat_agg=feat_agg, gate_agg=gate_agg)
             model = new_model(cfg)
@@ -218,7 +218,7 @@ def test_c05_gradient_fidelity(capsys):
 def test_c06_architectural_invariants(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(60)
-    cfg = ModelConfig(conv_layers=2, hidden_dims=(6, 4),
+    cfg = ModelConfig(hidden_dims=(6, 4),
                       feature_set="location_only", seed=1)
     model = new_model(cfg)
     n = 9

@@ -267,8 +267,7 @@ def test_train_artifacts(pipeline, capsys):
 
 def test_eval_reports_metrics(pipeline, capsys):
     ds, model, *_ = pipeline
-    doc = run_json(capsys, "eval", "--dataset", str(ds),
-                   "--model", str(model), "--label-kind", "conflicts")
+    doc = run_json(capsys, "eval", "--dataset", str(ds), "--model", str(model))
     assert doc["split"] == "test"
     assert doc["n"] >= 1
     assert "mse" in doc and doc["mse"] >= 0
@@ -299,16 +298,21 @@ def test_train_test_metrics_equal_eval_test_split(capsys, tmp_path, c17):
     ds, model = tmp_path / "ds", tmp_path / "model.json"
     write_dataset(ds, c17, records, logs)
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"hidden_dims": [6, 3], "max_epochs": 15,
-                               "learning_rate": 0.02, "batch_size": 4}))
-    trained = run_json(capsys, "train", "--dataset", str(ds), "--config",
-                       str(cfg), "--out", str(model))
-    evaluated = run_json(capsys, "eval", "--dataset", str(ds),
-                         "--model", str(model), "--split", "test")
-    assert trained["train_size"] + trained["test_size"] == 10
-    assert trained["test_metrics"]["n"] == trained["test_size"] >= 2
-    assert {k: evaluated[k] for k in trained["test_metrics"]} == \
-        trained["test_metrics"]
+    # the layer count is the number of widths: one, two and three layers
+    for widths in ([8], [6, 3], [4, 6, 3]):
+        cfg.write_text(json.dumps({"hidden_dims": widths, "max_epochs": 15,
+                                   "learning_rate": 0.02, "batch_size": 4}))
+        trained = run_json(capsys, "train", "--dataset", str(ds), "--config",
+                           str(cfg), "--out", str(model))
+        params = json.loads(model.read_text())["params"]
+        assert sorted(params) == sorted([f"conv{l}" for l in range(len(widths))]
+                                        + ["feat", "gate"])
+        evaluated = run_json(capsys, "eval", "--dataset", str(ds),
+                             "--model", str(model), "--split", "test")
+        assert trained["train_size"] + trained["test_size"] == 10
+        assert trained["test_metrics"]["n"] == trained["test_size"] >= 2
+        assert {k: evaluated[k] for k in trained["test_metrics"]} == \
+            trained["test_metrics"]
 
 
 @pytest.mark.parametrize("label", [-3.0, float("nan")])
@@ -453,12 +457,20 @@ def test_eval_scores_the_label_kind_the_model_was_trained_on(pipeline, capsys, t
     evaluated = run_json(capsys, "eval", "--dataset", str(ds), "--model", str(model))
     assert evaluated["label_kind"] == "wall_seconds"
     assert evaluated["mse"] == trained["test_metrics"]["mse"]
-    code, out, err = run_cli(capsys, "eval", "--dataset", str(ds), "--model",
-                             str(model), "--label-kind", "conflicts")
-    assert code == 1 and out == ""
-    assert json.loads(err) == {
-        "error": "ValueError",
-        "message": "model was trained on label kind 'wall_seconds', not 'conflicts'"}
+
+
+def test_each_model_setting_has_one_source(pipeline, capsys, tmp_path):
+    # the seed comes only from the config file, the label kind only from the checkpoint
+    ds, model, _, cfg = pipeline
+    for argv in (["train", "--dataset", str(ds), "--config", str(cfg), "--seed", "1",
+                  "--out", str(tmp_path / "m.json")],
+                 ["eval", "--dataset", str(ds), "--model", str(model),
+                  "--label-kind", "conflicts"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("message,edit", [
@@ -591,10 +603,11 @@ def test_train_divergence_is_json_error(pipeline, capsys, tmp_path):
     ({"batch_size": 2.5}, "batch_size"),
     ({"batch_size": True}, "batch_size"),
     ({"max_epochs": 1.5}, "max_epochs"),
-    ({"conv_layers": 2.0}, "conv_layers"),
+    ({"conv_layers": 2}, "conv_layers"),  # the layer count is len(hidden_dims)
     ({"hidden_dims": [8.5, 4]}, "hidden_dims"),
     ({"seed": 1.5}, "seed"),
     ({"hidden_dims": None}, "hidden_dims"),
+    ({"hidden_dims": []}, "hidden_dims"),
 ])
 def test_train_rejects_bad_config_values(pipeline, capsys, tmp_path, fields, name):
     ds, *_ = pipeline
@@ -605,8 +618,45 @@ def test_train_rejects_bad_config_values(pipeline, capsys, tmp_path, fields, nam
                              "--out", str(tmp_path / "m.json"))
     assert code == 1 and out == ""
     doc = json.loads(err)
-    assert doc["error"] == "ValueError" and name in doc["message"]
+    assert doc["error"] == "ValueError" and doc["message"].startswith(f"{cfg}: ")
+    assert name in doc["message"]
     assert not (tmp_path / "m.json").exists()
+
+
+def test_train_too_wide_a_layer_is_json_error(pipeline, capsys, tmp_path):
+    # 2**40 hidden units: the first weight matrix cannot be allocated
+    ds, *_ = pipeline
+    cfg = _write_config_file(tmp_path, {"hidden_dims": [2 ** 40, 4]})
+    code, out, err = run_cli(capsys, "train", "--dataset", str(ds), "--config", str(cfg),
+                             "--out", str(tmp_path / "m.json"))
+    assert code == 1 and out == "" and "Traceback" not in err
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"].endswith("MemoryError")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_a_bug_is_not_reported_as_bad_input(monkeypatch, capsys):
+    # main turns refused input into a JSON error; a TypeError is a bug and propagates
+    def broken(spec):
+        raise TypeError("a bug")
+    monkeypatch.setattr("locktime.cli._load_bench", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["parse", "builtin:c17"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["parse", "eval", "report"])
+def test_out_writes_what_stdout_shows(pipeline, capsys, tmp_path, command):
+    ds, model, *_ = pipeline
+    argv = {"parse": ["parse", "builtin:c17"],
+            "eval": ["eval", "--dataset", str(ds), "--model", str(model)],
+            "report": ["report", "--dataset", str(ds), "--model", str(model)]}[command]
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == "" and err == ""
+    assert target.read_text() == printed
 
 
 def test_report_undefined_correlation_is_null(capsys, tmp_path):

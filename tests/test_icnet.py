@@ -66,23 +66,26 @@ def make_samples(rng, n_samples, n=6, f=1, label_fn=None):
     return out
 
 
-SMALL = ModelConfig(conv_layers=2, hidden_dims=(5, 4),
+SMALL = ModelConfig(hidden_dims=(5, 4),
                     feature_set="location_only", seed=2)
 
 
 # --- config ---
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="hidden_dims"):
-        ModelConfig(conv_layers=2, hidden_dims=(8,))
+    # one convolution per width
+    assert sorted(new_model(ModelConfig(hidden_dims=(8,))).params) == ["conv0", "feat", "gate"]
+    with pytest.raises(ValueError, match="^hidden_dims: expected at least one width, got \\[\\]$"):
+        ModelConfig(hidden_dims=())
+    with pytest.raises(ValueError, match="^conv_layers: unknown field$"):
+        ModelConfig.from_dict({"conv_layers": 1, "hidden_dims": [8]})
     with pytest.raises(ValueError, match="graph_repr"):
         ModelConfig(graph_repr="normalized")
     with pytest.raises(ValueError, match="feat_agg"):
         ModelConfig(feat_agg="max")
     with pytest.raises(ValueError, match="gate_agg"):
         ModelConfig(gate_agg="sum")
-    bad = [({"conv_layers": 0, "hidden_dims": ()}, "conv_layers"),
-           ({"batch_size": 0}, "batch_size"),
+    bad = [({"batch_size": 0}, "batch_size"),
            ({"max_epochs": 0}, "max_epochs"),
            ({"hidden_dims": (-1, 4)}, "hidden_dims"),
            ({"hidden_dims": (0, 16)}, "hidden_dims"),
@@ -93,7 +96,7 @@ def test_config_validation():
            ({"convergence_tol": -1e-9}, "convergence_tol"),
            ({"convergence_tol": float("nan")}, "convergence_tol"),
            # sizes and seeds are integers: bools and integral floats too are refused
-           ({"conv_layers": 2.0}, "conv_layers"),
+           ({"hidden_dims": (8.0, 4)}, "hidden_dims"),
            ({"batch_size": 2.5}, "batch_size"),
            ({"batch_size": True}, "batch_size"),
            ({"max_epochs": 1.5}, "max_epochs"),
@@ -106,7 +109,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match=name):
             ModelConfig(**fields)
     # the smallest valid values, and a huge but finite step size
-    ModelConfig(conv_layers=1, hidden_dims=(1,), batch_size=1, max_epochs=1,
+    ModelConfig(hidden_dims=(1,), batch_size=1, max_epochs=1,
                 learning_rate=1e200, convergence_tol=0.0)
     cfg = ModelConfig(hidden_dims=[16, 8])  # list accepted, stored as tuple
     assert cfg.hidden_dims == (16, 8)
@@ -114,7 +117,7 @@ def test_config_validation():
     assert ModelConfig(feature_set="all_features").feature_dim == 11
     assert ModelConfig(**cfg.to_dict()) == cfg
     # numpy integers are stored as Python ints, so the config stays JSON
-    cfg = ModelConfig(conv_layers=np.int64(2), hidden_dims=np.array([8, 4]),
+    cfg = ModelConfig(hidden_dims=np.array([8, 4]),
                       batch_size=np.int32(4), max_epochs=np.uint16(3), seed=np.int64(7))
     doc = cfg.to_dict()
     assert doc == ModelConfig(hidden_dims=(8, 4), batch_size=4, max_epochs=3, seed=7).to_dict()
@@ -167,7 +170,7 @@ def test_attention_hand_computed():
     model = new_model(SMALL)
     h = x
     w = densify(a, 6)
-    for l in range(SMALL.conv_layers):
+    for l in range(len(SMALL.hidden_dims)):
         h = np.maximum(w @ h @ model.params[f"conv{l}"], 0.0)
     assert h.any()
 
@@ -518,8 +521,8 @@ def test_gradient_fidelity(feat_agg, gate_agg):
 @pytest.mark.parametrize("overrides,empty_rows", [
     ({}, False),  # narrowing: 11 -> 4 -> 3
     ({"hidden_dims": (3, 6)}, False),  # widening second layer
-    ({"conv_layers": 1, "hidden_dims": (4,)}, False),
-    ({"conv_layers": 3, "hidden_dims": (4, 6, 3)}, False),
+    ({"hidden_dims": (4,)}, False),
+    ({"hidden_dims": (4, 6, 3)}, False),
     ({"graph_repr": "laplacian"}, False),
     ({}, True),  # input gates' rows are empty
 ], ids=["narrowing", "widening", "one-layer", "three-layer", "laplacian",
@@ -582,7 +585,7 @@ def test_train_memorizes_tiny_dataset():
     # collapses to multiples of A@A@x and cannot fit arbitrary labels
     rng = np.random.default_rng(30)
     samples = make_samples(rng, 5, n=5, f=11)
-    cfg = ModelConfig(conv_layers=2, hidden_dims=(8, 4),
+    cfg = ModelConfig(hidden_dims=(8, 4),
                       feature_set="all_features", learning_rate=0.02,
                       max_epochs=3000, convergence_tol=0.0, batch_size=4,
                       seed=2)
@@ -846,15 +849,23 @@ def test_checkpoint_rejects_foreign_documents(tmp_path):
 def test_checkpoint_rejects_version_1(tmp_path):
     # version 1 configs carry two fields ModelConfig no longer has,
     # version 2 ones three more (self_loops, directed, output_head), and
-    # version 3 ones no label kind
+    # version 3 ones no label kind, and version 4 ones a conv_layers count,
+    # which len(hidden_dims) now gives
     path = tmp_path / "old.json"
     save_checkpoint(new_model(SMALL), path, "conflicts")
     doc = json.loads(path.read_text())
-    assert doc["version"] == CHECKPOINT_VERSION == 4
-    for old in (1, 2, 3):
+    assert doc["version"] == CHECKPOINT_VERSION == 5
+    assert "conv_layers" not in doc["config"]
+    for old in (1, 2, 3, 4):
         doc["version"] = old
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: version: "
-                                             f"expected 4, got {old}$"):
+                                             f"expected 5, got {old}$"):
             load_checkpoint(path)
+    doc["version"] = CHECKPOINT_VERSION
+    doc["config"]["conv_layers"] = len(SMALL.hidden_dims)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                         f"config: conv_layers: unknown field$"):
+        load_checkpoint(path)
 
