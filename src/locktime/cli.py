@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -60,20 +59,8 @@ def _load_bench(spec: str):
     return read_bench(spec)
 
 
-def _json_safe(doc):
-    """``doc`` with every non-finite float replaced by None: JSON has no NaN."""
-    if isinstance(doc, float):
-        return doc if math.isfinite(doc) else None
-    if isinstance(doc, dict):
-        return {k: _json_safe(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_json_safe(v) for v in doc]
-    return doc
-
-
 def _emit(doc, out=None) -> None:
-    _write_text(json.dumps(_json_safe(doc), indent=1, sort_keys=True,
-                           allow_nan=False) + "\n", out)
+    _write_text(json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _write_text(text: str, out=None) -> None:

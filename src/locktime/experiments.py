@@ -42,7 +42,7 @@ from .icnet import (
 )
 from .netlist import (COUNT, FILE_NAME, NONNEGATIVE, ONE_HOT_ORDER, TEXT, Circuit, check_json,
                       emit_bench, json_choice, read_bench, read_json_object, write_json)
-from .numerics import no_fp_warnings
+from .numerics import NonFiniteError, no_fp_warnings
 from .obfuscate import (
     INSTANCE,
     ObfuscationInstance,
@@ -83,18 +83,10 @@ def pearson(x, y) -> float:
 
 def average_ranks(v) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(np.asarray(v, dtype=np.float64).ravel(),
+                                 return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # 1-based sorted position of each tie group's last value
+    return (last - (counts - 1) / 2.0)[group]
 
 
 def spearman(x, y) -> float:
@@ -280,9 +272,9 @@ def _read_record(rec_id: str, base: Circuit, base_file: str, doc) -> DatasetReco
 class MetricsReport:
     n: int
     mse: float
-    pearson: float
-    spearman: float
-    slope: float
+    pearson: float | None  # None: undefined, as for constant predictions or targets
+    spearman: float | None
+    slope: float | None
     intercept: float
 
     def to_dict(self) -> dict:
@@ -292,29 +284,28 @@ class MetricsReport:
 def evaluate(model: Model, samples) -> MetricsReport:
     """Latent-vs-target metrics on the model's training scale.
 
-    Zero-variance predictions or targets make the correlations NaN
-    rather than failing the whole report.
+    Zero-variance predictions or targets leave the correlations (and,
+    for constant predictions, the slope) undefined: None, rather than
+    failing the whole report.  A non-finite MSE raises NonFiniteError.
     """
     if not samples:
         raise ValueError("no samples to evaluate")
-    zs, ts = [], []
     with no_fp_warnings():
-        for smp in samples:
-            zs.append(_forward(model, smp.layout, smp.ax).z)
-            ts.append(target_value(smp.label))
-    z = np.asarray(zs)
-    t = np.asarray(ts)
-    try:
-        pr = pearson(z, t)
-        sr = spearman(z, t)
-    except ValueError:
-        pr = sr = float("nan")
-    if z.size >= 2 and np.ptp(z) > 0:
-        w = fit_linear(z[:, None], t)
-        slope, intercept = float(w[0]), float(w[1])
-    else:
-        slope, intercept = float("nan"), float(t.mean() - z.mean())
-    return MetricsReport(len(samples), mse(z, t), pr, sr, slope, intercept)
+        z = np.array([_forward(model, smp.layout, smp.ax).z for smp in samples])
+        t = np.array([target_value(smp.label) for smp in samples])
+        err = mse(z, t)
+        if not math.isfinite(err):
+            raise NonFiniteError("evaluation MSE")
+        try:
+            pr, sr = pearson(z, t), spearman(z, t)
+        except ValueError:
+            pr = sr = None
+        if z.size >= 2 and np.ptp(z) > 0:
+            w = fit_linear(z[:, None], t)
+            slope, intercept = float(w[0]), float(w[1])
+        else:
+            slope, intercept = None, float(t.mean() - z.mean())
+    return MetricsReport(len(samples), err, pr, sr, slope, intercept)
 
 
 def mean_predictor_mse(train_targets, test_targets) -> float:
@@ -399,7 +390,7 @@ def dataset_report(records) -> dict:
     }
     try:
         report["spearman_locations_conflicts"] = spearman(locs, conflicts)
-    except ValueError:
-        report["spearman_locations_conflicts"] = float("nan")
+    except ValueError:  # every instance has the same location count, or conflict count
+        report["spearman_locations_conflicts"] = None
     return report
 

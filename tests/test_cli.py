@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -631,7 +632,7 @@ def test_train_too_wide_a_layer_is_json_error(pipeline, capsys, tmp_path):
                              "--out", str(tmp_path / "m.json"))
     assert code == 1 and out == "" and "Traceback" not in err
     (line,) = err.splitlines()
-    assert json.loads(line)["error"].endswith("MemoryError")
+    assert json.loads(line)["error"] == "MemoryError"
     assert not (tmp_path / "m.json").exists()
 
 
@@ -659,13 +660,53 @@ def test_out_writes_what_stdout_shows(pipeline, capsys, tmp_path, command):
     assert target.read_text() == printed
 
 
-def test_report_undefined_correlation_is_null(capsys, tmp_path):
+def _scaled_checkpoint(model, path, factor, names):
+    """``model``'s checkpoint written to ``path``, parameters ``names`` times ``factor``."""
+    doc = json.loads(model.read_text())
+    for name in names:
+        doc["params"][name]["data"] = [v * factor for v in doc["params"][name]["data"]]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_report_undefined_correlation_is_null(pipeline, capsys, tmp_path):
     # one location everywhere: Spearman against a constant is undefined
     ds = tmp_path / "ds"
     run_json(capsys, "gen-data", "builtin:c17", "--count", "3", "--kind", "xor",
              "--locations", "1", "--out", str(ds))
     doc = run_json(capsys, "report", "--dataset", str(ds))
     assert doc["dataset"]["spearman_locations_conflicts"] is None
+    # all-zero parameters predict one constant: no correlation and no slope
+    ds, model, *_ = pipeline
+    params = json.loads(model.read_text())["params"]
+    zero = _scaled_checkpoint(model, tmp_path / "zero.json", 0.0, params)
+    doc = run_json(capsys, "eval", "--dataset", str(ds), "--model", str(zero), "--split", "all")
+    assert doc["pearson"] is doc["spearman"] is doc["slope"] is None
+    assert doc["mse"] > 0 and doc["intercept"] > 0
+
+
+def test_eval_refuses_a_non_finite_mse(pipeline, capsys, tmp_path):
+    # weights times 1e80 keep every latent finite, but their squares overflow
+    ds, model, *_ = pipeline
+    huge = _scaled_checkpoint(model, tmp_path / "huge.json", 1e80, ("conv0", "conv1"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "eval", "--dataset", str(ds), "--model", str(huge),
+                                 "--split", "all")
+    assert code == 1 and out == "" and caught == []
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "NonFiniteError",
+                                "message": "non-finite values in evaluation MSE"}
+
+
+def test_a_non_finite_output_is_json_error(monkeypatch, pipeline, capsys):
+    # no pass rewrites a non-finite number to null: output is strict JSON or refused
+    ds, *_ = pipeline
+    monkeypatch.setattr("locktime.cli.dataset_report", lambda records: {"x": float("inf")})
+    code, out, err = run_cli(capsys, "report", "--dataset", str(ds))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "Out of range float values are not JSON compliant: inf"}
 
 
 def test_gen_data_rejects_nonpositive_workers(capsys, tmp_path):

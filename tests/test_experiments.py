@@ -68,6 +68,11 @@ def test_average_ranks_with_ties():
     assert average_ranks([10.0, 20.0, 20.0, 30.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
     assert average_ranks([3.0, 1.0, 2.0]).tolist() == [3.0, 1.0, 2.0]
     assert average_ranks([7.0, 7.0, 7.0]).tolist() == [2.0, 2.0, 2.0]
+    assert average_ranks([]).tolist() == []
+    rng = np.random.default_rng(3)
+    for n in range(1, 40):
+        v = rng.integers(0, n // 2 + 1, size=n).astype(float)  # ties whenever n > 2
+        assert average_ranks(v).tobytes() == scipy.stats.rankdata(v).tobytes()
 
 
 def test_spearman_hand_value():
@@ -304,8 +309,7 @@ def test_evaluate_constant_model_degenerates_gracefully(small_records):
     assert rep.n == 6
     targets = [np.log1p(r.labels["conflicts"]) for r in records]
     assert rep.mse == pytest.approx(float(np.mean(np.square(targets))))
-    assert np.isnan(rep.pearson) and np.isnan(rep.spearman)
-    assert np.isnan(rep.slope)
+    assert rep.pearson is rep.spearman is rep.slope is None
     assert rep.intercept == pytest.approx(float(np.mean(targets)))
     d = rep.to_dict()
     assert d["n"] == 6 and "mse" in d
@@ -320,7 +324,7 @@ def test_evaluate_trained_model_fields(small_records):
     rep = evaluate(res.model, samples)
     assert rep.n == 6
     assert np.isfinite(rep.mse)
-    assert -1.0 <= rep.spearman <= 1.0 or np.isnan(rep.spearman)
+    assert rep.spearman is None or -1.0 <= rep.spearman <= 1.0
     with pytest.raises(ValueError):
         evaluate(res.model, [])
 

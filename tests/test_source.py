@@ -204,6 +204,23 @@ def test_bench_files_are_read_only_by_the_one_reader():
     assert not found, f"parse_bench named outside {sorted(BENCH_READERS)}: {found}"
 
 
+def _spells_nan(node) -> bool:
+    """``float("nan")`` in any spelling, or numpy's or math's NaN constant."""
+    if isinstance(node, ast.Attribute):
+        return node.attr.lower() == "nan" and getattr(node.value, "id", None) in (
+            "np", "numpy", "math")
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+            and any(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                    and a.value.strip().lstrip("+-").lower() == "nan" for a in node.args))
+
+
+def test_no_package_code_makes_a_nan():
+    # an undefined statistic is None where it is computed, and JSON output
+    # refuses every non-finite number; a NaN would become the JSON error
+    found = _found_outside(set(), _spells_nan)
+    assert not found, f"NaN spelled in the package: {found}"
+
+
 # the logic types whose function netlist.REDUCTION declares
 REDUCTION_TYPES = {"AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUFF"}
 
